@@ -5,10 +5,12 @@ from .trace_model import (
     BssidId,
     GeoPoint,
     GpsFix,
+    SensorArrays,
     TimestampMs,
     TraceSet,
     UserId,
     WifiScan,
+    ingest_arrays,
     ingest_traces,
     ingest_traces_verbose,
     normalize_bssid,
@@ -51,7 +53,6 @@ from .experiments import (
 )
 from .synthgen import (
     GroundTruth,
-    SensorArrays,
     WorldSpec,
     generate_world,
     mobile_ssid_names,

@@ -450,15 +450,6 @@ def geometric_median(
     return unproject(px, py)
 
 
-@dataclass(slots=True)
-class Observation:
-    """Minimal view of a paired observation used by the classifier."""
-
-    pos: GeoPoint
-    ts: TimestampMs
-    user: UserId
-
-
 def classify_ap(
     bssid: BssidId,
     obs: Sequence,

@@ -44,7 +44,9 @@ from .experiments import (
 from .pairing import PairingConfig, pair_observations, write_pairs_csv
 from .reconstructor import build_timeline, read_timeline_csv, write_timeline_csv
 from .svgplot import write_line_plot
-from .trace_model import GeoPoint, TraceError, ingest_traces_verbose
+# ingest_traces_verbose, the record-route twin of ingest_arrays, stays
+# importable here for code that wraps or compares the CLI's ingest
+from .trace_model import GeoPoint, TraceError, ingest_arrays, ingest_traces_verbose  # noqa: F401
 
 
 class CliError(Exception):
@@ -136,11 +138,11 @@ def _pairing_config(args, cfg_values) -> PairingConfig:
 
 
 def _ingest(gps: str, wifi: str):
-    traces, report = ingest_traces_verbose(gps, wifi)
+    arrays, report = ingest_arrays(gps, wifi)
     print(report.summary(), file=sys.stderr)
     for msg in report.gps.first_errors + report.wifi.first_errors:
         print(f"  {msg}", file=sys.stderr)
-    return traces
+    return arrays
 
 
 def cmd_synth(args, cfg_values) -> int:
@@ -161,10 +163,10 @@ def cmd_synth(args, cfg_values) -> int:
 
 
 def cmd_locate(args, cfg_values) -> int:
-    traces = _ingest(args.gps, args.wifi)
+    arrays = _ingest(args.gps, args.wifi)
     pairing_cfg = _pairing_config(args, cfg_values)
     locator_cfg = _locator_config(args, cfg_values)
-    pairs = pair_observations(traces, pairing_cfg)
+    pairs = pair_observations(arrays, pairing_cfg)
     if args.dump_pairs:
         write_pairs_csv(pairs, args.dump_pairs)
     db = build_database(
@@ -186,9 +188,9 @@ def cmd_locate(args, cfg_values) -> int:
 
 
 def cmd_reconstruct(args, cfg_values) -> int:
-    traces = _ingest(args.gps, args.wifi)
+    arrays = _ingest(args.gps, args.wifi)
     db = read_apdb_csv(args.apdb)
-    timelines = build_timeline(traces.scans, db)
+    timelines = build_timeline(arrays, db)
     write_timeline_csv(timelines, args.out)
     estimated = sum(len(tl.bins) for tl in timelines.values())
     with_data = sum(len(tl.bins_with_data) for tl in timelines.values())
@@ -197,11 +199,10 @@ def cmd_reconstruct(args, cfg_values) -> int:
 
 
 def cmd_coverage(args, cfg_values) -> int:
-    traces = _ingest(args.gps, args.wifi)
+    arrays = _ingest(args.gps, args.wifi)
     db = read_apdb_csv(args.apdb)
-    timelines = build_timeline(traces.scans, db)
+    timelines = build_timeline(arrays, db)
     series = CoverageSeries()
-    day_bins = DAY_MS // timelines[next(iter(timelines))].bin_ms if timelines else 144
     for user in sorted(timelines):
         tl = timelines[user]
         by_day_data: dict[int, int] = {}
@@ -275,14 +276,14 @@ def _experiment_cells(args):
 
 
 def cmd_experiment(args, cfg_values) -> int:
-    traces = _ingest(args.gps, args.wifi)
+    arrays = _ingest(args.gps, args.wifi)
     cfg = ExperimentConfig(
         histogram_days=tuple(args.hist_days),
         known_rule=args.known_rule,
         locator=_locator_config(args, cfg_values),
         pairing=_pairing_config(args, cfg_values),
     )
-    data = prepare_experiment_data(traces, cfg)
+    data = prepare_experiment_data(arrays, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = []

@@ -50,9 +50,6 @@ class CoverageSeries:
     def days(self) -> list[int]:
         return sorted({day for _, day in self.per_user_day})
 
-    def users_on_day(self, day: int) -> list[UserId]:
-        return sorted(u for (u, d) in self.per_user_day if d == day)
-
     def day_values(self, day: int) -> list[float]:
         return [v for (u, d), v in sorted(self.per_user_day.items()) if d == day]
 

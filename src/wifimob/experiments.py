@@ -41,9 +41,15 @@ from .ap_locator import (
     build_simple_database,
 )
 from .coverage_metrics import DAY_MS, DEFAULT_BIN_MS, CoverageSeries, coverage_histogram
-from .pairing import PairedObservation, PairingConfig, pair_time_indices
-from .trace_model import BssidId, TraceSet, UserId, WifiScan
-from .synthgen import SensorArrays, _rng
+from .pairing import (  # PairedEvents is re-exported from here
+    PairedEvents,
+    PairedObservation,
+    PairingConfig,
+    pair_arrays,
+    pair_observations,
+)
+from .trace_model import BssidId, SensorArrays, TraceSet, UserId, WifiScan
+from .synthgen import _rng
 
 _NEVER = np.int64(np.iinfo(np.int64).max)
 
@@ -187,23 +193,6 @@ def greedy_top_routers(scans: Iterable[WifiScan], k: int) -> list[BssidId]:
 
 
 @dataclass(slots=True)
-class PairedEvents:
-    """Paired observations in columnar form; users/aps are table indices."""
-
-    ap: np.ndarray  # int32
-    user: np.ndarray  # int32
-    ts: np.ndarray  # int64
-    lat: np.ndarray
-    lon: np.ndarray
-
-    def count(self) -> int:
-        return int(self.ap.size)
-
-    def n_events(self) -> int:
-        return len({(int(u), int(t)) for u, t in zip(self.user, self.ts)})
-
-
-@dataclass(slots=True)
 class ScanTable:
     """Distinct (user, bin, ap) presence triples plus the bins holding any data.
 
@@ -250,21 +239,7 @@ class ExperimentData:
         return self._full_db
 
     def paired_records(self) -> list[PairedObservation]:
-        from .trace_model import GeoPoint
-
-        out = []
-        p = self.pairs
-        for i in range(p.count()):
-            out.append(
-                PairedObservation(
-                    bssid=self.table.bssids[p.ap[i]],
-                    pos=GeoPoint(float(p.lat[i]), float(p.lon[i])),
-                    ts=int(p.ts[i]),
-                    user=self.table.user_ids[p.user[i]],
-                )
-            )
-        out.sort(key=lambda o: (o.bssid, o.ts, o.user))
-        return out
+        return self.pairs.to_records(self.table.user_ids, self.table.bssids)
 
 
 def _table_from_arrays(arrays: SensorArrays, bin_ms: int) -> ScanTable:
@@ -350,56 +325,6 @@ def _table_from_traces(traces: TraceSet, bin_ms: int) -> ScanTable:
     )
 
 
-def _pairs_from_arrays(
-    arrays: SensorArrays, table: ScanTable, cfg: PairingConfig
-) -> PairedEvents:
-    parts = []
-    for u in range(len(arrays.user_ids)):
-        fsel = np.nonzero(arrays.fix_user == u)[0]
-        ssel = np.nonzero(arrays.scan_user == u)[0]
-        if fsel.size == 0 or ssel.size == 0:
-            continue
-        chosen = pair_time_indices(
-            arrays.fix_ts[fsel], arrays.scan_ts[ssel], cfg.window_ms
-        )
-        hit = chosen >= 0
-        fix_i = fsel[hit]
-        scan_i = ssel[chosen[hit]]
-        lo = arrays.scan_off[scan_i]
-        lens = (arrays.scan_off[scan_i + 1] - lo).astype(np.int64)
-        total = int(lens.sum())
-        if total == 0:
-            continue
-        # flat sighting indices for all chosen scans at once
-        flat_idx = np.repeat(lo - np.concatenate([[0], np.cumsum(lens)[:-1]]), lens) + np.arange(total)
-        parts.append(
-            (
-                arrays.scan_ap[flat_idx].astype(np.int32),
-                np.full(total, u, dtype=np.int32),
-                np.repeat(arrays.fix_ts[fix_i], lens),
-                np.repeat(arrays.fix_lat[fix_i], lens),
-                np.repeat(arrays.fix_lon[fix_i], lens),
-            )
-        )
-
-    if not parts:
-        empty = np.empty(0, dtype=np.int64)
-        return PairedEvents(
-            ap=empty.astype(np.int32),
-            user=empty.astype(np.int32),
-            ts=empty,
-            lat=empty.astype(np.float64),
-            lon=empty.astype(np.float64),
-        )
-    return PairedEvents(
-        ap=np.concatenate([p[0] for p in parts]),
-        user=np.concatenate([p[1] for p in parts]),
-        ts=np.concatenate([p[2] for p in parts]),
-        lat=np.concatenate([p[3] for p in parts]),
-        lon=np.concatenate([p[4] for p in parts]),
-    )
-
-
 def _pairs_from_records(
     obs: Sequence[PairedObservation], table: ScanTable
 ) -> PairedEvents:
@@ -421,12 +346,10 @@ def prepare_experiment_data(
 ) -> ExperimentData:
     if isinstance(source, SensorArrays):
         table = _table_from_arrays(source, cfg.bin_ms)
-        pairs = _pairs_from_arrays(source, table, cfg.pairing)
+        pairs = pair_arrays(source, cfg.pairing)
         t0 = int(min(source.fix_ts.min() if source.fix_ts.size else 0,
                      source.scan_ts.min() if source.scan_ts.size else 0))
     else:
-        from .pairing import pair_observations
-
         table = _table_from_traces(source, cfg.bin_ms)
         pairs = _pairs_from_records(pair_observations(source, cfg.pairing), table)
         t0 = source.span_ms()[0]
@@ -771,7 +694,6 @@ def coverage_via_record_pipeline(
     Exists so the columnar engine has an independently built twin to agree
     with on small worlds. Only the post-hoc strategies make sense here.
     """
-    from .pairing import pair_observations
     from .reconstructor import build_timeline
 
     if isinstance(strategy, InitialPeriod):

@@ -12,7 +12,7 @@ window; that only duplicates consistent evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .trace_model import (
     BssidId,
     GeoPoint,
     GpsFix,
+    SensorArrays,
     TimestampMs,
     TraceSet,
     UserId,
@@ -44,6 +45,44 @@ class PairedObservation:
     pos: GeoPoint
     ts: TimestampMs
     user: UserId
+
+
+@dataclass(slots=True)
+class PairedEvents:
+    """Paired observations in columnar form; users/aps are table indices."""
+
+    ap: np.ndarray  # int32
+    user: np.ndarray  # int32
+    ts: np.ndarray  # int64
+    lat: np.ndarray
+    lon: np.ndarray
+
+    def count(self) -> int:
+        return int(self.ap.size)
+
+    def n_events(self) -> int:
+        return len({(int(u), int(t)) for u, t in zip(self.user, self.ts)})
+
+    def to_records(
+        self, user_ids: list[UserId], bssids: list[BssidId]
+    ) -> list[PairedObservation]:
+        """Record form, sorted by (bssid, ts, user) as :func:`pair_observations`
+        sorts; the sort is stable, so tied rows keep their column order."""
+        order = np.lexsort(
+            (_string_rank(user_ids)[self.user], self.ts, _string_rank(bssids)[self.ap])
+        )
+        ap, user, ts = self.ap[order].tolist(), self.user[order].tolist(), self.ts[order].tolist()
+        lat, lon = self.lat[order].tolist(), self.lon[order].tolist()
+        return [
+            PairedObservation(bssid=bssids[a], pos=GeoPoint(la, lo), ts=t, user=user_ids[u])
+            for a, u, t, la, lo in zip(ap, user, ts, lat, lon)
+        ]
+
+
+def _string_rank(names: list[str]) -> np.ndarray:
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return rank
 
 
 def pair_time_indices(
@@ -76,14 +115,70 @@ def pair_time_indices(
     return chosen.astype(np.int64)
 
 
+def pair_arrays(arrays: SensorArrays, cfg: PairingConfig = PairingConfig()) -> PairedEvents:
+    """Columnar pairing: one event per sighting in each fix's chosen scan.
+
+    Per user, fixes and scans must be in time order. Fixes whose accuracy
+    exceeds ``cfg.max_accuracy_m`` are skipped; a NaN accuracy (not
+    reported) is kept, as the record route keeps ``None``.
+    """
+    parts = []
+    for u in range(len(arrays.user_ids)):
+        fsel = np.nonzero(arrays.fix_user == u)[0]
+        if cfg.max_accuracy_m is not None:
+            # compare in float64, as the record route compares Python floats
+            acc = arrays.fix_acc[fsel].astype(np.float64)
+            fsel = fsel[~(acc > cfg.max_accuracy_m)]
+        ssel = np.nonzero(arrays.scan_user == u)[0]
+        if fsel.size == 0 or ssel.size == 0:
+            continue
+        chosen = pair_time_indices(
+            arrays.fix_ts[fsel], arrays.scan_ts[ssel], cfg.window_ms
+        )
+        hit = chosen >= 0
+        fix_i = fsel[hit]
+        flat_idx, lens = arrays.sighting_index(ssel[chosen[hit]])
+        total = int(flat_idx.size)
+        if total == 0:
+            continue
+        parts.append(
+            (
+                arrays.scan_ap[flat_idx].astype(np.int32),
+                np.full(total, u, dtype=np.int32),
+                np.repeat(arrays.fix_ts[fix_i], lens),
+                np.repeat(arrays.fix_lat[fix_i], lens),
+                np.repeat(arrays.fix_lon[fix_i], lens),
+            )
+        )
+
+    if not parts:
+        empty = np.empty(0, dtype=np.int64)
+        return PairedEvents(
+            ap=empty.astype(np.int32),
+            user=empty.astype(np.int32),
+            ts=empty,
+            lat=empty.astype(np.float64),
+            lon=empty.astype(np.float64),
+        )
+    return PairedEvents(
+        ap=np.concatenate([p[0] for p in parts]),
+        user=np.concatenate([p[1] for p in parts]),
+        ts=np.concatenate([p[2] for p in parts]),
+        lat=np.concatenate([p[3] for p in parts]),
+        lon=np.concatenate([p[4] for p in parts]),
+    )
+
+
 def pair_observations(
-    traces: TraceSet, cfg: PairingConfig = PairingConfig()
+    traces: Union[TraceSet, SensorArrays], cfg: PairingConfig = PairingConfig()
 ) -> list[PairedObservation]:
-    """Produce paired observations for a whole trace set.
+    """Produce paired observations for a whole trace set, in either form.
 
     Output is sorted by (bssid, ts, user); the same input always produces
-    the same list.
+    the same list. Columnar input goes through :func:`pair_arrays`.
     """
+    if isinstance(traces, SensorArrays):
+        return pair_arrays(traces, cfg).to_records(traces.user_ids, traces.bssids)
     scans_by_user: dict[UserId, list[WifiScan]] = {}
     for scan in traces.scans:
         scans_by_user.setdefault(scan.user, []).append(scan)

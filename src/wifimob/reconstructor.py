@@ -6,7 +6,9 @@ the geometric median of the access-point positions, which keeps one badly
 placed router from dragging the estimate far off.
 
 Timelines bin estimates into fixed-width time bins (ten minutes by default);
-the first resolvable scan in a bin provides the bin's estimate.
+the first resolvable scan in a bin provides the bin's estimate. Timelines
+are built from a columnar :class:`SensorArrays` log or, as the reference
+route, from record scans; both give equal results.
 """
 
 from __future__ import annotations
@@ -14,11 +16,21 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
-from .ap_locator import ApDatabase, geometric_median
+import numpy as np
+
+from .ap_locator import ApClass, ApDatabase, geometric_median
 from .coverage_metrics import DEFAULT_BIN_MS
-from .trace_model import BssidId, GeoPoint, TimestampMs, UserId, WifiScan
+from .trace_model import (
+    BssidId,
+    GeoPoint,
+    SensorArrays,
+    TimestampMs,
+    TraceError,
+    UserId,
+    WifiScan,
+)
 
 
 @dataclass(slots=True)
@@ -52,6 +64,12 @@ def resolve_scan(scan: WifiScan, db: ApDatabase) -> Optional[PositionEstimate]:
         pos = rec.position_at(scan.ts)
         if pos is not None:
             hits.append((sighting.bssid, pos))
+    return _estimate(scan.user, scan.ts, hits)
+
+
+def _estimate(
+    user: UserId, ts: TimestampMs, hits: list[tuple[BssidId, GeoPoint]]
+) -> Optional[PositionEstimate]:
     if not hits:
         return None
     hits.sort(key=lambda h: h[0])
@@ -60,20 +78,33 @@ def resolve_scan(scan: WifiScan, db: ApDatabase) -> Optional[PositionEstimate]:
         pos = hits[0][1]
     else:
         pos = geometric_median([p for _, p in hits])
-    return PositionEstimate(user=scan.user, ts=scan.ts, pos=pos, support=support)
+    return PositionEstimate(user=user, ts=ts, pos=pos, support=support)
 
 
 def build_timeline(
-    scans: Iterable[WifiScan],
+    scans: Union[Iterable[WifiScan], SensorArrays],
     db: ApDatabase,
     bin_ms: int = DEFAULT_BIN_MS,
 ) -> dict[UserId, BinnedTimeline]:
-    """Per-user binned timelines; scans must be sorted by timestamp per user."""
+    """Per-user binned timelines from record scans or a columnar log.
+
+    Each user's scans must be in time order (ties allowed), so that the
+    first resolvable scan of a bin is the earliest; otherwise TraceError.
+    """
+    if isinstance(scans, SensorArrays):
+        return _timeline_from_arrays(scans, db, bin_ms)
     timelines: dict[UserId, BinnedTimeline] = {}
+    last_ts: dict[UserId, TimestampMs] = {}
     for scan in scans:
         tl = timelines.get(scan.user)
         if tl is None:
             tl = timelines[scan.user] = BinnedTimeline(user=scan.user, bin_ms=bin_ms)
+        elif scan.ts < last_ts[scan.user]:
+            raise TraceError(
+                f"scans of user {scan.user} out of time order: "
+                f"{scan.ts} after {last_ts[scan.user]}"
+            )
+        last_ts[scan.user] = scan.ts
         bin_idx = scan.ts // bin_ms
         tl.bins_with_data.add(bin_idx)
         if bin_idx in tl.bins:
@@ -82,6 +113,88 @@ def build_timeline(
         if est is not None:
             tl.bins[bin_idx] = est
     return timelines
+
+
+def _timeline_from_arrays(
+    arrays: SensorArrays, db: ApDatabase, bin_ms: int
+) -> dict[UserId, BinnedTimeline]:
+    """Columnar :func:`build_timeline`: find each bin's first resolvable scan
+    with array operations, then estimate positions for those scans only."""
+    users, ts = arrays.scan_user, arrays.scan_ts
+    # per user, array order is time order; a stable sort by user keeps it
+    order = np.argsort(users, kind="stable")
+    u, t = users[order], ts[order]
+    same_user = u[1:] == u[:-1]
+    bad = np.nonzero(same_user & (t[1:] < t[:-1]))[0]
+    if bad.size:
+        k = int(bad[0])
+        raise TraceError(
+            f"scans of user {arrays.user_ids[u[k]]} out of time order: "
+            f"{int(t[k + 1])} after {int(t[k])}"
+        )
+    bins = t // bin_ms
+    new_bin = np.ones(order.size, dtype=bool)
+    new_bin[1:] = ~same_user | (bins[1:] != bins[:-1])
+
+    records = [db.get(b) for b in arrays.bssids]
+    usable = _usable_sightings(arrays, records)
+    hits_before = np.concatenate([[0], np.cumsum(usable, dtype=np.int64)])
+    n_hits = hits_before[arrays.scan_off[1:]] - hits_before[arrays.scan_off[:-1]]
+
+    # the first resolvable scan of each (user, bin) run
+    res_pos = np.nonzero(n_hits[order] > 0)[0]
+    run = np.cumsum(new_bin)[res_pos]
+    first_in_run = np.ones(res_pos.size, dtype=bool)
+    first_in_run[1:] = run[1:] != run[:-1]
+    first = res_pos[first_in_run]
+
+    timelines: dict[UserId, BinnedTimeline] = {}
+    for k in np.nonzero(new_bin)[0].tolist():
+        user = arrays.user_ids[u[k]]
+        tl = timelines.get(user)
+        if tl is None:
+            tl = timelines[user] = BinnedTimeline(user=user, bin_ms=bin_ms)
+        tl.bins_with_data.add(int(bins[k]))
+    for k in first.tolist():
+        scan = int(order[k])
+        scan_ts = int(t[k])
+        lo, hi = int(arrays.scan_off[scan]), int(arrays.scan_off[scan + 1])
+        hits = [
+            (arrays.bssids[a], records[a].position_at(scan_ts))
+            for a in arrays.scan_ap[lo:hi][usable[lo:hi]].tolist()
+        ]
+        user = arrays.user_ids[u[k]]
+        timelines[user].bins[int(bins[k])] = _estimate(user, scan_ts, hits)
+    return timelines
+
+
+def _usable_sightings(arrays: SensorArrays, records: list) -> np.ndarray:
+    """Per sighting: does its router have a position at the scan's time?
+
+    Mirrors ``ApRecord.position_at``: a static router with a position, or a
+    relocated router with the timestamp inside one of its segments.
+    """
+    ap = arrays.scan_ap
+    static = np.array(
+        [r is not None and r.ap_class is ApClass.STATIC and r.pos is not None for r in records],
+        dtype=bool,
+    )
+    relocated = np.array(
+        [r is not None and r.ap_class is ApClass.RELOCATED for r in records], dtype=bool
+    )
+    usable = static[ap]
+    rel = np.nonzero(relocated[ap])[0]
+    if rel.size:
+        scan_of = np.repeat(np.arange(arrays.n_scans), arrays.scan_counts())
+        rel_ts = arrays.scan_ts[scan_of[rel]]
+        rel_ap = ap[rel]
+        for a in np.unique(rel_ap).tolist():
+            sel = rel_ap == a
+            inside = np.zeros(int(sel.sum()), dtype=bool)
+            for seg in records[a].segments:
+                inside |= (rel_ts[sel] >= seg.interval.start) & (rel_ts[sel] <= seg.interval.end)
+            usable[rel[sel]] = inside
+    return usable
 
 
 def write_timeline_csv(timelines: dict[UserId, BinnedTimeline], path) -> None:

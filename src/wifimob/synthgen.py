@@ -27,10 +27,11 @@ from typing import Optional
 
 import numpy as np
 
-from .trace_model import (
+from .trace_model import (  # SensorArrays is re-exported from here
     ApSighting,
     GeoPoint,
     GpsFix,
+    SensorArrays,
     TraceSet,
     WifiScan,
     _fix_line,
@@ -755,40 +756,6 @@ def _build_segments(
     )
 
 
-@dataclass(slots=True)
-class SensorArrays:
-    """Column-oriented sensor log; the compact twin of a record TraceSet."""
-
-    user_ids: list[str]
-    bssids: list[str]
-    ssids: list[Optional[str]]
-    n_static: int
-    # GPS fixes
-    fix_user: np.ndarray
-    fix_ts: np.ndarray
-    fix_lat: np.ndarray
-    fix_lon: np.ndarray
-    fix_acc: np.ndarray
-    # WiFi scans (ragged sightings via offsets into scan_ap)
-    scan_user: np.ndarray
-    scan_ts: np.ndarray
-    scan_off: np.ndarray
-    scan_ap: np.ndarray
-    scan_cell_w: np.ndarray  # density weight at the true scan position
-
-    @property
-    def n_scans(self) -> int:
-        return int(self.scan_ts.size)
-
-    def scan_counts(self) -> np.ndarray:
-        return np.diff(self.scan_off)
-
-    def nonempty_scan_fraction(self) -> float:
-        if self.n_scans == 0:
-            return 0.0
-        return float((self.scan_counts() > 0).mean())
-
-
 def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) -> SensorArrays:
     """Emit the full sensor log as compact arrays."""
     spec = spec or gt.spec
@@ -1008,12 +975,13 @@ def arrays_to_traceset(arrays: SensorArrays) -> TraceSet:
 
     fixes = []
     for k in range(arrays.fix_ts.size):
+        acc = float(arrays.fix_acc[k])
         fixes.append(
             GpsFix(
                 user=arrays.user_ids[arrays.fix_user[k]],
                 ts=int(arrays.fix_ts[k]),
                 pos=GeoPoint(float(arrays.fix_lat[k]), float(arrays.fix_lon[k])),
-                accuracy_m=float(arrays.fix_acc[k]),
+                accuracy_m=None if math.isnan(acc) else acc,
             )
         )
 

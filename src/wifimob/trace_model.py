@@ -1,4 +1,4 @@
-"""Record types and JSONL ingestion for GPS fixes and WiFi scan logs.
+"""Trace data model and JSONL ingestion for GPS fixes and WiFi scan logs.
 
 The on-disk formats are one JSON object per line:
 
@@ -7,9 +7,15 @@ The on-disk formats are one JSON object per line:
 * ``wifi.jsonl`` -- ``{"user": str, "ts_ms": int, "aps": [{"bssid": str,
   "ssid": str?, "rssi": int?}, ...]}``
 
-Timestamps are integer milliseconds since the Unix epoch, UTC. All records
-are sorted by ``(user, ts)`` after ingestion, with a content-based tiebreak
-so that shuffled input files produce identical trace sets.
+Timestamps are integer milliseconds since the Unix epoch, UTC. Ingested
+fixes and scans are put in canonical order: numerically by ``(user, ts)``,
+and, among lines tied on both, by their canonical JSON serialization, so
+that shuffled input files produce identical results.
+
+Two forms hold the same traces. :func:`ingest_arrays` fills the columnar
+:class:`SensorArrays` that every pipeline stage runs on;
+:func:`ingest_traces` builds record objects (:class:`TraceSet`), the
+slower reference form. Both accept and reject exactly the same lines.
 """
 
 from __future__ import annotations
@@ -18,13 +24,17 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 TimestampMs = int
 UserId = str
 BssidId = str
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
+# timestamps must fit the int64 columns of SensorArrays
+_MAX_TS_MS = 2**63 - 1
 
 
 class TraceError(ValueError):
@@ -41,10 +51,38 @@ def normalize_bssid(raw: str) -> BssidId:
     Accepts upper or lower case hex digits separated by ``:`` or ``-``, or a
     bare 12-digit hex string. Idempotent on canonical input.
     """
+    if not isinstance(raw, str):
+        raise BssidParseError(f"not a MAC address: {raw!r}")
     token = raw.strip().lower().replace("-", "").replace(":", "")
     if len(token) != 12 or not _HEX_DIGITS.issuperset(token):
         raise BssidParseError(f"not a MAC address: {raw!r}")
     return ":".join(token[i : i + 2] for i in range(0, 12, 2))
+
+
+def _check_coordinate(lat_deg: float, lon_deg: float) -> None:
+    if not (math.isfinite(lat_deg) and math.isfinite(lon_deg)):
+        raise TraceError(f"non-finite coordinate ({lat_deg}, {lon_deg})")
+    if not -90.0 <= lat_deg <= 90.0:
+        raise TraceError(f"latitude out of range: {lat_deg}")
+    if not -180.0 < lon_deg <= 180.0:
+        raise TraceError(f"longitude out of range: {lon_deg}")
+
+
+def _check_timestamp(ts: TimestampMs) -> None:
+    if ts < 0:
+        raise TraceError(f"negative timestamp: {ts}")
+    if ts > _MAX_TS_MS:
+        raise TraceError(f"timestamp out of range: {ts}")
+
+
+def _check_accuracy(accuracy_m: float) -> None:
+    if not math.isfinite(accuracy_m) or accuracy_m < 0:
+        raise TraceError(f"bad accuracy: {accuracy_m}")
+
+
+def _check_rssi(rssi_dbm: int) -> None:
+    if not -120 <= rssi_dbm <= 0:
+        raise TraceError(f"rssi out of range: {rssi_dbm}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,12 +93,7 @@ class GeoPoint:
     lon_deg: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lat_deg) and math.isfinite(self.lon_deg)):
-            raise TraceError(f"non-finite coordinate ({self.lat_deg}, {self.lon_deg})")
-        if not -90.0 <= self.lat_deg <= 90.0:
-            raise TraceError(f"latitude out of range: {self.lat_deg}")
-        if not -180.0 < self.lon_deg <= 180.0:
-            raise TraceError(f"longitude out of range: {self.lon_deg}")
+        _check_coordinate(self.lat_deg, self.lon_deg)
 
 
 @dataclass(slots=True)
@@ -71,11 +104,9 @@ class GpsFix:
     accuracy_m: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.ts < 0:
-            raise TraceError(f"negative timestamp: {self.ts}")
+        _check_timestamp(self.ts)
         if self.accuracy_m is not None:
-            if not math.isfinite(self.accuracy_m) or self.accuracy_m < 0:
-                raise TraceError(f"bad accuracy: {self.accuracy_m}")
+            _check_accuracy(self.accuracy_m)
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,8 +116,8 @@ class ApSighting:
     rssi_dbm: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.rssi_dbm is not None and not -120 <= self.rssi_dbm <= 0:
-            raise TraceError(f"rssi out of range: {self.rssi_dbm}")
+        if self.rssi_dbm is not None:
+            _check_rssi(self.rssi_dbm)
 
 
 @dataclass(slots=True)
@@ -102,8 +133,7 @@ class WifiScan:
     sightings: list[ApSighting]
 
     def __post_init__(self) -> None:
-        if self.ts < 0:
-            raise TraceError(f"negative timestamp: {self.ts}")
+        _check_timestamp(self.ts)
 
 
 @dataclass(slots=True)
@@ -136,6 +166,63 @@ class TraceSet:
         if not ts:
             return (0, 0)
         return (min(ts), max(ts))
+
+
+@dataclass(slots=True)
+class SensorArrays:
+    """Column-oriented sensor log; the compact twin of a record TraceSet.
+
+    ``user_ids`` and ``bssids`` are the tables the integer columns index.
+    Scan sightings are ragged: scan ``k`` holds
+    ``scan_ap[scan_off[k]:scan_off[k + 1]]``. A missing fix accuracy is NaN.
+
+    Arrays from :func:`ingest_arrays` carry sorted tables, rows in canonical
+    order, no SSIDs (``ssids`` is all None), zeros in ``scan_cell_w`` and
+    ``n_static == 0``: the last two are generator ground truth that a log
+    file does not hold.
+    """
+
+    user_ids: list[str]
+    bssids: list[str]
+    ssids: list[Optional[str]]
+    n_static: int
+    # GPS fixes
+    fix_user: np.ndarray
+    fix_ts: np.ndarray
+    fix_lat: np.ndarray
+    fix_lon: np.ndarray
+    fix_acc: np.ndarray
+    # WiFi scans (ragged sightings via offsets into scan_ap)
+    scan_user: np.ndarray
+    scan_ts: np.ndarray
+    scan_off: np.ndarray
+    scan_ap: np.ndarray
+    scan_cell_w: np.ndarray  # density weight at the true scan position
+
+    @property
+    def n_scans(self) -> int:
+        return int(self.scan_ts.size)
+
+    def scan_counts(self) -> np.ndarray:
+        return np.diff(self.scan_off)
+
+    def nonempty_scan_fraction(self) -> float:
+        if self.n_scans == 0:
+            return 0.0
+        return float((self.scan_counts() > 0).mean())
+
+    def sighting_index(self, scans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat ``scan_ap`` indices of the given scans' sightings, in scan
+        order, plus the sighting count of each scan."""
+        return _ragged_index(self.scan_off, scans)
+
+
+def _ragged_index(off: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    lo = off[rows]
+    lens = off[rows + 1] - lo
+    starts = np.cumsum(lens) - lens
+    flat = np.repeat(lo - starts, lens) + np.arange(int(lens.sum()), dtype=np.int64)
+    return flat, lens
 
 
 @dataclass(slots=True)
@@ -172,8 +259,27 @@ class IngestReport:
 _MALFORMED_FRACTION_LIMIT = 0.01
 _MALFORMED_COUNT_FLOOR = 10
 
+# one validated sighting: (bssid key, ssid, rssi); the key is what the
+# caller's _BssidKeys maps the raw token to
+Sighting = tuple[object, object, Optional[int]]
 
-def _parse_gps_line(obj: dict) -> GpsFix:
+
+class _BssidKeys(dict):
+    """Memo from raw BSSID token to key: ``normalize_bssid``, composed with
+    ``key_of`` when given. A log repeats the same few thousand tokens, so
+    nearly every lookup is a plain dict hit."""
+
+    def __init__(self, key_of: Optional[Callable[[BssidId], object]] = None) -> None:
+        super().__init__()
+        self._key_of = key_of
+
+    def __missing__(self, raw):
+        bssid = normalize_bssid(raw)
+        key = self[raw] = bssid if self._key_of is None else self._key_of(bssid)
+        return key
+
+
+def _line_ids(obj) -> tuple[UserId, TimestampMs]:
     if not isinstance(obj, dict):
         raise TraceError("not an object")
     user = obj["user"]
@@ -182,40 +288,57 @@ def _parse_gps_line(obj: dict) -> GpsFix:
     ts = obj["ts_ms"]
     if not isinstance(ts, int) or isinstance(ts, bool):
         raise TraceError("ts_ms must be an integer")
-    pos = GeoPoint(float(obj["lat"]), float(obj["lon"]))
+    return user, ts
+
+
+def _fix_fields(obj) -> tuple[UserId, TimestampMs, float, float, Optional[float]]:
+    """Validate one parsed ``gps.jsonl`` line; both ingest routes use this."""
+    user, ts = _line_ids(obj)
+    lat, lon = float(obj["lat"]), float(obj["lon"])
+    _check_coordinate(lat, lon)
     acc = obj.get("acc_m")
-    return GpsFix(user=user, ts=ts, pos=pos, accuracy_m=None if acc is None else float(acc))
+    if acc is not None:
+        acc = float(acc)
+    _check_timestamp(ts)
+    if acc is not None:
+        _check_accuracy(acc)
+    return user, ts, lat, lon, acc
 
 
-def _parse_wifi_line(obj: dict) -> WifiScan:
-    if not isinstance(obj, dict):
-        raise TraceError("not an object")
-    user = obj["user"]
-    if not isinstance(user, str) or not user:
-        raise TraceError("bad user id")
-    ts = obj["ts_ms"]
-    if not isinstance(ts, int) or isinstance(ts, bool):
-        raise TraceError("ts_ms must be an integer")
+def _scan_fields(obj, keys: _BssidKeys) -> tuple[UserId, TimestampMs, list[Sighting]]:
+    """Validate one parsed ``wifi.jsonl`` line; both ingest routes use this.
+
+    ``keys`` maps a raw BSSID token to its key, raising for a token that is
+    not a MAC address. Duplicate BSSIDs are merged, first occurrence wins.
+    """
+    user, ts = _line_ids(obj)
     aps = obj.get("aps", [])
     if not isinstance(aps, list):
         raise TraceError("aps must be a list")
-    sightings: list[ApSighting] = []
-    seen: set[BssidId] = set()
+    sightings: list[Sighting] = []
+    seen = set()
     for ap in aps:
-        bssid = normalize_bssid(ap["bssid"])
-        if bssid in seen:
-            continue  # duplicates merged, first occurrence wins
-        seen.add(bssid)
+        key = keys[ap["bssid"]]
+        if key in seen:
+            continue
+        seen.add(key)
         ssid = ap.get("ssid")
         rssi = ap.get("rssi")
-        if rssi is not None and (not isinstance(rssi, int) or isinstance(rssi, bool)):
-            raise TraceError("rssi must be an integer")
-        sightings.append(ApSighting(bssid=bssid, ssid=ssid, rssi_dbm=rssi))
-    return WifiScan(user=user, ts=ts, sightings=sightings)
+        if rssi is not None:
+            if not isinstance(rssi, int) or isinstance(rssi, bool):
+                raise TraceError("rssi must be an integer")
+            _check_rssi(rssi)
+        sightings.append((key, ssid, rssi))
+    _check_timestamp(ts)
+    return user, ts, sightings
 
 
-def _ingest_file(path: Path, parse, stats: FileIngestStats) -> list:
-    records = []
+def _ingest_file(path: Path, accept: Callable[[object, int], None], stats: FileIngestStats) -> None:
+    """Feed each non-blank line's JSON value and line number to ``accept``.
+
+    ``accept`` validates before it stores anything, so a line it rejects
+    leaves no trace beyond its entry in ``stats``.
+    """
     try:
         handle = path.open("r", encoding="utf-8")
     except OSError as exc:
@@ -226,9 +349,10 @@ def _ingest_file(path: Path, parse, stats: FileIngestStats) -> list:
                 continue
             stats.total_lines += 1
             try:
-                records.append(parse(json.loads(line)))
+                accept(json.loads(line), line_no)
                 stats.parsed += 1
-            except (TraceError, KeyError, TypeError, ValueError) as exc:
+            # OverflowError: an integer literal too large for a float
+            except (TraceError, KeyError, TypeError, ValueError, OverflowError) as exc:
                 stats.note_error(line_no, str(exc) or type(exc).__name__)
     if stats.total_lines:
         frac = stats.malformed / stats.total_lines
@@ -237,18 +361,36 @@ def _ingest_file(path: Path, parse, stats: FileIngestStats) -> list:
                 f"{path}: {stats.malformed}/{stats.total_lines} lines malformed; "
                 "this does not look like the right file"
             )
-    return records
 
 
-def ingest_traces_verbose(gps_path, wifi_path) -> tuple[TraceSet, IngestReport]:
-    """Ingest both trace files, returning the traces and a malformed-line report."""
-    gps_path, wifi_path = Path(gps_path), Path(wifi_path)
-    report = IngestReport(
+def _new_report(gps_path: Path, wifi_path: Path) -> IngestReport:
+    return IngestReport(
         gps=FileIngestStats(path=str(gps_path)),
         wifi=FileIngestStats(path=str(wifi_path)),
     )
-    fixes = _ingest_file(gps_path, _parse_gps_line, report.gps)
-    scans = _ingest_file(wifi_path, _parse_wifi_line, report.wifi)
+
+
+def ingest_traces_verbose(gps_path, wifi_path) -> tuple[TraceSet, IngestReport]:
+    """Ingest both trace files as records, returning a malformed-line report too."""
+    gps_path, wifi_path = Path(gps_path), Path(wifi_path)
+    report = _new_report(gps_path, wifi_path)
+    fixes: list[GpsFix] = []
+    scans: list[WifiScan] = []
+
+    def accept_fix(obj, line_no):
+        user, ts, lat, lon, acc = _fix_fields(obj)
+        fixes.append(GpsFix(user=user, ts=ts, pos=GeoPoint(lat, lon), accuracy_m=acc))
+
+    canon = _BssidKeys()
+
+    def accept_scan(obj, line_no):
+        user, ts, sightings = _scan_fields(obj, canon)
+        scans.append(
+            WifiScan(user=user, ts=ts, sightings=[ApSighting(*s) for s in sightings])
+        )
+
+    _ingest_file(gps_path, accept_fix, report.gps)
+    _ingest_file(wifi_path, accept_scan, report.wifi)
     return TraceSet.from_records(fixes, scans), report
 
 
@@ -258,34 +400,187 @@ def ingest_traces(gps_path, wifi_path) -> TraceSet:
     return traces
 
 
-def _json_number(x: float):
-    # integers that arrived as floats stay floats only if they carry a fraction
-    return x
+def ingest_arrays(gps_path, wifi_path) -> tuple[SensorArrays, IngestReport]:
+    """Ingest both trace files straight into columns, plus the line report.
+
+    One streaming pass per file, with the same validation and the same
+    report as :func:`ingest_traces_verbose`; scan lines tied on
+    ``(user, ts)`` are read a second time for their content order. The user
+    and BSSID tables are the sorted unions of what the accepted lines hold,
+    and rows come out in the canonical order, so the result matches the
+    record route row for row.
+    """
+    gps_path, wifi_path = Path(gps_path), Path(wifi_path)
+    report = _new_report(gps_path, wifi_path)
+    users: dict[UserId, int] = {}
+    fix_user: list[int] = []
+    fix_ts: list[int] = []
+    fix_lat: list[float] = []
+    fix_lon: list[float] = []
+    fix_acc: list[float] = []
+
+    def accept_fix(obj, line_no):
+        user, ts, lat, lon, acc = _fix_fields(obj)
+        fix_user.append(users.setdefault(user, len(users)))
+        fix_ts.append(ts)
+        fix_lat.append(lat)
+        fix_lon.append(lon)
+        fix_acc.append(math.nan if acc is None else acc)
+
+    bssid_ids: dict[BssidId, int] = {}
+    ap_keys = _BssidKeys(lambda b: bssid_ids.setdefault(b, len(bssid_ids)))
+    scan_user: list[int] = []
+    scan_ts: list[int] = []
+    scan_len: list[int] = []
+    scan_ap: list[int] = []
+    scan_line: list[int] = []
+
+    def accept_scan(obj, line_no):
+        user, ts, sightings = _scan_fields(obj, ap_keys)
+        scan_user.append(users.setdefault(user, len(users)))
+        scan_ts.append(ts)
+        scan_len.append(len(sightings))
+        scan_ap.extend([s[0] for s in sightings])
+        scan_line.append(line_no)
+
+    _ingest_file(gps_path, accept_fix, report.gps)
+    _ingest_file(wifi_path, accept_scan, report.wifi)
+
+    user_ids, user_map = _sorted_table(list(users), np.arange(len(users)))
+    ap_raw = np.array(scan_ap, dtype=np.int64)
+    # a BSSID interned from a line that was then rejected stays out
+    bssids, ap_map = _sorted_table(list(bssid_ids), ap_raw)
+
+    f_user = user_map[np.array(fix_user, dtype=np.int64)]
+    f_ts = np.array(fix_ts, dtype=np.int64)
+    f_lat = np.array(fix_lat, dtype=np.float64)
+    f_lon = np.array(fix_lon, dtype=np.float64)
+    f_acc = np.array(fix_acc, dtype=np.float64)
+
+    def fix_keys(rows):
+        return [
+            _fix_json(
+                user_ids[f_user[k]],
+                int(f_ts[k]),
+                float(f_lat[k]),
+                float(f_lon[k]),
+                None if math.isnan(f_acc[k]) else float(f_acc[k]),
+            )
+            for k in rows
+        ]
+
+    f_order = _canonical_order(f_user, f_ts, fix_keys)
+
+    s_user = user_map[np.array(scan_user, dtype=np.int64)]
+    s_ts = np.array(scan_ts, dtype=np.int64)
+    s_len = np.array(scan_len, dtype=np.int64)
+    s_off = np.concatenate([[0], np.cumsum(s_len)]).astype(np.int64)
+    s_order = _canonical_order(
+        s_user, s_ts, lambda rows: _scan_keys(wifi_path, [scan_line[k] for k in rows])
+    )
+    flat, lens = _ragged_index(s_off, s_order)
+
+    arrays = SensorArrays(
+        user_ids=user_ids,
+        bssids=bssids,
+        ssids=[None] * len(bssids),
+        n_static=0,
+        fix_user=f_user[f_order],
+        fix_ts=f_ts[f_order],
+        fix_lat=f_lat[f_order],
+        fix_lon=f_lon[f_order],
+        fix_acc=f_acc[f_order],
+        scan_user=s_user[s_order],
+        scan_ts=s_ts[s_order],
+        scan_off=np.concatenate([[0], np.cumsum(lens)]).astype(np.int64),
+        scan_ap=ap_map[ap_raw[flat]],
+        scan_cell_w=np.zeros(s_order.size, dtype=np.float32),
+    )
+    return arrays, report
 
 
-def _fix_line(fix: GpsFix) -> str:
-    obj: dict = {
-        "user": fix.user,
-        "ts_ms": fix.ts,
-        "lat": fix.pos.lat_deg,
-        "lon": fix.pos.lon_deg,
-    }
-    if fix.accuracy_m is not None:
-        obj["acc_m"] = fix.accuracy_m
+def _sorted_table(names: list[str], used: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The sorted table of the names that ids in ``used`` refer to, and the
+    map from provisional id to table index (-1 for names left out)."""
+    present = np.zeros(len(names), dtype=bool)
+    present[used] = True
+    keep = sorted(np.nonzero(present)[0].tolist(), key=names.__getitem__)
+    remap = np.full(len(names), -1, dtype=np.int32)
+    remap[keep] = np.arange(len(keep), dtype=np.int32)
+    return [names[i] for i in keep], remap
+
+
+def _canonical_order(
+    user: np.ndarray, ts: np.ndarray, content_keys: Callable[[list[int]], list[str]]
+) -> np.ndarray:
+    """Row order by ``(user, ts)``, ties broken by ``content_keys(rows)``.
+
+    The table indices in ``user`` follow string order, so this equals the
+    record route's sort; content keys are built only for tied rows.
+    """
+    order = np.lexsort((ts, user))
+    u, t = user[order], ts[order]
+    same = (u[1:] == u[:-1]) & (t[1:] == t[:-1])
+    if not same.any():
+        return order
+    tied = np.zeros(order.size, dtype=bool)
+    tied[1:] |= same
+    tied[:-1] |= same
+    pos = np.nonzero(tied)[0]
+    rows = order[pos].tolist()
+    keys = content_keys(rows)
+    # tied runs are contiguous and (u, t) keeps them in place; the sort is
+    # stable, so identical lines keep their input order
+    resorted = sorted(range(len(rows)), key=lambda i: (int(u[pos[i]]), int(t[pos[i]]), keys[i]))
+    order[pos] = [rows[i] for i in resorted]
+    return order
+
+
+def _scan_keys(path: Path, line_nos: list[int]) -> list[str]:
+    """Canonical JSON of the scans on the given (accepted) lines of ``path``.
+
+    Only rows tied on ``(user, ts)`` need this, so the columns never carry
+    SSIDs or RSSIs; the few lines involved are read again instead.
+    """
+    wanted = set(line_nos)
+    canon = _BssidKeys()
+    key_of_line: dict[int, str] = {}
+    with path.open("r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if line_no in wanted:
+                user, ts, sightings = _scan_fields(json.loads(line), canon)
+                key_of_line[line_no] = _scan_json(user, ts, sightings)
+    return [key_of_line[n] for n in line_nos]
+
+
+def _fix_json(
+    user: UserId, ts: TimestampMs, lat: float, lon: float, acc: Optional[float]
+) -> str:
+    obj: dict = {"user": user, "ts_ms": ts, "lat": lat, "lon": lon}
+    if acc is not None:
+        obj["acc_m"] = acc
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _scan_line(scan: WifiScan) -> str:
+def _scan_json(user: UserId, ts: TimestampMs, sightings: Iterable[Sighting]) -> str:
     aps = []
-    for s in scan.sightings:
-        ap: dict = {"bssid": s.bssid}
-        if s.ssid is not None:
-            ap["ssid"] = s.ssid
-        if s.rssi_dbm is not None:
-            ap["rssi"] = s.rssi_dbm
+    for bssid, ssid, rssi in sightings:
+        ap: dict = {"bssid": bssid}
+        if ssid is not None:
+            ap["ssid"] = ssid
+        if rssi is not None:
+            ap["rssi"] = rssi
         aps.append(ap)
-    return json.dumps(
-        {"user": scan.user, "ts_ms": scan.ts, "aps": aps}, separators=(",", ":")
+    return json.dumps({"user": user, "ts_ms": ts, "aps": aps}, separators=(",", ":"))
+
+
+def _fix_line(fix: GpsFix) -> str:
+    return _fix_json(fix.user, fix.ts, fix.pos.lat_deg, fix.pos.lon_deg, fix.accuracy_m)
+
+
+def _scan_line(scan: WifiScan) -> str:
+    return _scan_json(
+        scan.user, scan.ts, ((s.bssid, s.ssid, s.rssi_dbm) for s in scan.sightings)
     )
 
 
@@ -299,17 +594,3 @@ def write_traces(traces: TraceSet, gps_path, wifi_path) -> None:
         for scan in traces.scans:
             out.write(_scan_line(scan))
             out.write("\n")
-
-
-def iter_user_scans(traces: TraceSet) -> Iterator[tuple[UserId, list[WifiScan]]]:
-    """Yield ``(user, scans)`` groups in user order; scans stay time-sorted."""
-    current: Optional[UserId] = None
-    bucket: list[WifiScan] = []
-    for scan in traces.scans:
-        if scan.user != current:
-            if current is not None:
-                yield current, bucket
-            current, bucket = scan.user, []
-        bucket.append(scan)
-    if current is not None:
-        yield current, bucket

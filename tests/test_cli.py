@@ -1,7 +1,12 @@
 import json
+import random
 from pathlib import Path
 
+import pytest
+
+from wifimob import cli, reconstructor
 from wifimob.cli import main
+from wifimob.trace_model import ingest_traces_verbose
 
 
 def _run(*argv):
@@ -177,3 +182,61 @@ def test_config_drives_synth(tmp_path):
     out2 = tmp_path / "data2"
     assert _run("--config", cfg, "synth", "--out", out2, "--users", 3) == 0
     assert json.loads((out2 / "world.json").read_text())["n_users"] == 3
+
+
+def _all_commands(data, out, config=None):
+    """Run locate, reconstruct, coverage and experiment; return the bytes of
+    every CSV they write."""
+    out.mkdir(parents=True, exist_ok=True)
+    src = ["--gps", data / "gps.jsonl", "--wifi", data / "wifi.jsonl"]
+    pre = ["--config", config] if config else []
+    commands = [
+        ["locate", *src, "--out", out / "apdb.csv", "--dump-pairs", out / "pairs.csv"],
+        ["reconstruct", *src, "--apdb", out / "apdb.csv", "--out", out / "timeline.csv"],
+        ["coverage", *src, "--apdb", out / "apdb.csv", "--out", out / "coverage.csv",
+         "--users-out", out / "users.csv", "--entropy-out", out / "entropy.csv"],
+        ["experiment", *src, "--out-dir", out / "grid", "--seed", "3", "--hist-days", "0", "1"],
+    ]
+    for argv in commands:
+        assert _run(*pre, *argv) == 0
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
+
+
+def _record_route(monkeypatch):
+    """Point the CLI at the record route: TraceSet ingest, record pairing,
+    record timelines and record experiment tables."""
+    monkeypatch.setattr(cli, "ingest_arrays", ingest_traces_verbose)
+    monkeypatch.setattr(
+        cli, "build_timeline", lambda traces, db: reconstructor.build_timeline(traces.scans, db)
+    )
+
+
+@pytest.mark.parametrize("config", [None, "max_accuracy_m = 5\nwindow_ms = 3000\n"])
+def test_cli_outputs_match_record_route(tmp_path, monkeypatch, capsys, config):
+    data = _dataset(tmp_path, users=3, days=2, seed=6, extra=("--scan-period", "60"))
+    cfg = None
+    if config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+    capsys.readouterr()
+    columnar = _all_commands(data, tmp_path / "columnar", cfg)
+    columnar_err = capsys.readouterr().err
+    with monkeypatch.context() as m:
+        _record_route(m)
+        records = _all_commands(data, tmp_path / "records", cfg)
+    records_err = capsys.readouterr().err
+    assert sorted(columnar) == sorted(records) and len(columnar) == 8
+    for name in columnar:
+        assert columnar[name] == records[name], name
+    assert columnar_err == records_err
+    pairs_rows = columnar["pairs.csv"].count(b"\n") - 1
+    assert (pairs_rows == 0) == bool(config)  # synthetic fixes report 10 m accuracy
+
+    # shuffled input lines change nothing
+    shuffled = tmp_path / "shuffled"
+    shuffled.mkdir()
+    for name in ("gps.jsonl", "wifi.jsonl"):
+        lines = (data / name).read_text().splitlines(keepends=True)
+        random.Random(1).shuffle(lines)
+        (shuffled / name).write_text("".join(lines))
+    assert _all_commands(shuffled, tmp_path / "shuffled_out", cfg) == columnar

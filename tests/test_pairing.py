@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wifimob.pairing import PairingConfig, pair_observations, pair_time_indices
+from wifimob.experiments import ExperimentConfig, prepare_experiment_data
+from wifimob.pairing import PairingConfig, pair_arrays, pair_observations, pair_time_indices
+from wifimob.synthgen import (
+    WorldSpec,
+    arrays_to_traceset,
+    generate_world,
+    simulate_sensor_arrays,
+)
 from wifimob.trace_model import ApSighting, GeoPoint, GpsFix, TraceSet, WifiScan
 
 AP1 = ApSighting("02:00:00:00:00:01")
@@ -104,6 +111,35 @@ def test_every_pair_within_window(data):
     # output count: two sightings per paired fix
     paired_fixes = {o.ts for o in obs}
     assert len(obs) == 2 * sum(1 for t in fix_ts if t in paired_fixes)
+
+
+def test_columnar_pairing_applies_accuracy_filter():
+    spec = WorldSpec(seed=7, n_users=2, n_days=2)
+    arrays = simulate_sensor_arrays(generate_world(spec), spec)
+    traces = arrays_to_traceset(arrays)
+    # every synthetic fix reports gps_noise_m as its accuracy
+    for max_acc in (spec.gps_noise_m / 2, spec.gps_noise_m, None):
+        cfg = PairingConfig(max_accuracy_m=max_acc)
+        columnar = pair_observations(arrays, cfg)
+        assert columnar == pair_observations(traces, cfg)
+        assert bool(columnar) == (max_acc != spec.gps_noise_m / 2)
+        exp_cfg = ExperimentConfig(pairing=cfg)
+        assert (
+            prepare_experiment_data(arrays, exp_cfg).pairs.count()
+            == prepare_experiment_data(traces, exp_cfg).pairs.count()
+            == len(columnar)
+        )
+
+
+def test_missing_accuracy_passes_the_filter():
+    arrays = simulate_sensor_arrays(generate_world(WorldSpec(seed=7, n_users=1, n_days=1)))
+    # float32 0.1 is just above the float64 threshold 0.1, as on the record route
+    odd = np.arange(arrays.fix_acc.size) % 2 == 1
+    arrays.fix_acc = np.where(odd, np.nan, 0.1).astype(np.float32)
+    strict = PairingConfig(max_accuracy_m=0.1)
+    kept = pair_arrays(arrays, strict)
+    assert kept.count() and set(kept.ts.tolist()) <= set(arrays.fix_ts[1::2].tolist())
+    assert pair_observations(arrays, strict) == pair_observations(arrays_to_traceset(arrays), strict)
 
 
 def test_deterministic_output(small_world):

@@ -1,6 +1,8 @@
+import json
 import math
 
 import numpy as np
+import pytest
 
 from wifimob.ap_locator import (
     ApClass,
@@ -18,8 +20,16 @@ from wifimob.reconstructor import (
     resolve_scan,
     write_timeline_csv,
 )
-from wifimob.synthgen import WorldSpec, generate_world, simulate_sensors
-from wifimob.trace_model import ApSighting, GeoPoint, WifiScan
+from wifimob.synthgen import WorldSpec, generate_world, simulate_sensors, write_dataset
+from wifimob.trace_model import (
+    ApSighting,
+    GeoPoint,
+    SensorArrays,
+    TraceError,
+    WifiScan,
+    ingest_arrays,
+    ingest_traces,
+)
 
 M_PER_DEG_LAT = 111194.92664455873
 
@@ -180,3 +190,92 @@ def test_two_day_single_user_reconstruction_accuracy():
     coverage = len(tl.bins) / len(tl.bins_with_data)
     assert frac_close >= 0.95
     assert coverage > 0.5
+
+
+def test_timeline_rejects_out_of_order_scans():
+    db = ApDatabase(records={"a": _static("a", _offset(0, 0))})
+    scans = [_scan(["a"], ts=700_000), _scan(["a"], ts=0, user="v"), _scan([], ts=0)]
+    with pytest.raises(TraceError, match="out of time order"):
+        build_timeline(scans, db)
+    # equal timestamps and interleaved users are fine
+    build_timeline([_scan([], ts=5), _scan([], ts=1, user="v"), _scan(["a"], ts=5)], db)
+
+    def arrays(users, ts):
+        n = len(ts)
+        return SensorArrays(
+            user_ids=["u", "v"], bssids=["a"], ssids=[None], n_static=0,
+            fix_user=np.zeros(0, np.int32), fix_ts=np.zeros(0, np.int64),
+            fix_lat=np.zeros(0), fix_lon=np.zeros(0), fix_acc=np.zeros(0),
+            scan_user=np.array(users, np.int32), scan_ts=np.array(ts, np.int64),
+            scan_off=np.arange(n + 1, dtype=np.int64), scan_ap=np.zeros(n, np.int32),
+            scan_cell_w=np.zeros(n, np.float32),
+        )
+
+    with pytest.raises(TraceError, match="out of time order"):
+        build_timeline(arrays([0, 1, 0], [700_000, 0, 0]), db)
+    ok = build_timeline(arrays([0, 1, 0], [5, 1, 5]), db)
+    assert ok == build_timeline([_scan(["a"], ts=5), _scan(["a"], ts=1, user="v"), _scan(["a"], ts=5)], db)
+
+
+def _write_jsonl(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+
+
+def test_columnar_timeline_matches_records_on_hand_built_routers(tmp_path):
+    gps, wifi = tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl"
+    gps.write_text("")
+    db = ApDatabase(
+        records={
+            "02:00:00:00:00:01": _static("02:00:00:00:00:01", _offset(0, 0)),
+            "02:00:00:00:00:02": _static("02:00:00:00:00:02", _offset(300, 0)),
+            "02:00:00:00:00:03": _static("02:00:00:00:00:03", _offset(0, 300)),
+            # a static record without a position never resolves
+            "02:00:00:00:00:04": ApRecord(
+                bssid="02:00:00:00:00:04", ap_class=ApClass.STATIC, n_sightings=9
+            ),
+            "02:00:00:00:00:05": ApRecord(
+                bssid="02:00:00:00:00:05",
+                ap_class=ApClass.RELOCATED,
+                n_sightings=20,
+                segments=[
+                    ApSegment(pos=_offset(900, 0), interval=TimeInterval(0, 1_000_000)),
+                    ApSegment(pos=_offset(0, 900), interval=TimeInterval(2_000_000, 3_000_000)),
+                ],
+            ),
+            "02:00:00:00:00:06": ApRecord(
+                bssid="02:00:00:00:00:06", ap_class=ApClass.MOBILE, n_sightings=9
+            ),
+        }
+    )
+    b = lambda i: {"bssid": f"02:00:00:00:00:0{i}"}
+    _write_jsonl(
+        wifi,
+        [
+            {"user": "u", "ts_ms": 0, "aps": [b(4), b(6)]},  # nothing usable
+            {"user": "u", "ts_ms": 60_000, "aps": [b(5)]},  # relocated, first segment
+            {"user": "u", "ts_ms": 120_000, "aps": [b(1)]},  # same bin: ignored
+            {"user": "u", "ts_ms": 1_500_000, "aps": [b(5), b(4)]},  # between segments
+            {"user": "u", "ts_ms": 2_500_000, "aps": [b(3), b(5), b(2), b(1)]},
+            {"user": "u", "ts_ms": 3_000_000, "aps": [b(5)]},  # segment end, inclusive
+            {"user": "v", "ts_ms": 0, "aps": [b(2), b(3)]},
+            {"user": "v", "ts_ms": 0, "aps": []},
+            {"user": "v", "ts_ms": 600_000, "aps": [b(7)]},  # not in the database
+        ],
+    )
+    columnar = build_timeline(ingest_arrays(gps, wifi)[0], db)
+    records = build_timeline(ingest_traces(gps, wifi).scans, db)
+    assert columnar == records
+    u = columnar["u"]
+    assert u.bins_with_data == {0, 2, 4, 5} and set(u.bins) == {0, 4, 5}
+    assert u.bins[0].pos == _offset(900, 0) and u.bins[0].ts == 60_000
+    assert len(u.bins[4].support) == 4 and u.bins[5].pos == _offset(0, 900)
+    assert columnar["v"].bins_with_data == {0, 1} and set(columnar["v"].bins) == {0}
+
+
+def test_columnar_timeline_matches_records_on_small_world(small_world, tmp_path):
+    _, gt, arrays, traces = small_world
+    db = build_database(prepare_experiment_data(arrays).paired_records())
+    assert build_timeline(arrays, db) == build_timeline(traces.scans, db)
+    write_dataset(gt, arrays, tmp_path)
+    loaded = ingest_arrays(tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl")[0]
+    assert build_timeline(loaded, db) == build_timeline(traces.scans, db)

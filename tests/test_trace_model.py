@@ -1,6 +1,8 @@
 import json
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from wifimob.trace_model import (
     TraceError,
     TraceSet,
     WifiScan,
+    ingest_arrays,
     ingest_traces,
     ingest_traces_verbose,
     normalize_bssid,
@@ -118,17 +121,19 @@ def test_duplicate_bssids_merged_keeping_first(tmp_path):
 
 _user_st = st.sampled_from(["u1", "u2", "u3"])
 _ts_st = st.integers(min_value=0, max_value=10**9)
+# few enough values that lines often tie on (user, ts)
+_tied_ts_st = st.integers(min_value=0, max_value=3)
 _coord_st = st.floats(min_value=-80, max_value=80, allow_nan=False).map(lambda v: round(v, 6))
 
 
 @st.composite
-def _traceset(draw):
+def _traceset(draw, ts_st=_ts_st):
     fixes = draw(
         st.lists(
             st.builds(
                 GpsFix,
                 user=_user_st,
-                ts=_ts_st,
+                ts=ts_st,
                 pos=st.builds(GeoPoint, lat_deg=_coord_st, lon_deg=_coord_st),
                 accuracy_m=st.one_of(st.none(), st.floats(0, 100, allow_nan=False).map(lambda v: round(v, 2))),
             ),
@@ -141,7 +146,7 @@ def _traceset(draw):
             st.builds(
                 WifiScan,
                 user=_user_st,
-                ts=_ts_st,
+                ts=ts_st,
                 sightings=st.lists(
                     st.builds(
                         ApSighting,
@@ -172,17 +177,64 @@ def test_write_ingest_roundtrip_is_stable(tmp_path_factory, traces):
     assert wifi1.read_bytes() == wifi2.read_bytes()
 
 
-@given(traces=_traceset(), shuffle_seed=st.integers(0, 2**32 - 1))
+def _record_rows(traces):
+    """Fixes and scans of a TraceSet as plain tuples, in order."""
+    fixes = [(f.user, f.ts, f.pos.lat_deg, f.pos.lon_deg, f.accuracy_m) for f in traces.fixes]
+    scans = [(s.user, s.ts, [a.bssid for a in s.sightings]) for s in traces.scans]
+    return fixes, scans
+
+
+def _array_rows(arrays):
+    """The same tuples from SensorArrays, with NaN accuracy read as None."""
+    fixes = [
+        (arrays.user_ids[u], t, lat, lon, None if math.isnan(acc) else acc)
+        for u, t, lat, lon, acc in zip(
+            arrays.fix_user.tolist(),
+            arrays.fix_ts.tolist(),
+            arrays.fix_lat.tolist(),
+            arrays.fix_lon.tolist(),
+            arrays.fix_acc.tolist(),
+        )
+    ]
+    off = arrays.scan_off
+    scans = [
+        (
+            arrays.user_ids[arrays.scan_user[k]],
+            int(arrays.scan_ts[k]),
+            [arrays.bssids[a] for a in arrays.scan_ap[off[k] : off[k + 1]].tolist()],
+        )
+        for k in range(arrays.n_scans)
+    ]
+    return fixes, scans
+
+
+def _assert_routes_agree(gps, wifi):
+    """ingest_arrays and the record ingest accept the same lines, report the
+    same errors and yield the same rows in the same order."""
+    traces, report = ingest_traces_verbose(gps, wifi)
+    arrays, array_report = ingest_arrays(gps, wifi)
+    assert array_report == report
+    assert _array_rows(arrays) == _record_rows(traces)
+    assert arrays.user_ids == traces.users()
+    assert arrays.bssids == sorted({a.bssid for s in traces.scans for a in s.sightings})
+    assert arrays.scan_off[-1] == arrays.scan_ap.size
+    return traces, arrays
+
+
+@given(traces=_traceset(ts_st=_tied_ts_st), shuffle_seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_ingest_order_insensitive(tmp_path_factory, traces, shuffle_seed):
     tmp = tmp_path_factory.mktemp("shuf")
     gps, wifi = tmp / "g.jsonl", tmp / "w.jsonl"
     write_traces(traces, gps, wifi)
+    in_order = ingest_arrays(gps, wifi)[0]
     for path in (gps, wifi):
         lines = path.read_text().splitlines()
         random.Random(shuffle_seed).shuffle(lines)
         path.write_text("".join(line + "\n" for line in lines))
     shuffled = ingest_traces(gps, wifi)
+    _, shuffled_arrays = _assert_routes_agree(gps, wifi)
+    assert _array_rows(shuffled_arrays) == _array_rows(in_order) == _record_rows(traces)
     gps2, wifi2 = tmp / "g2.jsonl", tmp / "w2.jsonl"
     write_traces(shuffled, gps2, wifi2)
     write_traces(traces, gps, wifi)
@@ -198,3 +250,107 @@ def test_synthetic_ingest_matches_generator_counts(small_world, tmp_path):
     loaded = ingest_traces(tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl")
     assert len(loaded.fixes) == counts["gps_fixes"] == len(traces.fixes)
     assert len(loaded.scans) == counts["wifi_scans"] == len(traces.scans)
+
+
+def test_ingest_routes_agree_on_synthetic_files(small_world, tmp_path):
+    _, gt, arrays, _ = small_world
+    from wifimob.synthgen import write_dataset
+
+    write_dataset(gt, arrays, tmp_path)
+    traces, loaded = _assert_routes_agree(tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl")
+    assert loaded.n_scans == arrays.n_scans and loaded.scan_ap.size == arrays.scan_ap.size
+    assert loaded.n_static == 0 and not loaded.scan_cell_w.any()
+
+
+def _hand_built_lines():
+    """Valid and malformed lines of every kind the validator distinguishes."""
+    fix = lambda **kw: json.dumps({"user": "bob", "ts_ms": 10, "lat": 1.0, "lon": 2.0, **kw})
+    gps = [
+        fix(lat=1.5),  # no accuracy; sorts after the tied line below
+        fix(acc_m=5.0),
+        fix(user="amy", ts_ms=3, acc_m=0),
+        fix(user="zed-only-gps", ts_ms=7),
+        "",
+        "{ not json",
+        fix(ts_ms=-1),
+        fix(ts_ms=True),
+        fix(lat=91.0),
+        fix(acc_m=-1.0),
+        fix(user=""),
+        fix(user="ghost-fix", lon="east"),
+        "[1, 2]",
+        '{"user": "bob", "ts_ms": 11, "lat": 1%s, "lon": 2.0}' % ("0" * 400),
+        fix(ts_ms=2**63),
+    ]
+    scan = lambda aps, **kw: json.dumps({"user": "bob", "ts_ms": 20, "aps": aps, **kw})
+    ap = lambda b, **kw: {"bssid": b, **kw}
+    wifi = [
+        scan([ap("aabbccddee02", ssid="net")]),  # sorts after the tied line below
+        scan([ap("AA:BB:CC:DD:EE:01", rssi=-40), ap("aa-bb-cc-dd-ee-01", rssi=-90)]),
+        scan([ap("AA-BB-CC-DD-EE-02"), ap("aa:bb:cc:dd:ee:03", rssi=-120)], ts_ms=5),
+        scan([], user="amy", ts_ms=3),
+        json.dumps({"user": "amy", "ts_ms": 4}),  # no aps at all: an empty scan
+        scan([ap("AA:BB:CC:DD:EE:01", ssid=None, rssi=0)], user="amy", ts_ms=9),
+        "   ",
+        scan([ap("02:00:00:00:00:99"), ap("not-a-mac")], user="ghost-scan"),
+        scan([ap("02:00:00:00:00:98", rssi=5)]),
+        scan([ap("02:00:00:00:00:97", rssi=True)]),
+        scan([ap(1234)]),
+        scan([ap(["aa", "bb"])]),
+        scan("aa:bb:cc:dd:ee:01"),
+        scan([ap("02:00:00:00:00:96")], ts_ms=-5),
+        scan(["aa:bb:cc:dd:ee:01"]),
+        json.dumps({"user": "bob", "ts_ms": 1, "aps": [{"ssid": "x"}]}),
+    ]
+    return gps, wifi
+
+
+def test_ingest_routes_agree_on_hand_built_files(tmp_path):
+    gps, wifi = tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl"
+    gps_lines, wifi_lines = _hand_built_lines()
+    _write_lines(gps, gps_lines)
+    _write_lines(wifi, wifi_lines)
+    traces, arrays = _assert_routes_agree(gps, wifi)
+    _, report = ingest_traces_verbose(gps, wifi)
+    assert (report.gps.parsed, report.gps.malformed) == (4, 10)
+    assert (report.wifi.parsed, report.wifi.malformed) == (6, 9)
+    # rejected lines add nothing to the tables, not even a user or a BSSID
+    assert arrays.user_ids == ["amy", "bob", "zed-only-gps"]
+    assert arrays.bssids == ["aa:bb:cc:dd:ee:01", "aa:bb:cc:dd:ee:02", "aa:bb:cc:dd:ee:03"]
+    assert np.isnan(arrays.fix_acc).sum() == 2
+    assert [(f[2], f[4]) for f in _record_rows(traces)[0] if f[:2] == ("bob", 10)] == [
+        (1.0, 5.0),
+        (1.5, None),
+    ]
+    # tied lines come out in canonical-content order on both routes
+    assert [s[2] for s in _record_rows(traces)[1] if s[:2] == ("bob", 20)] == [
+        ["aa:bb:cc:dd:ee:01"],
+        ["aa:bb:cc:dd:ee:02"],
+    ]
+
+    # empty files on both sides
+    for path in (gps, wifi):
+        path.write_text("\n")
+    traces, arrays = _assert_routes_agree(gps, wifi)
+    assert arrays.user_ids == [] and arrays.bssids == [] and arrays.scan_off.tolist() == [0]
+
+
+def test_non_string_bssid_is_a_malformed_line(tmp_path):
+    gps, wifi = tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl"
+    gps.write_text("")
+    _write_lines(wifi, [json.dumps({"user": "u", "ts_ms": 1, "aps": [{"bssid": 1234}]})])
+    for ingest in (ingest_traces_verbose, ingest_arrays):
+        _, report = ingest(gps, wifi)
+        assert report.wifi.malformed == 1
+        assert "not a MAC address" in report.wifi.first_errors[0]
+
+
+def test_ingest_arrays_hard_error_matches_record_route(tmp_path):
+    gps, wifi = tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl"
+    _write_lines(gps, ["not json at all"] * 50)
+    wifi.write_text("")
+    for ingest in (ingest_traces_verbose, ingest_arrays):
+        with pytest.raises(TraceError, match="50/50 lines malformed"):
+            ingest(gps, wifi)
+    with pytest.raises(TraceError, match="cannot read"):
+        ingest_arrays(tmp_path / "nope.jsonl", wifi)
