@@ -44,7 +44,7 @@ def main() -> int:
     gt = generate_world(spec)
     arrays = simulate_sensor_arrays(gt, spec)
     data = prepare_experiment_data(arrays)
-    n_events = len({(int(u), int(t)) for u, t in zip(data.pairs.user, data.pairs.ts)})
+    n_events = data.pairs.n_events()
     f_daily = spec.n_users * spec.n_days / n_events
     print(f"{gt.n_static} static APs, {n_events} paired fix events "
           f"({n_events / (spec.n_users * spec.n_days):.1f}/user/day)")

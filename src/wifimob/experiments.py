@@ -197,7 +197,8 @@ class ScanTable:
     """Distinct (user, bin, ap) presence triples plus the bins holding any data.
 
     ``pres_last_ts`` carries the latest sighting instant of the triple, which
-    is what sequential learning compares against.
+    is what sequential learning compares against. Both tables are sorted by
+    user, then bin (then ap), so each user's rows are contiguous.
     """
 
     user_ids: list[UserId]
@@ -228,7 +229,9 @@ class ExperimentData:
     t0_ms: int
     locator: LocatorConfig = LocatorConfig()
     _full_db: Optional[ApDatabase] = None
-    _top_cache: dict = field(default_factory=dict)
+    # per user: AP id -> the bins in which the user saw it
+    _bin_sets: Optional[list[dict[int, set[int]]]] = None
+    _top_by_k: dict[int, list[np.ndarray]] = field(default_factory=dict)
 
     def full_database(self) -> ApDatabase:
         """Classified database over all paired data; the external-lookup stand-in."""
@@ -241,55 +244,82 @@ class ExperimentData:
     def paired_records(self) -> list[PairedObservation]:
         return self.pairs.to_records(self.table.user_ids, self.table.bssids)
 
+    def top_router_selections(self, k: int) -> list[np.ndarray]:
+        """Per-user greedy top-k AP ids (ascending) over the user's own timebins."""
+        selections = self._top_by_k.get(k)
+        if selections is None:
+            selections = self._top_by_k[k] = [
+                np.array(sorted(_lazy_greedy(sets, k)), dtype=np.int64)
+                for sets in self._user_bin_sets()
+            ]
+        return selections
+
+    def _user_bin_sets(self) -> list[dict[int, set[int]]]:
+        if self._bin_sets is None:
+            t = self.table
+            bounds = np.searchsorted(t.pres_user, np.arange(t.n_users + 1))
+            self._bin_sets = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                # the user's rows, regrouped by AP
+                order = np.argsort(t.pres_ap[lo:hi])
+                bins = t.pres_bin[lo:hi][order].tolist()
+                aps, starts = np.unique(t.pres_ap[lo:hi][order], return_index=True)
+                ends = np.append(starts[1:], len(bins))
+                self._bin_sets.append({
+                    ap: set(bins[s:e])
+                    for ap, s, e in zip(aps.tolist(), starts.tolist(), ends.tolist())
+                })
+        return self._bin_sets
+
 
 def _table_from_arrays(arrays: SensorArrays, bin_ms: int) -> ScanTable:
-    counts = arrays.scan_counts()
-    bins = arrays.scan_ts // bin_ms
+    """Presence table built one user at a time.
 
-    data_key = np.unique(arrays.scan_user.astype(np.int64) * (bins.max() + 1 if bins.size else 1) + bins)
-    max_bin = int(bins.max()) + 1 if bins.size else 1
-    data_user = (data_key // max_bin).astype(np.int32)
-    data_bin = (data_key % max_bin).astype(np.int64)
+    Only one user's sightings are expanded at once, so the temporaries
+    scale with the largest user rather than with the whole log. Scan rows
+    need not be grouped by user.
+    """
+    n_users, n_aps = len(arrays.user_ids), len(arrays.bssids)
+    by_user = np.argsort(arrays.scan_user, kind="stable")
+    bounds = np.searchsorted(arrays.scan_user[by_user], np.arange(n_users + 1))
+    data_user, data_bin = [], []
+    pres_user, pres_bin, pres_ap, pres_last_ts = [], [], [], []
+    for u in range(n_users):
+        scans = by_user[bounds[u] : bounds[u + 1]]
+        bins = arrays.scan_ts[scans] // bin_ms
+        uniq_bins = np.unique(bins)
+        data_user.append(np.full(uniq_bins.size, u, dtype=np.int32))
+        data_bin.append(uniq_bins)
 
-    scan_idx = np.repeat(np.arange(arrays.n_scans), counts)
-    s_user = arrays.scan_user[scan_idx].astype(np.int64)
-    s_bin = bins[scan_idx]
-    s_ts = arrays.scan_ts[scan_idx]
-    s_ap = arrays.scan_ap.astype(np.int64)
-
-    n_aps = len(arrays.bssids)
-    key = (s_user * max_bin + s_bin) * n_aps + s_ap
-    order = np.argsort(key, kind="stable")
-    key_sorted = key[order]
-    starts_mask = np.empty(key_sorted.size, dtype=bool)
-    if key_sorted.size:
-        starts_mask[0] = True
-        np.not_equal(key_sorted[1:], key_sorted[:-1], out=starts_mask[1:])
-    start_idx = np.nonzero(starts_mask)[0]
-    uniq_key = key_sorted[start_idx]
-    # the latest sighting instant within each (user, bin, ap) run
-    last_ts = (
-        np.maximum.reduceat(s_ts[order], start_idx)
-        if start_idx.size
-        else np.empty(0, dtype=np.int64)
-    )
-
-    pres_ap = (uniq_key % n_aps).astype(np.int32)
-    rest = uniq_key // n_aps
-    pres_bin = (rest % max_bin).astype(np.int64)
-    pres_user = (rest // max_bin).astype(np.int32)
+        flat, lens = arrays.sighting_index(scans)
+        if flat.size == 0:
+            continue
+        key = np.repeat(bins, lens) * n_aps + arrays.scan_ap[flat]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        pres_user.append(np.full(starts.size, u, dtype=np.int32))
+        pres_bin.append(key[starts] // n_aps)
+        pres_ap.append(key[starts] % n_aps)
+        # the latest sighting instant within each (bin, ap) run
+        ts = np.repeat(arrays.scan_ts[scans], lens)
+        pres_last_ts.append(np.maximum.reduceat(ts[order], starts))
 
     return ScanTable(
         user_ids=list(arrays.user_ids),
         bssids=list(arrays.bssids),
         bin_ms=bin_ms,
-        data_user=data_user,
-        data_bin=data_bin,
-        pres_user=pres_user,
-        pres_bin=pres_bin,
-        pres_ap=pres_ap,
-        pres_last_ts=last_ts,
+        data_user=_concat(data_user, np.int32),
+        data_bin=_concat(data_bin, np.int64),
+        pres_user=_concat(pres_user, np.int32),
+        pres_bin=_concat(pres_bin, np.int64),
+        pres_ap=_concat(pres_ap, np.int32),
+        pres_last_ts=_concat(pres_last_ts, np.int64),
     )
+
+
+def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts).astype(dtype, copy=False) if parts else np.empty(0, dtype=dtype)
 
 
 def _table_from_traces(traces: TraceSet, bin_ms: int) -> ScanTable:
@@ -465,16 +495,11 @@ def _selection_mask(data: ExperimentData, strategy: SamplingStrategy) -> tuple[n
         cutoff = data.t0_ms + strategy.days * DAY_MS
         return p.ts < cutoff, True
     if isinstance(strategy, RandomFraction):
-        events = sorted({(int(u), int(t)) for u, t in zip(p.user, p.ts)})
-        rng = _rng(strategy.seed, 100)
-        keep_mask = rng.random(len(events)) < strategy.f
-        keep = {ev for ev, k in zip(events, keep_mask) if k}
-        sel = np.fromiter(
-            ((int(u), int(t)) in keep for u, t in zip(p.user, p.ts)),
-            dtype=bool,
-            count=p.count(),
-        )
-        return sel, False
+        # the i-th draw decides the i-th event in (user, ts) order, as in
+        # select_training_pairs
+        event, n_events = p.event_ids()
+        keep_mask = _rng(strategy.seed, 100).random(n_events) < strategy.f
+        return keep_mask[event], False
     raise ValueError(f"no observation mask for strategy {strategy}")
 
 
@@ -496,31 +521,6 @@ def _resolvable_static_and_relocated(db: ApDatabase, table: ScanTable):
     return np.array(sorted(static_ids), dtype=np.int64), relocated
 
 
-def _user_bin_sets(data: ExperimentData, u: int) -> dict[int, set]:
-    cached = data._top_cache.get(("sets", u))
-    if cached is None:
-        t = data.table
-        sel = t.pres_user == u
-        cached = {}
-        for ap, b in zip(t.pres_ap[sel], t.pres_bin[sel]):
-            cached.setdefault(int(ap), set()).add(int(b))
-        data._top_cache[("sets", u)] = cached
-    return cached
-
-
-def _top_router_selections(data: ExperimentData, k: int) -> list[np.ndarray]:
-    """Per-user greedy top-k AP ids over the user's own timebins."""
-    cache_key = ("top", k)
-    if cache_key in data._top_cache:
-        return data._top_cache[cache_key]
-    selections = []
-    for u in range(data.table.n_users):
-        chosen = _lazy_greedy(_user_bin_sets(data, u), k)
-        selections.append(np.array(sorted(chosen), dtype=np.int64))
-    data._top_cache[cache_key] = selections
-    return selections
-
-
 def run_experiment(
     source: Union[TraceSet, SensorArrays, ExperimentData],
     strategy: SamplingStrategy,
@@ -538,9 +538,8 @@ def run_experiment(
         resolvable, relocated_guard = _resolvable_static_and_relocated(db, t)
         res_mask = np.zeros(n_aps, dtype=bool)
         res_mask[resolvable] = True
-        selections = _top_router_selections(data, strategy.k)
         picked = np.zeros((n_users, n_aps), dtype=bool)
-        for u, sel in enumerate(selections):
+        for u, sel in enumerate(data.top_router_selections(strategy.k)):
             usable = sel[res_mask[sel]]
             picked[u, usable] = True
         mat = np.where(picked, np.int64(0), _NEVER)

@@ -60,8 +60,20 @@ class PairedEvents:
     def count(self) -> int:
         return int(self.ap.size)
 
+    def event_ids(self) -> tuple[np.ndarray, int]:
+        """Each row's fix event as an index into the distinct ``(user, ts)``
+        pairs in ascending order, plus the number of events."""
+        order = np.lexsort((self.ts, self.user))
+        user, ts = self.user[order], self.ts[order]
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = (user[1:] != user[:-1]) | (ts[1:] != ts[:-1])
+        ids = np.empty(order.size, dtype=np.int64)
+        ids[order] = np.cumsum(new) - 1
+        return ids, int(np.count_nonzero(new))
+
     def n_events(self) -> int:
-        return len({(int(u), int(t)) for u, t in zip(self.user, self.ts)})
+        """Distinct paired GPS fix events, i.e. distinct ``(user, ts)`` rows."""
+        return self.event_ids()[1]
 
     def to_records(
         self, user_ids: list[UserId], bssids: list[BssidId]

@@ -228,10 +228,14 @@ def _ragged_index(off: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
 @dataclass(slots=True)
 class FileIngestStats:
     path: str
-    total_lines: int = 0
     parsed: int = 0
     malformed: int = 0
     first_errors: list[str] = field(default_factory=list)
+
+    @property
+    def total_lines(self) -> int:
+        """Non-blank lines read: every one is either parsed or malformed."""
+        return self.parsed + self.malformed
 
     def note_error(self, line_no: int, message: str, keep: int = 10) -> None:
         self.malformed += 1
@@ -340,19 +344,25 @@ def _ingest_file(path: Path, accept: Callable[[object, int], None], stats: FileI
     leaves no trace beyond its entry in ``stats``.
     """
     try:
-        handle = path.open("r", encoding="utf-8")
+        handle = path.open("rb")
     except OSError as exc:
         raise TraceError(f"cannot read {path}: {exc}") from exc
     with handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            stats.total_lines += 1
+        # lines split on b"\n", so "\r\n" files number their lines as "\n" files do
+        for line_no, raw in enumerate(handle, start=1):
             try:
+                # each line is decoded on its own: a line that is not UTF-8
+                # is one malformed line (UnicodeDecodeError is a ValueError)
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 accept(json.loads(line), line_no)
                 stats.parsed += 1
-            # OverflowError: an integer literal too large for a float
-            except (TraceError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: an integer literal too large for a float;
+            # RecursionError: a line nested too deeply for the JSON parser
+            except (
+                TraceError, KeyError, TypeError, ValueError, OverflowError, RecursionError
+            ) as exc:
                 stats.note_error(line_no, str(exc) or type(exc).__name__)
     if stats.total_lines:
         frac = stats.malformed / stats.total_lines
@@ -545,10 +555,11 @@ def _scan_keys(path: Path, line_nos: list[int]) -> list[str]:
     wanted = set(line_nos)
     canon = _BssidKeys()
     key_of_line: dict[int, str] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
+    # numbered the way _ingest_file numbers them
+    with path.open("rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
             if line_no in wanted:
-                user, ts, sightings = _scan_fields(json.loads(line), canon)
+                user, ts, sightings = _scan_fields(json.loads(raw.decode("utf-8")), canon)
                 key_of_line[line_no] = _scan_json(user, ts, sightings)
     return [key_of_line[n] for n in line_nos]
 

@@ -184,7 +184,7 @@ def test_criterion_05_scenario_dominance(localization):
 
 def test_criterion_06_random_subsampling_band(localization):
     _, data, _, _, _, _ = localization
-    n_events = len({(int(u), int(t)) for u, t in zip(data.pairs.user, data.pairs.ts)})
+    n_events = data.pairs.n_events()
     spec_days_users = 30 * 30
     f_one_per_day = spec_days_users / n_events
 

@@ -68,6 +68,16 @@ def test_locate_malformed_file_fails(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_locate_counts_undecodable_line_as_malformed(tmp_path, capsys):
+    gps, wifi = tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl"
+    good = json.dumps({"user": "u", "ts_ms": 0, "lat": 1.0, "lon": 2.0})
+    gps.write_bytes(good.encode() + b'\n{"user": "\xff\xfe", "ts_ms": 1}\n')
+    wifi.write_text("")
+    rc = _run("locate", "--gps", gps, "--wifi", wifi, "--out", tmp_path / "apdb.csv")
+    assert rc == 0
+    assert f"{gps}: 1 parsed, 1 malformed" in capsys.readouterr().err
+
+
 def test_full_pipeline_and_evaluate(tmp_path, capsys):
     data = _dataset(tmp_path, users=4, days=3, seed=9)
     apdb = tmp_path / "apdb.csv"

@@ -1,16 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import exhaustive_max_coverage
-from wifimob.coverage_metrics import DAY_MS
+from wifimob.coverage_metrics import DAY_MS, DEFAULT_BIN_MS
 from wifimob.experiments import (
     ExperimentConfig,
     InitialPeriod,
     RandomFraction,
     Scenario,
     TopRouters,
+    _selection_mask,
+    _table_from_arrays,
+    _table_from_traces,
     coverage_via_record_pipeline,
     greedy_top_routers,
     prepare_experiment_data,
@@ -19,7 +23,8 @@ from wifimob.experiments import (
     stability_decline,
 )
 from wifimob.pairing import PairedObservation
-from wifimob.trace_model import ApSighting, GeoPoint, WifiScan
+from wifimob.synthgen import WorldSpec, arrays_to_traceset, generate_world, simulate_sensor_arrays
+from wifimob.trace_model import ApSighting, GeoPoint, SensorArrays, WifiScan
 
 P = GeoPoint(55.7, 12.5)
 
@@ -256,3 +261,125 @@ def test_stability_decline_requires_span():
     assert stats.decline == pytest.approx(0.5, abs=1e-9)
     assert stats.histogram_day == 190
     assert sum(stats.histogram) == 1
+
+
+def test_random_fraction_mask_matches_record_selection(small_world):
+    """The i-th draw decides the i-th (user, ts) event, as on the record route."""
+    _, _, arrays, _ = small_world
+    data = prepare_experiment_data(arrays)
+    records = data.paired_records()
+    for strategy in (RandomFraction(f=0.3, seed=5), RandomFraction(f=0.05, seed=11)):
+        sel, sequential = _selection_mask(data, strategy)
+        assert not sequential
+        users = np.array(data.table.user_ids)[data.pairs.user[sel]]
+        kept = set(zip(users.tolist(), data.pairs.ts[sel].tolist()))
+        assert kept == {(o.user, o.ts) for o in select_training_pairs(records, strategy)}
+
+
+_TABLE_FIELDS = ("data_user", "data_bin", "pres_user", "pres_bin", "pres_last_ts")
+
+
+def _assert_tables_equal(got, want):
+    """Field by field, dtypes included. The columnar table may list BSSIDs
+    that no scan holds, so AP ids are compared by the BSSID they name."""
+    assert got.user_ids == want.user_ids
+    assert got.bin_ms == want.bin_ms
+    for name in _TABLE_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    assert got.pres_ap.dtype == want.pres_ap.dtype
+    assert [got.bssids[i] for i in got.pres_ap] == [want.bssids[i] for i in want.pres_ap]
+
+
+def _oracle_table(arrays, bin_ms=DEFAULT_BIN_MS):
+    return _table_from_traces(arrays_to_traceset(arrays), bin_ms)
+
+
+def _hand_built_arrays(scans, user_ids, bssids, fix_users=()):
+    """SensorArrays from ``(user, ts, ap ids)`` scan rows, kept in the given order."""
+    counts = [len(aps) for _, _, aps in scans]
+    n_fix = len(fix_users)
+    return SensorArrays(
+        user_ids=user_ids,
+        bssids=bssids,
+        ssids=[None] * len(bssids),
+        n_static=0,
+        fix_user=np.array(fix_users, dtype=np.int32),
+        fix_ts=np.arange(n_fix, dtype=np.int64),
+        fix_lat=np.full(n_fix, 55.0),
+        fix_lon=np.full(n_fix, 12.0),
+        fix_acc=np.full(n_fix, np.nan),
+        scan_user=np.array([u for u, _, _ in scans], dtype=np.int32),
+        scan_ts=np.array([t for _, t, _ in scans], dtype=np.int64),
+        scan_off=np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]).astype(np.int64),
+        scan_ap=np.array([a for _, _, aps in scans for a in aps], dtype=np.int32),
+        scan_cell_w=np.zeros(len(scans), dtype=np.float32),
+    )
+
+
+class TestScanTable:
+    def test_matches_record_oracle_on_small_world(self, small_world):
+        _, _, arrays, traces = small_world
+        table = _table_from_arrays(arrays, DEFAULT_BIN_MS)
+        assert table.pres_user.size > 0
+        _assert_tables_equal(table, _table_from_traces(traces, DEFAULT_BIN_MS))
+
+    def test_matches_record_oracle_on_hand_built_arrays(self):
+        bin_ms = 600_000
+        scans = [
+            (0, 700_000, [1, 0]),
+            (1, 100, [2]),
+            (0, 650_000, [0]),  # ap 0 again in bin 1, earlier
+            (3, 5, []),  # dan's scans are all empty
+            (1, 1_300_000, [0, 2]),
+            (0, 10, [2]),  # rows out of time order
+            (3, 900_000, []),
+            (0, 1_199_999, [0]),  # ap 0 again in bin 1, latest
+        ]
+        # cat has fixes but no scans
+        arrays = _hand_built_arrays(
+            scans,
+            ["ann", "bob", "cat", "dan"],
+            ["02:00:00:00:00:01", "02:00:00:00:00:02", "02:00:00:00:00:03"],
+            fix_users=[2, 0],
+        )
+        table = _table_from_arrays(arrays, bin_ms)
+        oracle = _oracle_table(arrays, bin_ms)
+        assert table.bssids == oracle.bssids
+        _assert_tables_equal(table, oracle)
+        assert np.array_equal(table.pres_ap, oracle.pres_ap)
+        rows = list(zip(table.pres_user.tolist(), table.pres_bin.tolist(),
+                        table.pres_ap.tolist(), table.pres_last_ts.tolist()))
+        assert rows == [
+            (0, 0, 2, 10),
+            (0, 1, 0, 1_199_999),
+            (0, 1, 1, 700_000),
+            (1, 0, 2, 100),
+            (1, 2, 0, 1_300_000),
+            (1, 2, 2, 1_300_000),
+        ]
+        assert list(zip(table.data_user.tolist(), table.data_bin.tolist())) == [
+            (0, 0), (0, 1), (1, 0), (1, 2), (3, 0), (3, 1),
+        ]
+
+    def test_empty_arrays(self):
+        arrays = _hand_built_arrays([], [], [])
+        table = _table_from_arrays(arrays, DEFAULT_BIN_MS)
+        assert table.pres_user.size == 0 and table.data_user.size == 0
+        _assert_tables_equal(table, _oracle_table(arrays))
+
+    def test_build_memory_scales_with_one_user(self):
+        """Temporaries span one user's sightings, not the whole log: the
+        traced peak stays within 3 int64 values per sighting. Expanding all
+        sightings at once peaks near 9.5 per sighting."""
+        spec = WorldSpec(seed=7, n_users=8, n_days=3)
+        arrays = simulate_sensor_arrays(generate_world(spec), spec)
+        n_sightings = int(arrays.scan_ap.size)
+        tracemalloc.start()
+        try:
+            _table_from_arrays(arrays, DEFAULT_BIN_MS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n_sightings

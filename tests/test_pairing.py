@@ -161,3 +161,14 @@ def test_paired_fix_fraction_tracks_rate_ratio(small_world):
     observed = len(paired_fixes) / n_fixes
     # dropout makes some paired scans empty so they emit nothing
     assert observed == pytest.approx(expected * (1 - spec.scan_dropout), rel=0.15)
+
+
+def test_fix_events_count_distinct_user_ts_rows(small_world):
+    _, _, arrays, _ = small_world
+    pairs = pair_arrays(arrays)
+    events = sorted({(int(u), int(t)) for u, t in zip(pairs.user, pairs.ts)})
+    ids, n = pairs.event_ids()
+    assert n == pairs.n_events() == len(events) > 0
+    assert [events[i] for i in ids] == list(zip(pairs.user.tolist(), pairs.ts.tolist()))
+    empty = pair_arrays(arrays, PairingConfig(max_accuracy_m=-1.0))
+    assert empty.count() == 0 and empty.n_events() == 0

@@ -354,3 +354,52 @@ def test_ingest_arrays_hard_error_matches_record_route(tmp_path):
             ingest(gps, wifi)
     with pytest.raises(TraceError, match="cannot read"):
         ingest_arrays(tmp_path / "nope.jsonl", wifi)
+
+
+def _fix_line(ts):
+    return json.dumps({"user": "u", "ts_ms": ts, "lat": 1.0, "lon": 2.0}).encode()
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_undecodable_line_is_one_malformed_line(tmp_path, newline):
+    gps, wifi = tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl"
+    bad = b'{"user": "\xff\xfe", "ts_ms": 1, "lat": 1.0, "lon": 2.0}'
+    gps.write_bytes(newline.join([_fix_line(0), bad, b"", _fix_line(2)]) + newline)
+    scan = json.dumps({"user": "u", "ts_ms": 5, "aps": [{"bssid": "aa:bb:cc:dd:ee:01"}]})
+    wifi.write_bytes(b"\xff" + newline + scan.encode() + newline)
+    for ingest in (ingest_traces_verbose, ingest_arrays):
+        _, report = ingest(gps, wifi)
+        assert (report.gps.parsed, report.gps.malformed, report.gps.total_lines) == (2, 1, 3)
+        assert report.gps.first_errors[0].startswith(f"{gps}:2: 'utf-8' codec can't decode")
+        assert (report.wifi.parsed, report.wifi.malformed) == (1, 1)
+        assert report.wifi.first_errors[0].startswith(f"{wifi}:1: ")
+    traces, _ = ingest_traces_verbose(gps, wifi)
+    assert [f.ts for f in traces.fixes] == [0, 2]
+    arrays, _ = ingest_arrays(gps, wifi)
+    assert arrays.fix_ts.tolist() == [0, 2] and arrays.bssids == ["aa:bb:cc:dd:ee:01"]
+
+
+def test_deeply_nested_line_is_a_malformed_line(tmp_path):
+    gps, wifi = tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl"
+    gps.write_bytes(_fix_line(0) + b"\n")
+    scan = json.dumps({"user": "u", "ts_ms": 5, "aps": []})
+    _write_lines(wifi, ["[" * 100_000, scan])
+    for ingest in (ingest_traces_verbose, ingest_arrays):
+        _, report = ingest(gps, wifi)
+        assert (report.wifi.parsed, report.wifi.malformed) == (1, 1)
+        assert "recursion" in report.wifi.first_errors[0]
+
+
+def test_tied_lines_reread_by_line_number_in_crlf_files(tmp_path):
+    """Scan lines tied on (user, ts) are read again by line number; CRLF
+    files and a rejected line before them must not shift that number."""
+    gps, wifi = tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl"
+    gps.write_bytes(b"")
+    lines = [
+        b"\xff",
+        json.dumps({"user": "u", "ts_ms": 5, "aps": [{"bssid": "aa:bb:cc:dd:ee:02"}]}).encode(),
+        json.dumps({"user": "u", "ts_ms": 5, "aps": [{"bssid": "aa:bb:cc:dd:ee:01"}]}).encode(),
+    ]
+    wifi.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    traces, arrays = _assert_routes_agree(gps, wifi)
+    assert [s.sightings[0].bssid for s in traces.scans] == ["aa:bb:cc:dd:ee:01", "aa:bb:cc:dd:ee:02"]
