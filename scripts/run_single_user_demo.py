@@ -18,9 +18,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wifimob.ap_locator import ApClass, ApDatabase, build_database, haversine_m
-from wifimob.experiments import greedy_top_routers, prepare_experiment_data
+from wifimob.experiments import prepare_experiment_data
 from wifimob.reconstructor import build_timeline
-from wifimob.synthgen import WorldSpec, generate_world, simulate_sensors
+from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays
 from wifimob.trace_model import GeoPoint
 
 
@@ -43,35 +43,35 @@ def main() -> int:
 
     spec = WorldSpec(seed=args.seed, n_users=1, n_days=2, colocated_fraction=0.0)
     gt = generate_world(spec)
-    traces = simulate_sensors(gt, spec)
+    arrays = simulate_sensor_arrays(gt, spec)
     user = gt.user_ids[0]
-    distinct = {s.bssid for scan in traces.scans for s in scan.sightings}
-    nonempty = sum(1 for s in traces.scans if s.sightings) / len(traces.scans)
-    print(f"{len(traces.scans)} scans over 48 h, {len(distinct)} distinct routers, "
-          f"{nonempty:.0%} scans non-empty")
+    distinct = np.unique(arrays.scan_ap).size
+    print(f"{arrays.n_scans} scans over 48 h, {distinct} distinct routers, "
+          f"{arrays.nonempty_scan_fraction():.0%} scans non-empty")
 
-    data = prepare_experiment_data(traces)
+    data = prepare_experiment_data(arrays)
     db = build_database(data.paired_records(), built_from="own paired fixes")
     census = db.census()
     print(f"router database: {census['total']} candidates, {census['static']} static, "
           f"{census['mobile']} mobile, {census['insufficient']} insufficient")
 
-    full_tl = build_timeline(traces.scans, db)
+    full_tl = build_timeline(arrays, db)
     coverage, errors = _timeline_stats(gt, full_tl, 0, user)
     print(f"full database: {coverage:.0%} of WiFi-bearing bins estimated; "
           f"median error {np.median(errors):.0f} m, p95 {np.percentile(errors, 95):.0f} m")
 
-    top = greedy_top_routers(traces.scans, args.top_k)
+    # the single user's greedy top-k routers over their own timebins
+    top = {data.table.bssids[i] for i in data.top_router_selections(args.top_k)[0]}
     top_db = ApDatabase(
         records={
             b: r
             for b, r in db.records.items()
-            if b in set(top) and r.ap_class in (ApClass.STATIC, ApClass.RELOCATED)
+            if b in top and r.ap_class in (ApClass.STATIC, ApClass.RELOCATED)
         }
     )
-    top_tl = build_timeline(traces.scans, top_db)
+    top_tl = build_timeline(arrays, top_db)
     coverage, errors = _timeline_stats(gt, top_tl, 0, user)
-    share = args.top_k / max(1, len(distinct))
+    share = args.top_k / max(1, distinct)
     if errors:
         print(f"top {args.top_k} routers ({share:.1%} of those seen): "
               f"{coverage:.0%} of bins estimated; median error {np.median(errors):.0f} m")

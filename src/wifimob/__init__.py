@@ -24,7 +24,6 @@ from .ap_locator import (
     LocatorConfig,
     TimeInterval,
     build_database,
-    build_simple_database,
     classify_ap,
     dbscan,
     geometric_median,
@@ -45,10 +44,8 @@ from .experiments import (
     RandomFraction,
     Scenario,
     TopRouters,
-    greedy_top_routers,
     prepare_experiment_data,
     run_experiment,
-    select_training_pairs,
     stability_decline,
 )
 from .synthgen import (
@@ -57,7 +54,6 @@ from .synthgen import (
     generate_world,
     mobile_ssid_names,
     simulate_sensor_arrays,
-    simulate_sensors,
 )
 
 __version__ = "0.1.0"

@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -539,48 +538,12 @@ def group_by_bssid(obs: Iterable) -> dict[BssidId, list]:
 def build_database(
     obs: Iterable,
     cfg: LocatorConfig = LocatorConfig(),
-    threads: int = 1,
     built_from: str = "",
 ) -> ApDatabase:
-    """Classify every access point appearing in ``obs``.
-
-    Classification is independent per BSSID; with ``threads > 1`` the work is
-    fanned out and reassembled in BSSID order, so thread count never changes
-    the result.
-    """
+    """Classify every access point appearing in ``obs``, in BSSID order."""
     grouped = group_by_bssid(obs)
-    bssids = sorted(grouped)
-    if threads > 1 and len(bssids) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(
-                pool.map(lambda b: classify_ap(b, grouped[b], cfg), bssids)
-            )
-    else:
-        records = [classify_ap(b, grouped[b], cfg) for b in bssids]
+    records = [classify_ap(b, grouped[b], cfg) for b in sorted(grouped)]
     return ApDatabase(records={r.bssid: r for r in records}, built_from=built_from)
-
-
-def build_simple_database(obs: Iterable, built_from: str = "") -> ApDatabase:
-    """Position every sighted access point, no questions asked.
-
-    Every BSSID with at least one paired observation becomes a static record
-    at the geometric median of its observation positions. This is the naive
-    locator behind the sampling experiments, where being known at all is what
-    matters; :func:`build_database` is the quality-filtered variant.
-    """
-    grouped = group_by_bssid(obs)
-    records = {}
-    for bssid in sorted(grouped):
-        group = grouped[bssid]
-        pos = geometric_median([o.pos for o in group])
-        records[bssid] = ApRecord(
-            bssid=bssid,
-            ap_class=ApClass.STATIC,
-            n_sightings=len(group),
-            pos=pos,
-            contributors=frozenset(o.user for o in group),
-        )
-    return ApDatabase(records=records, built_from=built_from)
 
 
 @dataclass(slots=True)

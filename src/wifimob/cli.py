@@ -29,7 +29,7 @@ from .ap_locator import (
     read_apdb_csv,
     write_apdb_csv,
 )
-from .coverage_metrics import DAY_MS, CoverageSeries, daily_population_mean, entropy_bits
+from .coverage_metrics import daily_population_mean, entropy_bits
 from .experiments import (
     ExperimentConfig,
     InitialPeriod,
@@ -42,7 +42,12 @@ from .experiments import (
     write_histograms_csv,
 )
 from .pairing import PairingConfig, pair_observations, write_pairs_csv
-from .reconstructor import build_timeline, read_timeline_csv, write_timeline_csv
+from .reconstructor import (
+    build_timeline,
+    read_timeline_csv,
+    timeline_coverage,
+    write_timeline_csv,
+)
 from .svgplot import write_line_plot
 # ingest_traces_verbose, the record-route twin of ingest_arrays, stays
 # importable here for code that wraps or compares the CLI's ingest
@@ -169,12 +174,7 @@ def cmd_locate(args, cfg_values) -> int:
     pairs = pair_observations(arrays, pairing_cfg)
     if args.dump_pairs:
         write_pairs_csv(pairs, args.dump_pairs)
-    db = build_database(
-        pairs,
-        locator_cfg,
-        threads=getattr(args, "threads", 1),
-        built_from=f"{args.gps}+{args.wifi}",
-    )
+    db = build_database(pairs, locator_cfg, built_from=f"{args.gps}+{args.wifi}")
     write_apdb_csv(db, args.out)
     census = db.census()
     located = census["static"] + census["relocated"]
@@ -202,20 +202,7 @@ def cmd_coverage(args, cfg_values) -> int:
     arrays = _ingest(args.gps, args.wifi)
     db = read_apdb_csv(args.apdb)
     timelines = build_timeline(arrays, db)
-    series = CoverageSeries()
-    for user in sorted(timelines):
-        tl = timelines[user]
-        by_day_data: dict[int, int] = {}
-        by_day_cov: dict[int, int] = {}
-        for b in tl.bins_with_data:
-            day = (b * tl.bin_ms) // DAY_MS
-            by_day_data[day] = by_day_data.get(day, 0) + 1
-        for b in tl.bins:
-            day = (b * tl.bin_ms) // DAY_MS
-            by_day_cov[day] = by_day_cov.get(day, 0) + 1
-        for day in sorted(by_day_data):
-            series.add(user, day, by_day_data[day], by_day_cov.get(day, 0))
-
+    series = timeline_coverage(timelines)
     with Path(args.out).open("w", encoding="utf-8", newline="") as out:
         writer = csv.writer(out)
         writer.writerow(["day_index", "scenario", "strategy", "param", "mean_coverage", "n_users"])
@@ -396,9 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     # global flags are accepted both before and after the subcommand
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", default=argparse.SUPPRESS, help="flat key=value config file")
-    shared.add_argument(
-        "--threads", type=int, default=argparse.SUPPRESS, help="worker cap for classification"
-    )
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed override")
 
     parser = argparse.ArgumentParser(

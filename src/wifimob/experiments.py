@@ -29,26 +29,19 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .ap_locator import (
-    ApClass,
-    ApDatabase,
-    LocatorConfig,
-    build_database,
-    build_simple_database,
-)
+from .ap_locator import ApClass, ApDatabase, LocatorConfig, build_database
 from .coverage_metrics import DAY_MS, DEFAULT_BIN_MS, CoverageSeries, coverage_histogram
 from .pairing import (  # PairedEvents is re-exported from here
     PairedEvents,
     PairedObservation,
     PairingConfig,
     pair_arrays,
-    pair_observations,
 )
-from .trace_model import BssidId, SensorArrays, TraceSet, UserId, WifiScan
+from .trace_model import BssidId, SensorArrays, UserId
 from .synthgen import _rng
 
 _NEVER = np.int64(np.iinfo(np.int64).max)
@@ -109,43 +102,6 @@ class ExperimentConfig:
     pairing: PairingConfig = PairingConfig()
 
 
-def select_training_pairs(
-    obs: Sequence[PairedObservation],
-    strategy: SamplingStrategy,
-    viewer: Optional[UserId] = None,
-    scenario: Scenario = Scenario.GLOBAL,
-    dataset_start_ms: Optional[int] = None,
-) -> list[PairedObservation]:
-    """Record-level training-subset selection.
-
-    ``RandomFraction`` keeps or drops whole GPS fix events, so all
-    observations from one paired fix travel together. ``TopRouters`` does not
-    subsample GPS and is rejected here; its selection happens over scans.
-    """
-    if scenario is not Scenario.GLOBAL and viewer is None:
-        raise ValueError(f"scenario {scenario.value} needs a viewer")
-
-    if isinstance(strategy, InitialPeriod):
-        if dataset_start_ms is None:
-            dataset_start_ms = min((o.ts for o in obs), default=0)
-        cutoff = dataset_start_ms + strategy.days * DAY_MS
-        picked = [o for o in obs if o.ts < cutoff]
-    elif isinstance(strategy, RandomFraction):
-        events = sorted({(o.user, o.ts) for o in obs})
-        rng = _rng(strategy.seed, 100)
-        keep_mask = rng.random(len(events)) < strategy.f
-        keep = {ev for ev, k in zip(events, keep_mask) if k}
-        picked = [o for o in obs if (o.user, o.ts) in keep]
-    else:
-        raise ValueError("TopRouters selects routers from scans, not GPS training pairs")
-
-    if scenario is Scenario.PERSONAL:
-        picked = [o for o in picked if o.user == viewer]
-    elif scenario is Scenario.GLOBAL_EXCLUDING_SELF:
-        picked = [o for o in picked if o.user != viewer]
-    return picked
-
-
 def _lazy_greedy(sets: dict, k: int) -> list:
     """Greedy max-coverage with lazy marginal-gain re-evaluation.
 
@@ -174,22 +130,6 @@ def _lazy_greedy(sets: dict, k: int) -> list:
         rest = sorted((key for key in sets if key not in picked), key=lambda key: (-len(sets[key]), key))
         chosen.extend(rest[: k - len(chosen)])
     return chosen
-
-
-def greedy_top_routers(scans: Iterable[WifiScan], k: int) -> list[BssidId]:
-    """Routers giving the largest greedy increase in covered user-timebins.
-
-    Works for a single user's scans or a pooled cohort; only scan occurrence
-    matters, never GPS. Output order is selection order.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    sets: dict[BssidId, set] = {}
-    for scan in scans:
-        bin_key = (scan.user, scan.ts // DEFAULT_BIN_MS)
-        for s in scan.sightings:
-            sets.setdefault(s.bssid, set()).add(bin_key)
-    return _lazy_greedy(sets, k)
 
 
 @dataclass(slots=True)
@@ -322,67 +262,13 @@ def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(parts).astype(dtype, copy=False) if parts else np.empty(0, dtype=dtype)
 
 
-def _table_from_traces(traces: TraceSet, bin_ms: int) -> ScanTable:
-    user_ids = traces.users()
-    user_idx = {u: i for i, u in enumerate(user_ids)}
-    bssids = sorted({s.bssid for scan in traces.scans for s in scan.sightings})
-    ap_idx = {b: i for i, b in enumerate(bssids)}
-
-    data_pairs = set()
-    last_ts: dict[tuple[int, int, int], int] = {}
-    for scan in traces.scans:
-        u = user_idx[scan.user]
-        b = scan.ts // bin_ms
-        data_pairs.add((u, b))
-        for s in scan.sightings:
-            key = (u, b, ap_idx[s.bssid])
-            prev = last_ts.get(key)
-            if prev is None or scan.ts > prev:
-                last_ts[key] = scan.ts
-
-    data_sorted = sorted(data_pairs)
-    pres_sorted = sorted(last_ts.items())
-    return ScanTable(
-        user_ids=user_ids,
-        bssids=bssids,
-        bin_ms=bin_ms,
-        data_user=np.array([u for u, _ in data_sorted], dtype=np.int32),
-        data_bin=np.array([b for _, b in data_sorted], dtype=np.int64),
-        pres_user=np.array([k[0] for k, _ in pres_sorted], dtype=np.int32),
-        pres_bin=np.array([k[1] for k, _ in pres_sorted], dtype=np.int64),
-        pres_ap=np.array([k[2] for k, _ in pres_sorted], dtype=np.int32),
-        pres_last_ts=np.array([t for _, t in pres_sorted], dtype=np.int64),
-    )
-
-
-def _pairs_from_records(
-    obs: Sequence[PairedObservation], table: ScanTable
-) -> PairedEvents:
-    user_idx = {u: i for i, u in enumerate(table.user_ids)}
-    ap_idx = {b: i for i, b in enumerate(table.bssids)}
-    rows = [o for o in obs if o.bssid in ap_idx and o.user in user_idx]
-    return PairedEvents(
-        ap=np.array([ap_idx[o.bssid] for o in rows], dtype=np.int32),
-        user=np.array([user_idx[o.user] for o in rows], dtype=np.int32),
-        ts=np.array([o.ts for o in rows], dtype=np.int64),
-        lat=np.array([o.pos.lat_deg for o in rows], dtype=np.float64),
-        lon=np.array([o.pos.lon_deg for o in rows], dtype=np.float64),
-    )
-
-
 def prepare_experiment_data(
-    source: Union[TraceSet, SensorArrays],
-    cfg: ExperimentConfig = ExperimentConfig(),
+    arrays: SensorArrays, cfg: ExperimentConfig = ExperimentConfig()
 ) -> ExperimentData:
-    if isinstance(source, SensorArrays):
-        table = _table_from_arrays(source, cfg.bin_ms)
-        pairs = pair_arrays(source, cfg.pairing)
-        t0 = int(min(source.fix_ts.min() if source.fix_ts.size else 0,
-                     source.scan_ts.min() if source.scan_ts.size else 0))
-    else:
-        table = _table_from_traces(source, cfg.bin_ms)
-        pairs = _pairs_from_records(pair_observations(source, cfg.pairing), table)
-        t0 = source.span_ms()[0]
+    table = _table_from_arrays(arrays, cfg.bin_ms)
+    pairs = pair_arrays(arrays, cfg.pairing)
+    t0 = int(min(arrays.fix_ts.min() if arrays.fix_ts.size else 0,
+                 arrays.scan_ts.min() if arrays.scan_ts.size else 0))
     return ExperimentData(table=table, pairs=pairs, t0_ms=t0, locator=cfg.locator)
 
 
@@ -459,33 +345,31 @@ def _coverage_from_first_ts(
                 ok |= (ts_sel >= start) & (ts_sel <= end)
             known[sel] &= ok
 
-    bin_ms = t.bin_ms
-    cov_user = t.pres_user[known].astype(np.int64)
-    cov_bin = t.pres_bin[known]
-    max_bin = int(max(t.data_bin.max() if t.data_bin.size else 0,
-                      cov_bin.max() if cov_bin.size else 0)) + 1
-    cov_pairs = np.unique(cov_user * max_bin + cov_bin)
-
+    # presence rows are sorted by (user, bin, ap), so the covered (user, bin)
+    # pairs and both day counts come out as runs in (user, day) order
+    cov_user, cov_bin = t.pres_user[known], t.pres_bin[known]
+    first = _run_starts(cov_user, cov_bin)
+    cov_u, cov_day, cov_n = _day_runs(cov_user[first], cov_bin[first], t.bin_ms)
+    covered = dict(zip(zip(cov_u, cov_day), cov_n))
     series = CoverageSeries()
-    data_key = t.data_user.astype(np.int64) * max_bin + t.data_bin
-
-    cov_day = ((cov_pairs % max_bin) * bin_ms) // DAY_MS
-    cov_u = cov_pairs // max_bin
-    data_day = (t.data_bin * bin_ms) // DAY_MS
-    data_u = t.data_user.astype(np.int64)
-
-    def _group_counts(users, days):
-        if users.size == 0:
-            return {}
-        key = users * 1_000_000 + days
-        uniq, counts = np.unique(key, return_counts=True)
-        return {(int(k // 1_000_000), int(k % 1_000_000)): int(c) for k, c in zip(uniq, counts)}
-
-    with_data = _group_counts(data_u, data_day)
-    covered = _group_counts(cov_u, cov_day)
-    for (u, day), n_data in sorted(with_data.items()):
+    for u, day, n_data in zip(*_day_runs(t.data_user, t.data_bin, t.bin_ms)):
         series.add(t.user_ids[u], day, n_data, covered.get((u, day), 0))
     return series
+
+
+def _run_starts(user: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Where each run of equal (user, key) neighbours starts."""
+    new = np.ones(user.size, dtype=bool)
+    new[1:] = (user[1:] != user[:-1]) | (key[1:] != key[:-1])
+    return np.flatnonzero(new)
+
+
+def _day_runs(user: np.ndarray, bin_idx: np.ndarray, bin_ms: int) -> tuple[list, list, list]:
+    """(user, day, row count) of each (user, day) run of rows sorted by (user, bin)."""
+    day = (bin_idx * bin_ms) // DAY_MS
+    starts = _run_starts(user, day)
+    counts = np.diff(np.append(starts, user.size))
+    return user[starts].tolist(), day[starts].tolist(), counts.tolist()
 
 
 def _selection_mask(data: ExperimentData, strategy: SamplingStrategy) -> tuple[np.ndarray, bool]:
@@ -495,8 +379,7 @@ def _selection_mask(data: ExperimentData, strategy: SamplingStrategy) -> tuple[n
         cutoff = data.t0_ms + strategy.days * DAY_MS
         return p.ts < cutoff, True
     if isinstance(strategy, RandomFraction):
-        # the i-th draw decides the i-th event in (user, ts) order, as in
-        # select_training_pairs
+        # the i-th draw decides the i-th event in (user, ts) order
         event, n_events = p.event_ids()
         keep_mask = _rng(strategy.seed, 100).random(n_events) < strategy.f
         return keep_mask[event], False
@@ -522,7 +405,7 @@ def _resolvable_static_and_relocated(db: ApDatabase, table: ScanTable):
 
 
 def run_experiment(
-    source: Union[TraceSet, SensorArrays, ExperimentData],
+    source: Union[SensorArrays, ExperimentData],
     strategy: SamplingStrategy,
     scenario: Scenario,
     cfg: ExperimentConfig = ExperimentConfig(),
@@ -585,18 +468,22 @@ def _classified_viewer_first(
     """Per-viewer knowledge under the quality-filtered classifier.
 
     Builds one database per viewer from their scenario-filtered training
-    subset; intended for modest datasets.
+    subset (one shared database under GLOBAL); intended for modest datasets.
     """
     t = data.table
-    obs = data.paired_records()
+    sel_mask, _ = _selection_mask(data, strategy)
     ap_idx = {b: i for i, b in enumerate(t.bssids)}
     mat = np.full((t.n_users, t.n_aps), _NEVER, dtype=np.int64)
     relocated: dict[int, list[tuple[int, int]]] = {}
-    for u, viewer in enumerate(t.user_ids):
-        subset = select_training_pairs(
-            obs, strategy, viewer=viewer, scenario=scenario, dataset_start_ms=data.t0_ms
-        )
-        db = build_database(subset, cfg.locator)
+    global_db = _training_database(data, sel_mask, cfg) if scenario is Scenario.GLOBAL else None
+    for u in range(t.n_users):
+        if global_db is not None:
+            db = global_db
+        else:
+            own = data.pairs.user == u
+            db = _training_database(
+                data, sel_mask & (own if scenario is Scenario.PERSONAL else ~own), cfg
+            )
         for bssid, rec in db.records.items():
             i = ap_idx.get(bssid)
             if i is None:
@@ -609,6 +496,17 @@ def _classified_viewer_first(
                     (s.interval.start, s.interval.end) for s in rec.segments
                 )
     return mat, (relocated or None)
+
+
+def _training_database(
+    data: ExperimentData, mask: np.ndarray, cfg: ExperimentConfig
+) -> ApDatabase:
+    """Classified database over the masked paired observations."""
+    p = data.pairs
+    subset = PairedEvents(
+        ap=p.ap[mask], user=p.user[mask], ts=p.ts[mask], lat=p.lat[mask], lon=p.lon[mask]
+    )
+    return build_database(subset.to_records(data.table.user_ids, data.table.bssids), cfg.locator)
 
 
 @dataclass(slots=True)
@@ -680,66 +578,3 @@ def write_histograms_csv(results: Sequence[ExperimentResult], path) -> None:
                     writer.writerow(
                         [name, param, res.scenario.value, day, repr(i / 10), count]
                     )
-
-
-def coverage_via_record_pipeline(
-    traces: TraceSet,
-    strategy: SamplingStrategy,
-    scenario: Scenario,
-    cfg: ExperimentConfig = ExperimentConfig(),
-) -> CoverageSeries:
-    """Slow reference route: per-viewer naive databases plus binned timelines.
-
-    Exists so the columnar engine has an independently built twin to agree
-    with on small worlds. Only the post-hoc strategies make sense here.
-    """
-    from .reconstructor import build_timeline
-
-    if isinstance(strategy, InitialPeriod):
-        raise ValueError("sequential learning is not expressible in this reference route")
-
-    obs = pair_observations(traces, cfg.pairing)
-    t0 = traces.span_ms()[0]
-    series = CoverageSeries()
-    scans_by_user: dict[UserId, list[WifiScan]] = {}
-    for scan in traces.scans:
-        scans_by_user.setdefault(scan.user, []).append(scan)
-
-    for viewer in traces.users():
-        if isinstance(strategy, TopRouters):
-            full_db = build_database(obs, cfg.locator)
-            if scenario is Scenario.PERSONAL:
-                contributors = [viewer]
-            elif scenario is Scenario.GLOBAL:
-                contributors = traces.users()
-            else:
-                contributors = [u for u in traces.users() if u != viewer]
-            known: set[BssidId] = set()
-            for user in contributors:
-                known.update(greedy_top_routers(scans_by_user.get(user, []), strategy.k))
-            records = {
-                b: r
-                for b, r in full_db.records.items()
-                if b in known and r.ap_class in (ApClass.STATIC, ApClass.RELOCATED)
-            }
-            db = ApDatabase(records=records)
-        else:
-            subset = select_training_pairs(
-                obs, strategy, viewer=viewer, scenario=scenario, dataset_start_ms=t0
-            )
-            db = build_simple_database(subset)
-        timelines = build_timeline(scans_by_user.get(viewer, []), db, bin_ms=cfg.bin_ms)
-        tl = timelines.get(viewer)
-        if tl is None:
-            continue
-        by_day_data: dict[int, int] = {}
-        by_day_cov: dict[int, int] = {}
-        for b in tl.bins_with_data:
-            day = (b * cfg.bin_ms) // DAY_MS
-            by_day_data[day] = by_day_data.get(day, 0) + 1
-        for b in tl.bins:
-            day = (b * cfg.bin_ms) // DAY_MS
-            by_day_cov[day] = by_day_cov.get(day, 0) + 1
-        for day, n_data in by_day_data.items():
-            series.add(viewer, day, n_data, by_day_cov.get(day, 0))
-    return series

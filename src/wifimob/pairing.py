@@ -12,20 +12,11 @@ window; that only duplicates consistent evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .trace_model import (
-    BssidId,
-    GeoPoint,
-    GpsFix,
-    SensorArrays,
-    TimestampMs,
-    TraceSet,
-    UserId,
-    WifiScan,
-)
+from .trace_model import BssidId, GeoPoint, SensorArrays, TimestampMs, UserId
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,8 +69,8 @@ class PairedEvents:
     def to_records(
         self, user_ids: list[UserId], bssids: list[BssidId]
     ) -> list[PairedObservation]:
-        """Record form, sorted by (bssid, ts, user) as :func:`pair_observations`
-        sorts; the sort is stable, so tied rows keep their column order."""
+        """Record form, sorted by (bssid, ts, user); the sort is stable, so
+        tied rows keep their column order."""
         order = np.lexsort(
             (_string_rank(user_ids)[self.user], self.ts, _string_rank(bssids)[self.ap])
         )
@@ -132,13 +123,13 @@ def pair_arrays(arrays: SensorArrays, cfg: PairingConfig = PairingConfig()) -> P
 
     Per user, fixes and scans must be in time order. Fixes whose accuracy
     exceeds ``cfg.max_accuracy_m`` are skipped; a NaN accuracy (not
-    reported) is kept, as the record route keeps ``None``.
+    reported) is kept.
     """
     parts = []
     for u in range(len(arrays.user_ids)):
         fsel = np.nonzero(arrays.fix_user == u)[0]
         if cfg.max_accuracy_m is not None:
-            # compare in float64, as the record route compares Python floats
+            # compare in float64, the precision of the Python float threshold
             acc = arrays.fix_acc[fsel].astype(np.float64)
             fsel = fsel[~(acc > cfg.max_accuracy_m)]
         ssel = np.nonzero(arrays.scan_user == u)[0]
@@ -182,49 +173,14 @@ def pair_arrays(arrays: SensorArrays, cfg: PairingConfig = PairingConfig()) -> P
 
 
 def pair_observations(
-    traces: Union[TraceSet, SensorArrays], cfg: PairingConfig = PairingConfig()
+    arrays: SensorArrays, cfg: PairingConfig = PairingConfig()
 ) -> list[PairedObservation]:
-    """Produce paired observations for a whole trace set, in either form.
+    """Paired observations of a whole log in record form.
 
     Output is sorted by (bssid, ts, user); the same input always produces
-    the same list. Columnar input goes through :func:`pair_arrays`.
+    the same list.
     """
-    if isinstance(traces, SensorArrays):
-        return pair_arrays(traces, cfg).to_records(traces.user_ids, traces.bssids)
-    scans_by_user: dict[UserId, list[WifiScan]] = {}
-    for scan in traces.scans:
-        scans_by_user.setdefault(scan.user, []).append(scan)
-    fixes_by_user: dict[UserId, list[GpsFix]] = {}
-    for fix in traces.fixes:
-        fixes_by_user.setdefault(fix.user, []).append(fix)
-
-    out: list[PairedObservation] = []
-    for user, fixes in fixes_by_user.items():
-        scans = scans_by_user.get(user)
-        if not scans:
-            continue
-        if cfg.max_accuracy_m is not None:
-            fixes = [
-                f
-                for f in fixes
-                if f.accuracy_m is None or f.accuracy_m <= cfg.max_accuracy_m
-            ]
-            if not fixes:
-                continue
-        fix_ts = np.array([f.ts for f in fixes], dtype=np.int64)
-        scan_ts = np.array([s.ts for s in scans], dtype=np.int64)
-        chosen = pair_time_indices(fix_ts, scan_ts, cfg.window_ms)
-        for fix, idx in zip(fixes, chosen):
-            if idx < 0:
-                continue
-            for sighting in scans[idx].sightings:
-                out.append(
-                    PairedObservation(
-                        bssid=sighting.bssid, pos=fix.pos, ts=fix.ts, user=user
-                    )
-                )
-    out.sort(key=lambda o: (o.bssid, o.ts, o.user))
-    return out
+    return pair_arrays(arrays, cfg).to_records(arrays.user_ids, arrays.bssids)
 
 
 def write_pairs_csv(pairs: list[PairedObservation], path) -> None:

@@ -6,9 +6,7 @@ the geometric median of the access-point positions, which keeps one badly
 placed router from dragging the estimate far off.
 
 Timelines bin estimates into fixed-width time bins (ten minutes by default);
-the first resolvable scan in a bin provides the bin's estimate. Timelines
-are built from a columnar :class:`SensorArrays` log or, as the reference
-route, from record scans; both give equal results.
+the first resolvable scan in a bin provides the bin's estimate.
 """
 
 from __future__ import annotations
@@ -16,12 +14,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .ap_locator import ApClass, ApDatabase, geometric_median
-from .coverage_metrics import DEFAULT_BIN_MS
+from .coverage_metrics import DAY_MS, DEFAULT_BIN_MS, CoverageSeries
 from .trace_model import (
     BssidId,
     GeoPoint,
@@ -82,44 +80,15 @@ def _estimate(
 
 
 def build_timeline(
-    scans: Union[Iterable[WifiScan], SensorArrays],
-    db: ApDatabase,
-    bin_ms: int = DEFAULT_BIN_MS,
+    arrays: SensorArrays, db: ApDatabase, bin_ms: int = DEFAULT_BIN_MS
 ) -> dict[UserId, BinnedTimeline]:
-    """Per-user binned timelines from record scans or a columnar log.
+    """Per-user binned timelines of a columnar log.
 
-    Each user's scans must be in time order (ties allowed), so that the
-    first resolvable scan of a bin is the earliest; otherwise TraceError.
+    Each bin's first resolvable scan is found with array operations; only
+    those scans get a position estimate. Each user's scans must be in time
+    order (ties allowed), so that the first resolvable scan of a bin is the
+    earliest; otherwise TraceError.
     """
-    if isinstance(scans, SensorArrays):
-        return _timeline_from_arrays(scans, db, bin_ms)
-    timelines: dict[UserId, BinnedTimeline] = {}
-    last_ts: dict[UserId, TimestampMs] = {}
-    for scan in scans:
-        tl = timelines.get(scan.user)
-        if tl is None:
-            tl = timelines[scan.user] = BinnedTimeline(user=scan.user, bin_ms=bin_ms)
-        elif scan.ts < last_ts[scan.user]:
-            raise TraceError(
-                f"scans of user {scan.user} out of time order: "
-                f"{scan.ts} after {last_ts[scan.user]}"
-            )
-        last_ts[scan.user] = scan.ts
-        bin_idx = scan.ts // bin_ms
-        tl.bins_with_data.add(bin_idx)
-        if bin_idx in tl.bins:
-            continue  # first resolvable scan already owns this bin
-        est = resolve_scan(scan, db)
-        if est is not None:
-            tl.bins[bin_idx] = est
-    return timelines
-
-
-def _timeline_from_arrays(
-    arrays: SensorArrays, db: ApDatabase, bin_ms: int
-) -> dict[UserId, BinnedTimeline]:
-    """Columnar :func:`build_timeline`: find each bin's first resolvable scan
-    with array operations, then estimate positions for those scans only."""
     users, ts = arrays.scan_user, arrays.scan_ts
     # per user, array order is time order; a stable sort by user keeps it
     order = np.argsort(users, kind="stable")
@@ -195,6 +164,23 @@ def _usable_sightings(arrays: SensorArrays, records: list) -> np.ndarray:
                 inside |= (rel_ts[sel] >= seg.interval.start) & (rel_ts[sel] <= seg.interval.end)
             usable[rel[sel]] = inside
     return usable
+
+
+def timeline_coverage(timelines: dict[UserId, BinnedTimeline]) -> CoverageSeries:
+    """Per-(user, day) bins with data and bins estimated, added in sorted
+    (user, day) order."""
+    series = CoverageSeries()
+    for user in sorted(timelines):
+        tl = timelines[user]
+        with_data: dict[int, int] = {}
+        covered: dict[int, int] = {}
+        for counts, bins in ((with_data, tl.bins_with_data), (covered, tl.bins)):
+            for b in bins:
+                day = (b * tl.bin_ms) // DAY_MS
+                counts[day] = counts.get(day, 0) + 1
+        for day in sorted(with_data):
+            series.add(user, day, with_data[day], covered.get(day, 0))
+    return series
 
 
 def write_timeline_csv(timelines: dict[UserId, BinnedTimeline], path) -> None:

@@ -32,7 +32,6 @@ from .trace_model import (  # SensorArrays is re-exported from here
     GeoPoint,
     GpsFix,
     SensorArrays,
-    TraceSet,
     WifiScan,
     _fix_line,
     _scan_line,
@@ -959,55 +958,6 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
         scan_ap=scan_ap,
         scan_cell_w=scan_cell_w,
     )
-
-
-def arrays_to_traceset(arrays: SensorArrays) -> TraceSet:
-    """Materialize record objects from the compact form.
-
-    Identical sighting lists (the normal case while a user stays put) share
-    one list object, which keeps large worlds affordable.
-    """
-    sighting_of = [
-        ApSighting(bssid=arrays.bssids[i], ssid=arrays.ssids[i])
-        for i in range(len(arrays.bssids))
-    ]
-    list_cache: dict[bytes, list[ApSighting]] = {}
-
-    fixes = []
-    for k in range(arrays.fix_ts.size):
-        acc = float(arrays.fix_acc[k])
-        fixes.append(
-            GpsFix(
-                user=arrays.user_ids[arrays.fix_user[k]],
-                ts=int(arrays.fix_ts[k]),
-                pos=GeoPoint(float(arrays.fix_lat[k]), float(arrays.fix_lon[k])),
-                accuracy_m=None if math.isnan(acc) else acc,
-            )
-        )
-
-    scans = []
-    off = arrays.scan_off
-    ap = arrays.scan_ap
-    for k in range(arrays.n_scans):
-        ids = ap[off[k] : off[k + 1]]
-        key = ids.tobytes()
-        sightings = list_cache.get(key)
-        if sightings is None:
-            sightings = [sighting_of[i] for i in ids]
-            list_cache[key] = sightings
-        scans.append(
-            WifiScan(
-                user=arrays.user_ids[arrays.scan_user[k]],
-                ts=int(arrays.scan_ts[k]),
-                sightings=sightings,
-            )
-        )
-    return TraceSet(fixes=fixes, scans=scans)
-
-
-def simulate_sensors(gt: GroundTruth, spec: Optional[WorldSpec] = None) -> TraceSet:
-    """Emit the sensor log as trace records."""
-    return arrays_to_traceset(simulate_sensor_arrays(gt, spec))
 
 
 def density_count_r2(arrays: SensorArrays) -> float:

@@ -1,13 +1,9 @@
 import pytest
 
+from oracles import arrays_to_traceset
 from wifimob.ap_locator import build_database
 from wifimob.experiments import prepare_experiment_data
-from wifimob.synthgen import (
-    WorldSpec,
-    generate_world,
-    simulate_sensor_arrays,
-    simulate_sensors,
-)
+from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays
 
 # the world every population-scale check runs against
 DEFAULT_WORLD_SEED = 7
@@ -38,8 +34,7 @@ def small_world():
     spec = WorldSpec(seed=4, n_users=4, n_days=4)
     gt = generate_world(spec)
     arrays = simulate_sensor_arrays(gt, spec)
-    traces = simulate_sensors(gt, spec)
-    return spec, gt, arrays, traces
+    return spec, gt, arrays, arrays_to_traceset(arrays)
 
 
 @pytest.fixture(scope="session")

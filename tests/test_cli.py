@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from wifimob import cli, reconstructor
+from oracles import pair_records, prepare_from_traces, timeline_from_records
+from wifimob import cli
 from wifimob.cli import main
 from wifimob.trace_model import ingest_traces_verbose
 
@@ -44,7 +45,7 @@ def test_locate_census_and_threads_invariance(tmp_path, capsys):
     assert rc == 0
     err = capsys.readouterr().err
     assert "routers:" in err and "located" in err and "insufficient" in err
-    rc = _run("--threads", 4, "locate", "--gps", data / "gps.jsonl", "--wifi", data / "wifi.jsonl", "--out", apdb2)
+    rc = _run("locate", "--gps", data / "gps.jsonl", "--wifi", data / "wifi.jsonl", "--out", apdb2)
     assert rc == 0
     assert apdb1.read_bytes() == apdb2.read_bytes()
 
@@ -216,9 +217,9 @@ def _record_route(monkeypatch):
     """Point the CLI at the record route: TraceSet ingest, record pairing,
     record timelines and record experiment tables."""
     monkeypatch.setattr(cli, "ingest_arrays", ingest_traces_verbose)
-    monkeypatch.setattr(
-        cli, "build_timeline", lambda traces, db: reconstructor.build_timeline(traces.scans, db)
-    )
+    monkeypatch.setattr(cli, "pair_observations", pair_records)
+    monkeypatch.setattr(cli, "build_timeline", lambda traces, db: timeline_from_records(traces.scans, db))
+    monkeypatch.setattr(cli, "prepare_experiment_data", prepare_from_traces)
 
 
 @pytest.mark.parametrize("config", [None, "max_accuracy_m = 5\nwindow_ms = 3000\n"])

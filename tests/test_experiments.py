@@ -4,7 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import exhaustive_max_coverage
+from oracles import (
+    arrays_to_traceset,
+    coverage_via_record_pipeline,
+    exhaustive_max_coverage,
+    greedy_top_routers,
+    prepare_from_traces,
+    records_to_arrays,
+    select_training_pairs,
+    table_from_traces,
+)
 from wifimob.coverage_metrics import DAY_MS, DEFAULT_BIN_MS
 from wifimob.experiments import (
     ExperimentConfig,
@@ -14,17 +23,13 @@ from wifimob.experiments import (
     TopRouters,
     _selection_mask,
     _table_from_arrays,
-    _table_from_traces,
-    coverage_via_record_pipeline,
-    greedy_top_routers,
     prepare_experiment_data,
     run_experiment,
-    select_training_pairs,
     stability_decline,
 )
 from wifimob.pairing import PairedObservation
-from wifimob.synthgen import WorldSpec, arrays_to_traceset, generate_world, simulate_sensor_arrays
-from wifimob.trace_model import ApSighting, GeoPoint, SensorArrays, WifiScan
+from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays
+from wifimob.trace_model import ApSighting, GeoPoint, GpsFix, SensorArrays, WifiScan
 
 P = GeoPoint(55.7, 12.5)
 
@@ -165,7 +170,7 @@ class TestEngine:
         _, _, arrays, traces = small_world
         cfg = ExperimentConfig()
         data_a = prepare_experiment_data(arrays, cfg)
-        data_r = prepare_experiment_data(traces, cfg)
+        data_r = prepare_from_traces(traces, cfg)
         for strategy in (RandomFraction(f=0.3, seed=5), TopRouters(k=5), InitialPeriod(days=2)):
             for scenario in Scenario:
                 res_a = run_experiment(data_a, strategy, scenario, cfg)
@@ -175,14 +180,29 @@ class TestEngine:
     def test_engine_matches_record_pipeline(self, small_world):
         """The columnar engine agrees with an independently built route:
         per-viewer naive databases plus binned timelines."""
-        _, _, _, traces = small_world
+        _, _, arrays, traces = small_world
         cfg = ExperimentConfig()
-        data = prepare_experiment_data(traces, cfg)
+        data = prepare_experiment_data(arrays, cfg)
         for strategy in (RandomFraction(f=0.3, seed=5), TopRouters(k=4)):
             for scenario in Scenario:
                 engine = run_experiment(data, strategy, scenario, cfg).coverage
                 reference = coverage_via_record_pipeline(traces, strategy, scenario, cfg)
                 assert engine.per_user_day == reference.per_user_day
+
+    def test_classified_rule_matches_record_pipeline(self, small_world):
+        """Per-viewer classified databases from record-level training subsets,
+        resolved through record timelines, give the engine's coverage."""
+        _, _, arrays, traces = small_world
+        cfg = ExperimentConfig(known_rule="classified")
+        data = prepare_experiment_data(arrays, cfg)
+        for strategy in (InitialPeriod(days=2), RandomFraction(f=0.3, seed=5)):
+            means = []
+            for scenario in Scenario:
+                engine = run_experiment(data, strategy, scenario, cfg)
+                reference = coverage_via_record_pipeline(traces, strategy, scenario, cfg)
+                assert engine.coverage.per_user_day == reference.per_user_day
+                means.append(engine.summary["mean_coverage"])
+            assert len(set(means)) > 1 and min(means) < max(means)
 
     def test_same_seed_identical_result(self, small_world):
         _, _, arrays, _ = small_world
@@ -210,9 +230,9 @@ class TestEngine:
                     assert g[key] >= cov
 
     def test_classified_rule_runs(self, small_world):
-        _, _, _, traces = small_world
+        _, _, arrays, _ = small_world
         cfg = ExperimentConfig(known_rule="classified")
-        data = prepare_experiment_data(traces, cfg)
+        data = prepare_experiment_data(arrays, cfg)
         res = run_experiment(data, RandomFraction(f=0.5, seed=1), Scenario.GLOBAL, cfg)
         # the quality filter can only shrink the known set
         loose = run_experiment(data, RandomFraction(f=0.5, seed=1), Scenario.GLOBAL)
@@ -276,6 +296,27 @@ def test_random_fraction_mask_matches_record_selection(small_world):
         assert kept == {(o.user, o.ts) for o in select_training_pairs(records, strategy)}
 
 
+def test_coverage_counts_far_apart_days():
+    """(user, day) counts stay apart at any day index: user a on day
+    1 000 001 and user b on day 1 must not share a key."""
+    ap = [ApSighting("02:00:00:00:00:01")]
+    far = 1_000_001 * DAY_MS
+    scans = [
+        WifiScan(user="a", ts=far, sightings=ap),
+        WifiScan(user="a", ts=far + 600_000, sightings=[]),
+        WifiScan(user="a", ts=far + DAY_MS, sightings=ap),
+        WifiScan(user="b", ts=DAY_MS, sightings=ap),
+    ]
+    fixes = [GpsFix(user=s.user, ts=s.ts, pos=P) for s in scans if s.sightings]
+    data = prepare_experiment_data(records_to_arrays(fixes, scans))
+    res = run_experiment(data, RandomFraction(f=1.0), Scenario.PERSONAL)
+    assert res.coverage.per_user_day == {
+        ("a", 1_000_001): 0.5,
+        ("a", 1_000_002): 1.0,
+        ("b", 1): 1.0,
+    }
+
+
 _TABLE_FIELDS = ("data_user", "data_bin", "pres_user", "pres_bin", "pres_last_ts")
 
 
@@ -293,7 +334,7 @@ def _assert_tables_equal(got, want):
 
 
 def _oracle_table(arrays, bin_ms=DEFAULT_BIN_MS):
-    return _table_from_traces(arrays_to_traceset(arrays), bin_ms)
+    return table_from_traces(arrays_to_traceset(arrays), bin_ms)
 
 
 def _hand_built_arrays(scans, user_ids, bssids, fix_users=()):
@@ -323,7 +364,7 @@ class TestScanTable:
         _, _, arrays, traces = small_world
         table = _table_from_arrays(arrays, DEFAULT_BIN_MS)
         assert table.pres_user.size > 0
-        _assert_tables_equal(table, _table_from_traces(traces, DEFAULT_BIN_MS))
+        _assert_tables_equal(table, table_from_traces(traces, DEFAULT_BIN_MS))
 
     def test_matches_record_oracle_on_hand_built_arrays(self):
         bin_ms = 600_000

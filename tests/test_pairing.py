@@ -3,24 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import arrays_to_traceset, pair_records, prepare_from_traces, records_to_arrays
 from wifimob.experiments import ExperimentConfig, prepare_experiment_data
 from wifimob.pairing import PairingConfig, pair_arrays, pair_observations, pair_time_indices
-from wifimob.synthgen import (
-    WorldSpec,
-    arrays_to_traceset,
-    generate_world,
-    simulate_sensor_arrays,
-)
+from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays
 from wifimob.trace_model import ApSighting, GeoPoint, GpsFix, TraceSet, WifiScan
 
 AP1 = ApSighting("02:00:00:00:00:01")
 AP2 = ApSighting("02:00:00:00:00:02")
 
 
+def _columns(fixes, scans):
+    """Hand-built records in canonical order, as columns."""
+    traces = TraceSet.from_records(fixes, scans)
+    return records_to_arrays(traces.fixes, traces.scans)
+
+
 def _traces(fix_ts, scan_specs, user="u"):
     fixes = [GpsFix(user=user, ts=t, pos=GeoPoint(55.0, 12.0)) for t in fix_ts]
     scans = [WifiScan(user=user, ts=t, sightings=list(s)) for t, s in scan_specs]
-    return TraceSet.from_records(fixes, scans)
+    return _columns(fixes, scans)
 
 
 def test_nearest_scan_wins():
@@ -57,7 +59,7 @@ def test_one_scan_may_serve_multiple_fixes():
 def test_accuracy_filter_off_by_default():
     fixes = [GpsFix(user="u", ts=1000, pos=GeoPoint(55.0, 12.0), accuracy_m=500.0)]
     scans = [WifiScan(user="u", ts=1000, sightings=[AP1])]
-    traces = TraceSet.from_records(fixes, scans)
+    traces = _columns(fixes, scans)
     assert len(pair_observations(traces)) == 1
     strict = PairingConfig(max_accuracy_m=50.0)
     assert pair_observations(traces, strict) == []
@@ -71,7 +73,7 @@ def test_bad_window_rejected():
 def test_cross_user_scans_never_pair():
     fixes = [GpsFix(user="a", ts=1000, pos=GeoPoint(55.0, 12.0))]
     scans = [WifiScan(user="b", ts=1000, sightings=[AP1])]
-    assert pair_observations(TraceSet.from_records(fixes, scans)) == []
+    assert pair_observations(_columns(fixes, scans)) == []
 
 
 @given(
@@ -121,12 +123,12 @@ def test_columnar_pairing_applies_accuracy_filter():
     for max_acc in (spec.gps_noise_m / 2, spec.gps_noise_m, None):
         cfg = PairingConfig(max_accuracy_m=max_acc)
         columnar = pair_observations(arrays, cfg)
-        assert columnar == pair_observations(traces, cfg)
+        assert columnar == pair_records(traces, cfg)
         assert bool(columnar) == (max_acc != spec.gps_noise_m / 2)
         exp_cfg = ExperimentConfig(pairing=cfg)
         assert (
             prepare_experiment_data(arrays, exp_cfg).pairs.count()
-            == prepare_experiment_data(traces, exp_cfg).pairs.count()
+            == prepare_from_traces(traces, exp_cfg).pairs.count()
             == len(columnar)
         )
 
@@ -139,13 +141,13 @@ def test_missing_accuracy_passes_the_filter():
     strict = PairingConfig(max_accuracy_m=0.1)
     kept = pair_arrays(arrays, strict)
     assert kept.count() and set(kept.ts.tolist()) <= set(arrays.fix_ts[1::2].tolist())
-    assert pair_observations(arrays, strict) == pair_observations(arrays_to_traceset(arrays), strict)
+    assert pair_observations(arrays, strict) == pair_records(arrays_to_traceset(arrays), strict)
 
 
 def test_deterministic_output(small_world):
-    _, _, _, traces = small_world
-    a = pair_observations(traces)
-    b = pair_observations(traces)
+    _, _, arrays, _ = small_world
+    a = pair_observations(arrays)
+    b = pair_observations(arrays)
     assert a == b
     assert a == sorted(a, key=lambda o: (o.bssid, o.ts, o.user))
 
@@ -153,10 +155,10 @@ def test_deterministic_output(small_world):
 def test_paired_fix_fraction_tracks_rate_ratio(small_world):
     """The chance a fix finds a scan within the window is set by the scan
     period: a 2-window-wide slice of every scan interval."""
-    spec, _, _, traces = small_world
-    obs = pair_observations(traces)
+    spec, _, arrays, _ = small_world
+    obs = pair_observations(arrays)
     paired_fixes = {(o.user, o.ts) for o in obs}
-    n_fixes = len(traces.fixes)
+    n_fixes = arrays.fix_ts.size
     expected = min(1.0, 2 * 1000 / (spec.wifi_scan_period_s * 1000))
     observed = len(paired_fixes) / n_fixes
     # dropout makes some paired scans empty so they emit nothing

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import records_to_arrays, timeline_from_records
 from wifimob.ap_locator import (
     ApClass,
     ApDatabase,
@@ -20,11 +21,10 @@ from wifimob.reconstructor import (
     resolve_scan,
     write_timeline_csv,
 )
-from wifimob.synthgen import WorldSpec, generate_world, simulate_sensors, write_dataset
+from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays, write_dataset
 from wifimob.trace_model import (
     ApSighting,
     GeoPoint,
-    SensorArrays,
     TraceError,
     WifiScan,
     ingest_arrays,
@@ -47,6 +47,11 @@ def _static(bssid, pos):
 
 def _scan(bssids, ts=0, user="u"):
     return WifiScan(user=user, ts=ts, sightings=[ApSighting(b) for b in bssids])
+
+
+def _timeline(scans, db):
+    """build_timeline on hand-built record scans, as columns in the given order."""
+    return build_timeline(records_to_arrays(scans=scans), db)
 
 
 def test_single_known_ap_pins_position():
@@ -115,7 +120,7 @@ def test_multi_ap_estimate_stays_in_hull():
 
 
 def test_timeline_empty():
-    assert build_timeline([], ApDatabase(records={})) == {}
+    assert _timeline([], ApDatabase(records={})) == {}
 
 
 def test_timeline_first_scan_in_bin_wins():
@@ -128,7 +133,7 @@ def test_timeline_first_scan_in_bin_wins():
         _scan(["b"], ts=500_000),  # same bin, later: ignored
         _scan(["b"], ts=700_000),  # next bin
     ]
-    timelines = build_timeline(scans, db)
+    timelines = _timeline(scans, db)
     tl = timelines["u"]
     assert tl.bins_with_data == {0, 1}
     assert tl.bins[0].pos == _offset(0, 0)
@@ -138,7 +143,7 @@ def test_timeline_first_scan_in_bin_wins():
 
 def test_single_resolvable_scan_fills_one_bin():
     db = ApDatabase(records={"a": _static("a", _offset(0, 0))})
-    timelines = build_timeline([_scan(["a"], ts=0)], db)
+    timelines = _timeline([_scan(["a"], ts=0)], db)
     tl = timelines["u"]
     assert set(tl.bins) == {0}
     assert tl.bins_with_data == {0}
@@ -153,15 +158,15 @@ def test_shrinking_database_never_adds_estimates():
         scans.append(_scan(visible, ts=k * 180_000))
     full_db = ApDatabase(records=records)
     small_db = ApDatabase(records={k: v for k, v in records.items() if k < "b3"})
-    full = build_timeline(scans, full_db)["u"]
-    small = build_timeline(scans, small_db)["u"]
+    full = _timeline(scans, full_db)["u"]
+    small = _timeline(scans, small_db)["u"]
     assert set(small.bins) <= set(full.bins)
 
 
 def test_timeline_csv_roundtrip(tmp_path):
     db = ApDatabase(records={"a": _static("a", _offset(0, 0))})
     scans = [_scan(["a"], ts=0), _scan([], ts=700_000)]
-    timelines = build_timeline(scans, db)
+    timelines = _timeline(scans, db)
     path = tmp_path / "timeline.csv"
     write_timeline_csv(timelines, path)
     loaded = read_timeline_csv(path)
@@ -175,11 +180,11 @@ def test_two_day_single_user_reconstruction_accuracy():
     lands within 150 m of the true position."""
     spec = WorldSpec(seed=21, n_users=1, n_days=2, colocated_fraction=0.0)
     gt = generate_world(spec)
-    traces = simulate_sensors(gt, spec)
+    arrays = simulate_sensor_arrays(gt, spec)
     # the single user needs company for pairing evidence: their own
-    data = prepare_experiment_data(traces)
+    data = prepare_experiment_data(arrays)
     db = build_database(data.paired_records())
-    timelines = build_timeline(traces.scans, db)
+    timelines = build_timeline(arrays, db)
     tl = timelines[gt.user_ids[0]]
     assert tl.bins, "nothing reconstructed"
     errors = []
@@ -196,25 +201,13 @@ def test_timeline_rejects_out_of_order_scans():
     db = ApDatabase(records={"a": _static("a", _offset(0, 0))})
     scans = [_scan(["a"], ts=700_000), _scan(["a"], ts=0, user="v"), _scan([], ts=0)]
     with pytest.raises(TraceError, match="out of time order"):
-        build_timeline(scans, db)
-    # equal timestamps and interleaved users are fine
-    build_timeline([_scan([], ts=5), _scan([], ts=1, user="v"), _scan(["a"], ts=5)], db)
-
-    def arrays(users, ts):
-        n = len(ts)
-        return SensorArrays(
-            user_ids=["u", "v"], bssids=["a"], ssids=[None], n_static=0,
-            fix_user=np.zeros(0, np.int32), fix_ts=np.zeros(0, np.int64),
-            fix_lat=np.zeros(0), fix_lon=np.zeros(0), fix_acc=np.zeros(0),
-            scan_user=np.array(users, np.int32), scan_ts=np.array(ts, np.int64),
-            scan_off=np.arange(n + 1, dtype=np.int64), scan_ap=np.zeros(n, np.int32),
-            scan_cell_w=np.zeros(n, np.float32),
-        )
-
+        _timeline(scans, db)
     with pytest.raises(TraceError, match="out of time order"):
-        build_timeline(arrays([0, 1, 0], [700_000, 0, 0]), db)
-    ok = build_timeline(arrays([0, 1, 0], [5, 1, 5]), db)
-    assert ok == build_timeline([_scan(["a"], ts=5), _scan(["a"], ts=1, user="v"), _scan(["a"], ts=5)], db)
+        timeline_from_records(scans, db)
+    # equal timestamps and interleaved users are fine
+    _timeline([_scan([], ts=5), _scan([], ts=1, user="v"), _scan(["a"], ts=5)], db)
+    ok = [_scan(["a"], ts=5), _scan(["a"], ts=1, user="v"), _scan(["a"], ts=5)]
+    assert _timeline(ok, db) == timeline_from_records(ok, db)
 
 
 def _write_jsonl(path, rows):
@@ -263,7 +256,7 @@ def test_columnar_timeline_matches_records_on_hand_built_routers(tmp_path):
         ],
     )
     columnar = build_timeline(ingest_arrays(gps, wifi)[0], db)
-    records = build_timeline(ingest_traces(gps, wifi).scans, db)
+    records = timeline_from_records(ingest_traces(gps, wifi).scans, db)
     assert columnar == records
     u = columnar["u"]
     assert u.bins_with_data == {0, 2, 4, 5} and set(u.bins) == {0, 4, 5}
@@ -275,7 +268,8 @@ def test_columnar_timeline_matches_records_on_hand_built_routers(tmp_path):
 def test_columnar_timeline_matches_records_on_small_world(small_world, tmp_path):
     _, gt, arrays, traces = small_world
     db = build_database(prepare_experiment_data(arrays).paired_records())
-    assert build_timeline(arrays, db) == build_timeline(traces.scans, db)
+    records = timeline_from_records(traces.scans, db)
+    assert build_timeline(arrays, db) == records
     write_dataset(gt, arrays, tmp_path)
     loaded = ingest_arrays(tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl")[0]
-    assert build_timeline(loaded, db) == build_timeline(traces.scans, db)
+    assert build_timeline(loaded, db) == records

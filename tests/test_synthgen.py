@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import records_to_arrays
 from wifimob.ap_locator import haversine_m_arrays
 from wifimob.coverage_metrics import DAY_MS
 from wifimob.synthgen import (
@@ -180,6 +181,15 @@ def test_record_view_matches_arrays(small_world):
     assert [s.bssid for s in scan.sightings] == ids
     assert scan.ts == int(arrays.scan_ts[k])
     assert scan.user == arrays.user_ids[arrays.scan_user[k]]
+
+
+def test_records_to_arrays_inverts_the_record_view(small_world):
+    _, _, arrays, traces = small_world
+    back = records_to_arrays(traces.fixes, traces.scans)
+    assert back.user_ids == arrays.user_ids
+    for name in ("fix_user", "fix_ts", "fix_lat", "fix_lon", "fix_acc", "scan_user", "scan_ts", "scan_off"):
+        assert np.array_equal(getattr(back, name), getattr(arrays, name)), name
+    assert [back.bssids[i] for i in back.scan_ap] == [arrays.bssids[i] for i in arrays.scan_ap]
 
 
 def test_write_dataset_outputs(tmp_path, small_world):
