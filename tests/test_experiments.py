@@ -317,6 +317,32 @@ def test_coverage_counts_far_apart_days():
     }
 
 
+def test_relocated_guard_is_per_viewer():
+    """One viewer's relocated verdict never clips another viewer's static
+    knowledge: ``a`` sees X at two sites on days 0 and 1 (relocated for
+    ``a``), ``b`` sees X at the first site on day 5 (static for ``b``)."""
+    x = [ApSighting("02:00:00:00:00:0a")]
+    far = GeoPoint(P.lat_deg, P.lon_deg + 0.02)  # about 1.3 km east
+    visits = [("a", 0, P), ("a", 1, far), ("b", 5, P)]
+    scans, fixes = [], []
+    for user, day, pos in visits:
+        for k in range(6):
+            ts = day * DAY_MS + k * DEFAULT_BIN_MS
+            scans.append(WifiScan(user=user, ts=ts, sightings=x))
+            fixes.append(GpsFix(user=user, ts=ts, pos=pos))
+    arrays = records_to_arrays(fixes, scans)
+    cfg = ExperimentConfig(known_rule="classified")
+    data = prepare_experiment_data(arrays, cfg)
+    traces = arrays_to_traceset(arrays)
+    strategy = InitialPeriod(days=30)
+    for scenario in Scenario:
+        engine = run_experiment(data, strategy, scenario, cfg).coverage
+        reference = coverage_via_record_pipeline(traces, strategy, scenario, cfg)
+        assert engine.per_user_day == reference.per_user_day, scenario
+    personal = run_experiment(data, strategy, Scenario.PERSONAL, cfg).coverage
+    assert personal.per_user_day == {("a", 0): 1.0, ("a", 1): 1.0, ("b", 5): 1.0}
+
+
 _TABLE_FIELDS = ("data_user", "data_bin", "pres_user", "pres_bin", "pres_last_ts")
 
 
