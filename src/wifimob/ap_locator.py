@@ -242,9 +242,9 @@ def dbscan_arrays(
     gridable = cos_min > 0.05 and cos_max / cos_min < 1.2 and lon_span < math.pi / 2
 
     if gridable and n > 64:
-        counts, assignment = _dbscan_grid(lat, lon, eps_m, min_pts, radius_m, cos_max)
+        assignment = _dbscan_grid(lat, lon, eps_m, min_pts, radius_m, cos_max)
     else:
-        counts, assignment = _dbscan_brute(lat, lon, eps_m, min_pts, radius_m)
+        assignment = _dbscan_brute(lat, lon, eps_m, min_pts, radius_m)
 
     clusters_by_root: dict[int, set[int]] = {}
     noise: set[int] = set()
@@ -257,29 +257,15 @@ def dbscan_arrays(
     return clusters, noise
 
 
-def _finalize_assignment(n, core, uf, border_core_neighbor) -> np.ndarray:
-    """Cluster id per point (-1 noise): cores via union-find, borders via
-    their lowest-index core neighbor."""
-    assignment = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        if core[i]:
-            assignment[i] = uf.find(i)
-        elif border_core_neighbor[i] >= 0:
-            assignment[i] = uf.find(int(border_core_neighbor[i]))
-    return assignment
-
-
 def _dbscan_brute(lat, lon, eps_m, min_pts, radius_m):
-    """Exact quadratic path for small or oddly spread inputs."""
+    """Exact quadratic path for small or oddly spread inputs; returns the
+    cluster id per point (-1 noise)."""
     n = lat.shape[0]
-    adj = []
-    counts = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        d = _haversine_rad(lat[i], lon[i], lat, lon, radius_m)
-        nb = np.nonzero(d <= eps_m)[0]
-        adj.append(nb)
-        counts[i] = nb.size
-    core = counts >= min_pts
+    adj = [
+        np.nonzero(_haversine_rad(lat[i], lon[i], lat, lon, radius_m) <= eps_m)[0]
+        for i in range(n)
+    ]
+    core = np.array([nb.size >= min_pts for nb in adj])
     uf = _UnionFind(n)
     border_nb = np.full(n, -1, dtype=np.int64)
     for i in range(n):
@@ -289,91 +275,82 @@ def _dbscan_brute(lat, lon, eps_m, min_pts, radius_m):
                 uf.union(i, int(j))
         elif core_nb.size:
             border_nb[i] = core_nb[0]
-    return counts, _finalize_assignment(n, core, uf, border_nb)
+    root = np.array([uf.find(i) for i in range(n)], dtype=np.int64)
+    return np.where(core, root, np.where(border_nb >= 0, root[border_nb], -1))
+
+
+# distance evaluations per block when testing a core cell pair for a link
+_LINK_BLOCK = 16_384
 
 
 def _dbscan_grid(lat, lon, eps_m, min_pts, radius_m, cos_max):
-    """Exact grid path: cells a hair under eps/sqrt(2) make same-cell points
-    mutually reachable, so one representative union per connected cell pair
-    suffices. Distances are evaluated per cell pair in vectorized shots;
-    pass one accumulates neighbor counts, pass two wires up components.
+    """Exact grid path (Gunawan 2013; de Berg, Gunawan & Roeloffzen 2019).
+
+    Cells a hair under eps/sqrt(2) put same-cell points within eps of each
+    other, so a cell of at least ``min_pts`` points is all core and every
+    border or noise point sits in a sparser cell. Only sparse cells count
+    neighbors, in one block against their 5x5 window (points within eps are
+    at most two cells apart on either axis). Cells holding cores are the
+    union-find nodes; each unordered cell pair is tested once, in row
+    chunks that stop at the first core pair within eps. Returns the cluster
+    id per point (-1 noise).
     """
     n = lat.shape[0]
     cell_rad = eps_m / radius_m / math.sqrt(2.0) * (1.0 - 1e-6)
     ci = np.floor(lat / cell_rad).astype(np.int64)
     cj = np.floor(lon * cos_max / cell_rad).astype(np.int64)
 
+    # ascending point index within each cell
     order = np.lexsort((np.arange(n), cj, ci))
-    keys = np.column_stack([ci[order], cj[order]])
-    change = np.nonzero(np.any(np.diff(keys, axis=0) != 0, axis=1))[0] + 1
-    starts = np.concatenate([[0], change, [n]])
-    cells: dict[tuple[int, int], np.ndarray] = {}
-    for a, b in zip(starts[:-1], starts[1:]):
-        members = np.sort(order[a:b])
-        cells[(int(keys[a, 0]), int(keys[a, 1]))] = members
+    new_cell = np.ones(n, dtype=bool)
+    new_cell[1:] = (ci[order][1:] != ci[order][:-1]) | (cj[order][1:] != cj[order][:-1])
+    cells = np.split(order, np.flatnonzero(new_cell)[1:])
+    cell_of = np.empty(n, dtype=np.int64)
+    cell_of[order] = np.cumsum(new_cell) - 1
+    keys = [(int(ci[m[0]]), int(cj[m[0]])) for m in cells]
+    index = {key: c for c, key in enumerate(keys)}
+    offsets = [(di, dj) for di in range(-2, 3) for dj in range(-2, 3)]
+    window = [
+        [index[(i + di, j + dj)] for di, dj in offsets if (i + di, j + dj) in index]
+        for i, j in keys
+    ]
 
-    # points within eps are never more than two cells apart on either axis
-    window = [(di, dj) for di in range(-2, 3) for dj in range(-2, 3)]
+    def within(a, b):
+        return _haversine_rad(
+            lat[a][:, None], lon[a][:, None], lat[b][None, :], lon[b][None, :], radius_m
+        ) <= eps_m
 
-    def cell_pairs():
-        for key, members in cells.items():
-            for di, dj in window:
-                other = (key[0] + di, key[1] + dj)
-                if other < key:
-                    continue  # each unordered pair once; key==other is the self pair
-                cand = cells.get(other)
-                if cand is None:
-                    continue
-                d = _haversine_rad(
-                    lat[members][:, None], lon[members][:, None],
-                    lat[cand][None, :], lon[cand][None, :], radius_m,
-                )
-                mask = d <= eps_m
-                if mask.any():
-                    yield members, cand, mask
+    core = np.zeros(n, dtype=bool)
+    sparse = []
+    for c, members in enumerate(cells):
+        if members.size >= min_pts:
+            core[members] = True
+        else:
+            around = np.concatenate([cells[o] for o in window[c]])
+            near = within(members, around)
+            core[members] = near.sum(axis=1) >= min_pts
+            sparse.append((members, around, near))
 
-    counts = np.zeros(n, dtype=np.int64)
-    for members, cand, mask in cell_pairs():
-        counts[members] += mask.sum(axis=1)
-        if cand is not members:
-            counts[cand] += mask.sum(axis=0)
+    uf = _UnionFind(len(cells))
+    cores = [m[core[m]] for m in cells]
+    for c, a in enumerate(cores):
+        for o in window[c]:
+            b = cores[o]
+            if o <= c or not (a.size and b.size) or uf.find(c) == uf.find(o):
+                continue
+            step = max(1, _LINK_BLOCK // b.size)
+            if any(within(a[s : s + step], b).any() for s in range(0, a.size, step)):
+                uf.union(c, o)
 
-    core = counts >= min_pts
-    uf = _UnionFind(n)
-    # same-cell cores are mutually reachable: chain them to the first core
-    for members in cells.values():
-        mc = members[core[members]]
-        for j in mc[1:]:
-            uf.union(int(mc[0]), int(j))
-
-    border_nb = np.full(n, -1, dtype=np.int64)
-    big = np.int64(np.iinfo(np.int64).max)
-
-    def note_borders(pts, cand, mask):
-        sub = ~core[pts]
-        cand_core = core[cand]
-        if not sub.any() or not cand_core.any():
-            return
-        m = mask[sub][:, cand_core]
-        if not m.any():
-            return
-        cand_ids = cand[cand_core]
-        best = np.where(m, cand_ids[None, :], big).min(axis=1)
-        rows = pts[sub]
-        cur = border_nb[rows]
-        upd = np.where((cur < 0) | (best < cur), best, cur)
-        border_nb[rows] = np.where(best < big, upd, cur)
-
-    for members, cand, mask in cell_pairs():
-        a_core = core[members]
-        b_core = core[cand]
-        if a_core.any() and b_core.any() and mask[a_core][:, b_core].any():
-            uf.union(int(members[a_core][0]), int(cand[b_core][0]))
-        note_borders(members, cand, mask)
-        if cand is not members:
-            note_borders(cand, members, mask.T)
-
-    return counts, _finalize_assignment(n, core, uf, border_nb)
+    root = np.array([uf.find(c) for c in range(len(cells))], dtype=np.int64)
+    assignment = np.where(core, root[cell_of], -1)
+    # a non-core point joins the cluster of its lowest-index core neighbor
+    for members, around, near in sparse:
+        border = ~core[members]
+        lowest = np.where(near[border] & core[around], around, n).min(axis=1, initial=n)
+        rows, hit = members[border], lowest < n
+        assignment[rows[hit]] = root[cell_of[lowest[hit]]]
+    return assignment
 
 
 def _local_plane(lat_deg: np.ndarray, lon_deg: np.ndarray, radius_m: float):

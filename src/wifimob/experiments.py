@@ -330,20 +330,23 @@ def _viewer_first_ts(mat: np.ndarray, scenario: Scenario) -> np.ndarray:
 def _coverage_from_first_ts(
     data: ExperimentData,
     viewer_first_ts: np.ndarray,
-    relocated_guard: Optional[dict] = None,
+    relocated_guard: Optional[list[dict]] = None,
 ) -> CoverageSeries:
+    """``relocated_guard`` holds one dict per viewer: AP id -> the segment
+    intervals outside which that viewer cannot place the AP."""
     t = data.table
     known = viewer_first_ts[t.pres_user.astype(np.int64), t.pres_ap.astype(np.int64)] <= t.pres_last_ts
     if relocated_guard:
-        for ap, intervals in relocated_guard.items():
-            sel = t.pres_ap == ap
-            if not sel.any():
-                continue
-            ok = np.zeros(int(sel.sum()), dtype=bool)
-            ts_sel = t.pres_last_ts[sel]
-            for start, end in intervals:
-                ok |= (ts_sel >= start) & (ts_sel <= end)
-            known[sel] &= ok
+        bounds = np.searchsorted(t.pres_user, np.arange(t.n_users + 1))
+        for u, guard in enumerate(relocated_guard):
+            lo, hi = bounds[u], bounds[u + 1]
+            for ap, intervals in guard.items():
+                rows = lo + np.flatnonzero(t.pres_ap[lo:hi] == ap)
+                ts = t.pres_last_ts[rows]
+                ok = np.zeros(rows.size, dtype=bool)
+                for start, end in intervals:
+                    ok |= (ts >= start) & (ts <= end)
+                known[rows] &= ok
 
     # presence rows are sorted by (user, bin, ap), so the covered (user, bin)
     # pairs and both day counts come out as runs in (user, day) order
@@ -414,11 +417,12 @@ def run_experiment(
     data = source if isinstance(source, ExperimentData) else prepare_experiment_data(source, cfg)
     t = data.table
     n_users, n_aps = t.n_users, t.n_aps
-    relocated_guard: Optional[dict] = None
+    relocated_guard: Optional[list[dict]] = None
 
     if isinstance(strategy, TopRouters):
         db = data.full_database()
-        resolvable, relocated_guard = _resolvable_static_and_relocated(db, t)
+        resolvable, relocated = _resolvable_static_and_relocated(db, t)
+        relocated_guard = [relocated] * n_users
         res_mask = np.zeros(n_aps, dtype=bool)
         res_mask[resolvable] = True
         picked = np.zeros((n_users, n_aps), dtype=bool)
@@ -474,7 +478,8 @@ def _classified_viewer_first(
     sel_mask, _ = _selection_mask(data, strategy)
     ap_idx = {b: i for i, b in enumerate(t.bssids)}
     mat = np.full((t.n_users, t.n_aps), _NEVER, dtype=np.int64)
-    relocated: dict[int, list[tuple[int, int]]] = {}
+    # each viewer's relocated APs, guarded by that viewer's own database
+    guards: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(t.n_users)]
     global_db = _training_database(data, sel_mask, cfg) if scenario is Scenario.GLOBAL else None
     for u in range(t.n_users):
         if global_db is not None:
@@ -492,10 +497,8 @@ def _classified_viewer_first(
                 mat[u, i] = 0
             elif rec.ap_class is ApClass.RELOCATED:
                 mat[u, i] = 0
-                relocated.setdefault(i, []).extend(
-                    (s.interval.start, s.interval.end) for s in rec.segments
-                )
-    return mat, (relocated or None)
+                guards[u][i] = [(s.interval.start, s.interval.end) for s in rec.segments]
+    return mat, guards
 
 
 def _training_database(

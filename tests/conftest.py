@@ -1,7 +1,6 @@
 import pytest
 
 from oracles import arrays_to_traceset
-from wifimob.ap_locator import build_database
 from wifimob.experiments import prepare_experiment_data
 from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays
 
@@ -21,12 +20,6 @@ def default_world():
 def default_data(default_world):
     _, _, arrays = default_world
     return prepare_experiment_data(arrays)
-
-
-@pytest.fixture(scope="session")
-def default_db(default_data):
-    records = default_data.paired_records()
-    return records, build_database(records, built_from="default world")
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ from wifimob.ap_locator import (
     classify_ap,
     dbscan,
     geometric_median,
+    group_by_bssid,
     haversine_m,
     read_apdb_csv,
     validate_against_named_ssids,
@@ -115,6 +116,83 @@ class TestDbscan:
             assert not (seen & cluster)
             seen |= cluster
         assert seen == set(range(n))
+
+
+# the eps = 100 m grid: square cells a hair under eps/sqrt(2) on a side;
+# offsets below are meters east of the center of one cell
+_CELL_RAD = 100.0 / 6_371_000.0 / math.sqrt(2.0) * (1.0 - 1e-6)
+_CELL_M = _CELL_RAD * 6_371_000.0
+_ROW_LAT = math.degrees((math.floor(math.radians(LAT0) / _CELL_RAD) + 0.5) * _CELL_RAD)
+_COS_ROW = math.cos(math.radians(_ROW_LAT))
+_COL_LON = math.degrees(
+    (math.floor(math.radians(LON0) * _COS_ROW / _CELL_RAD) + 0.5) * _CELL_RAD / _COS_ROW
+)
+
+
+def _grid_point(east_m, north_m=0.0):
+    return _offset(east_m, north_m, lat0=_ROW_LAT, lon0=_COL_LON)
+
+
+def _blob(east_m, n, seed):
+    """``n`` points within 3 m of a spot, well inside one grid cell."""
+    jitter = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n, 2))
+    return [_grid_point(east_m + dx, dy) for dx, dy in jitter]
+
+
+class TestGridDbscan:
+    """Hand-built layouts past the 64-point brute cutoff, one per branch of
+    the grid path, each checked against the brute-force oracle."""
+
+    @staticmethod
+    def _cluster(points):
+        pts = [(p, i) for i, p in enumerate(points)]
+        assert len(pts) > 64
+        got = dbscan(pts, eps_m=100, min_pts=5)
+        assert got == brute_dbscan(pts, 100, 5)
+        return got
+
+    def test_dense_cells_two_apart_without_a_pair_in_reach(self):
+        a, b = _blob(0, 40, seed=1), _blob(2 * _CELL_M, 40, seed=2)
+        assert self._cluster(a + b) == ([set(range(40)), set(range(40, 80))], set())
+
+    def test_sparse_bridge_cell_joins_dense_cells(self):
+        a, b = _blob(0, 40, seed=1), _blob(2 * _CELL_M, 40, seed=2)
+        bridge = _blob(_CELL_M, 4, seed=3)
+        assert self._cluster(a + b + bridge) == ([set(range(84))], set())
+
+    def test_border_point_joins_lowest_index_core_neighbor(self):
+        # the border point at 145 m reaches one core of each cluster, 95 m
+        # away on either side, and nothing else
+        west, east = _blob(0, 40, seed=1), _blob(290, 40, seed=2)
+        points = [_grid_point(240)] + west + [_grid_point(145)] + east + [_grid_point(50)]
+        clusters, noise = self._cluster(points)
+        assert noise == set()
+        assert clusters == [{0, 41} | set(range(42, 82)), set(range(1, 41)) | {82}]
+
+    def test_cell_of_min_pts_is_a_cluster_and_one_fewer_is_noise(self):
+        points = _blob(0, 60, seed=1) + _blob(5 * _CELL_M, 5, seed=2) + _blob(10 * _CELL_M, 4, seed=3)
+        clusters, noise = self._cluster(points)
+        assert clusters == [set(range(60)), set(range(60, 65))]
+        assert noise == set(range(65, 69))
+
+
+def test_grid_path_matches_brute_force_on_default_world(default_data):
+    """Every distinct point set of the default world that reaches the grid
+    path (more than 64 points, not inside one eps ball) clusters exactly as
+    the brute-force oracle does, in the order classify_ap feeds them."""
+    point_sets = set()
+    for obs in group_by_bssid(default_data.paired_records()).values():
+        pts = tuple(
+            sorted(((o.pos, o.ts) for o in obs), key=lambda p: (p[1], p[0].lat_deg, p[0].lon_deg))
+        )
+        lat = [p.lat_deg for p, _ in pts]
+        lon = [p.lon_deg for p, _ in pts]
+        corner_gap = haversine_m(GeoPoint(min(lat), min(lon)), GeoPoint(max(lat), max(lon)))
+        if len(pts) > 64 and corner_gap > 100:
+            point_sets.add(pts)
+    assert len(point_sets) > 20
+    for pts in point_sets:
+        assert dbscan(pts, 100, 5) == brute_dbscan(pts, 100, 5)
 
 
 class TestGeometricMedian:
