@@ -80,9 +80,14 @@ def _read_config(path: str | None) -> dict[str, str]:
 _CONFIG_CLASSES = (synthgen.WorldSpec, LocatorConfig, PairingConfig)
 
 
+def _tuples(value):
+    """A JSON value with every list, flat or nested, turned into a tuple."""
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
 def _coerce(name: str, text: str, default):
     if name == "density_weights":
-        return tuple(tuple(row) for row in json.loads(text))
+        return _tuples(json.loads(text))
     if name == "routine_change_day":
         return None if text.lower() in ("", "none") else int(text)
     if name == "max_accuracy_m":

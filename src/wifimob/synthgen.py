@@ -129,6 +129,21 @@ class WorldSpec:
             raise ValueError("sensor periods must be positive")
         if self.visibility_radius_m <= 0:
             raise ValueError("visibility_radius_m must be positive")
+        if self.density_cells < 1:
+            raise ValueError("density_cells must be at least 1")
+        if self.density_weights is not None:
+            try:
+                size = np.asarray(self.density_weights, dtype=np.float64).size
+            except (TypeError, ValueError):
+                size = -1
+            if size != self.density_cells**2:
+                raise ValueError(
+                    f"density_weights must hold density_cells**2 = {self.density_cells**2} numbers"
+                )
+        for name in ("minor_anchors_range", "excursion_stops", "hotspot_session_h"):
+            pair = tuple(getattr(self, name))
+            if len(pair) != 2 or not 0 <= pair[0] <= pair[1]:
+                raise ValueError(f"{name} must be a pair (lo, hi) with 0 <= lo <= hi")
 
 
 MOBILE_HOTSPOT_SSIDS = ("AndroidAP", "iPhone")
@@ -171,12 +186,14 @@ class _CityGrid:
         i, j = self.cell_of_xy(x_m, y_m)
         return self.weights[i, j]
 
-    def sample_points_xy(
-        self, rng: np.random.Generator, count: int, power: float = 1.0
-    ) -> np.ndarray:
-        """Weight^power-distributed points, uniform within their cell; (count, 2) meters."""
+    def cell_probs(self, power: float = 1.0) -> np.ndarray:
+        """Each cell's share of weight^power, row-major."""
         w = self.weights ** power
-        p = (w / w.sum()).ravel()
+        return (w / w.sum()).ravel()
+
+    def sample_points_xy(self, rng: np.random.Generator, count: int, p: np.ndarray) -> np.ndarray:
+        """Points over cells drawn with probabilities ``p`` (see cell_probs),
+        uniform within their cell; (count, 2) meters."""
         cells = rng.choice(self.n * self.n, size=count, p=p)
         i, j = np.divmod(cells, self.n)
         x = (j + rng.random(count)) * self.cell_m - self.extent_m / 2
@@ -185,40 +202,55 @@ class _CityGrid:
 
 
 class _PointIndex:
-    """Fixed-radius neighbor queries over static points, bucketed on a grid."""
+    """Fixed-radius neighbour search over static points, answered for many
+    query points at once on a grid of radius-sized cells (Bentley 1975)."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, radius_m: float):
         self.x, self.y, self.r = x, y, radius_m
-        self.buckets: dict[tuple[int, int], np.ndarray] = {}
+        ci = np.floor(x / radius_m).astype(np.int64)
+        cj = np.floor(y / radius_m).astype(np.int64)
         if x.size:
-            ci = np.floor(x / radius_m).astype(np.int64)
-            cj = np.floor(y / radius_m).astype(np.int64)
-            order = np.lexsort((np.arange(x.size), cj, ci))
-            keys = np.column_stack([ci[order], cj[order]])
-            change = np.nonzero(np.any(np.diff(keys, axis=0) != 0, axis=1))[0] + 1
-            starts = np.concatenate([[0], change, [x.size]])
-            for a, b in zip(starts[:-1], starts[1:]):
-                self.buckets[(int(keys[a, 0]), int(keys[a, 1]))] = order[a:b]
+            self.lo_i, self.lo_j = int(ci.min()), int(cj.min())
+            self.hi_i, self.hi_j = int(ci.max()), int(cj.max())
+        else:
+            self.lo_i = self.lo_j = 0
+            self.hi_i = self.hi_j = -1
+        key = self._cell_key(ci, cj)
+        self.order = np.argsort(key, kind="stable")
+        self.keys = key[self.order]
 
-    def query(self, px: float, py: float) -> np.ndarray:
-        """Indices with planar distance <= radius, ascending."""
-        if not self.buckets:
-            return np.empty(0, dtype=np.int64)
-        ci, cj = int(math.floor(px / self.r)), int(math.floor(py / self.r))
-        parts = []
+    def _cell_key(self, ci: np.ndarray, cj: np.ndarray) -> np.ndarray:
+        """Row-major key of each cell in the points' bounding box; -1 outside it."""
+        inside = (ci >= self.lo_i) & (ci <= self.hi_i) & (cj >= self.lo_j) & (cj <= self.hi_j)
+        width = self.hi_j - self.lo_j + 1
+        return np.where(inside, (ci - self.lo_i) * width + (cj - self.lo_j), -1)
+
+    def query(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR hits ``(offsets, ids)``: row k lists the indices within planar
+        distance <= radius of ``(qx[k], qy[k])``, ascending."""
+        n = qx.size
+        qi = np.floor(qx / self.r).astype(np.int64)
+        qj = np.floor(qy / self.r).astype(np.int64)
+        # each query's 3x3 window as up to nine contiguous runs of self.order
+        lo, cnt = [], []
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
-                part = self.buckets.get((ci + di, cj + dj))
-                if part is not None:
-                    parts.append(part)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        cand = np.concatenate(parts)
-        dx = self.x[cand] - px
-        dy = self.y[cand] - py
-        hit = cand[dx * dx + dy * dy <= self.r * self.r]
-        hit.sort()
-        return hit
+                key = self._cell_key(qi + di, qj + dj)
+                a = np.searchsorted(self.keys, key, side="left")
+                lo.append(a)
+                cnt.append(np.searchsorted(self.keys, key, side="right") - a)
+        lo, cnt = np.concatenate(lo), np.concatenate(cnt)
+        row = np.repeat(np.tile(np.arange(n), 9), cnt)
+        run_start = np.cumsum(cnt) - cnt
+        cand = self.order[np.arange(row.size) - np.repeat(run_start - lo, cnt)]
+        dx = self.x[cand] - qx[row]
+        dy = self.y[cand] - qy[row]
+        hit = dx * dx + dy * dy <= self.r * self.r
+        row, cand = row[hit], cand[hit]
+        order = np.lexsort((cand, row))
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=n), out=offsets[1:])
+        return offsets, cand[order]
 
 
 @dataclass(slots=True)
@@ -352,30 +384,28 @@ def _place_separated(
     grid: _CityGrid,
     count: int,
     sep_m: float,
-    taken_xy: list,
+    taken: np.ndarray,
     power: float = 1.0,
-) -> list[tuple[float, float]]:
-    """Density-weighted points at least sep_m apart from taken ones (relaxing
-    to sep/2 when the rejection budget runs out)."""
-    placed: list[tuple[float, float]] = []
+) -> np.ndarray:
+    """``taken`` (an (n, 2) array) followed by ``count`` new density-weighted
+    points, each at least sep_m from every earlier one (relaxing to sep/2 when
+    the rejection budget runs out), as an (n + count, 2) array."""
+    n = len(taken)
+    xy = np.empty((n + count, 2))
+    xy[:n] = taken
+    p = grid.cell_probs(power)
     for _ in range(count):
-        best = None
         for attempt in range(60):
-            pt = grid.sample_points_xy(rng, 1, power=power)[0]
+            pt = grid.sample_points_xy(rng, 1, p)[0]
             min_sep = sep_m if attempt < 40 else sep_m / 2
-            ok = True
-            for qx, qy in taken_xy:
-                if (pt[0] - qx) ** 2 + (pt[1] - qy) ** 2 < min_sep * min_sep:
-                    ok = False
-                    break
-            if ok:
-                best = (float(pt[0]), float(pt[1]))
+            dx = xy[:n, 0] - pt[0]
+            dy = xy[:n, 1] - pt[1]
+            if not np.any(dx * dx + dy * dy < min_sep * min_sep):
                 break
-        if best is None:
-            best = (float(pt[0]), float(pt[1]))  # crowded world; accept overlap
-        placed.append(best)
-        taken_xy.append(best)
-    return placed
+        # a crowded world accepts the last candidate, overlap and all
+        xy[n] = pt
+        n += 1
+    return xy
 
 
 def generate_world(spec: WorldSpec) -> GroundTruth:
@@ -388,8 +418,15 @@ def generate_world(spec: WorldSpec) -> GroundTruth:
     rng_place = _rng(spec.seed, 0)
 
     # --- anchors ---------------------------------------------------------
-    taken: list[tuple[float, float]] = []
-    anchor_pts: list[tuple[float, float]] = []
+    # every anchor, then every venue, in placement order; a point's row is
+    # its anchor id
+    pts = np.empty((0, 2))
+
+    def place(count: int, power: float) -> list[int]:
+        nonlocal pts
+        first = len(pts)
+        pts = _place_separated(rng_place, grid, count, spec.anchor_sep_m, pts, power=power)
+        return list(range(first, len(pts)))
 
     n_colocated = round(spec.colocated_fraction * n_users)
     colocated = set(range(n_colocated))
@@ -398,57 +435,39 @@ def generate_world(spec: WorldSpec) -> GroundTruth:
     campus_anchor: Optional[int] = None
     if n_colocated > 0:
         # the shared campus sits in a busy district
-        campus = _place_separated(rng_place, grid, 1, spec.anchor_sep_m, taken, power=4.0)[0]
-        campus_anchor = 0
-        anchor_pts.append(campus)
+        campus_anchor = place(1, 4.0)[0]
 
     # dorm pairs: some colocated users share one home point
     dorm_pairs = n_colocated // 3
 
     home_of: dict[int, int] = {}
     for pair in range(dorm_pairs):
-        pt = _place_separated(rng_place, grid, 1, spec.anchor_sep_m, taken, power=pw)[0]
-        anchor_id = len(anchor_pts)
-        anchor_pts.append(pt)
-        home_of[2 * pair] = anchor_id
-        home_of[2 * pair + 1] = anchor_id
+        home_of[2 * pair] = home_of[2 * pair + 1] = place(1, pw)[0]
     for u in range(n_users):
-        if u in home_of:
-            continue
-        pt = _place_separated(rng_place, grid, 1, spec.anchor_sep_m, taken, power=pw)[0]
-        home_of[u] = len(anchor_pts)
-        anchor_pts.append(pt)
+        if u not in home_of:
+            home_of[u] = place(1, pw)[0]
 
     work_of: dict[int, int] = {}
     for u in range(n_users):
         if u in colocated and campus_anchor is not None:
             work_of[u] = campus_anchor
         else:
-            pt = _place_separated(rng_place, grid, 1, spec.anchor_sep_m, taken, power=pw)[0]
-            work_of[u] = len(anchor_pts)
-            anchor_pts.append(pt)
+            work_of[u] = place(1, pw)[0]
 
     minors_of: dict[int, list[int]] = {}
     lo, hi = spec.minor_anchors_range
     for u in range(n_users):
-        k = int(rng_place.integers(lo, hi + 1))
-        ids = []
-        for pt in _place_separated(rng_place, grid, k, spec.anchor_sep_m, taken, power=pw):
-            ids.append(len(anchor_pts))
-            anchor_pts.append(pt)
-        minors_of[u] = ids
+        minors_of[u] = place(int(rng_place.integers(lo, hi + 1)), pw)
 
-    anchor_x = np.array([p[0] for p in anchor_pts], dtype=np.float64)
-    anchor_y = np.array([p[1] for p in anchor_pts], dtype=np.float64)
+    n_anchors = len(pts)
+    anchor_x = pts[:, 0].copy()
+    anchor_y = pts[:, 1].copy()
 
     # venues keep the same separation as anchors so no access point can be
     # sighted from two distinct stop locations
-    n_venues = max(1, round(spec.venues_per_user * n_users))
-    venue_pts = _place_separated(
-        rng_place, grid, n_venues, spec.anchor_sep_m, taken, power=spec.errand_density_power
-    )
-    venue_x = np.array([p[0] for p in venue_pts], dtype=np.float64)
-    venue_y = np.array([p[1] for p in venue_pts], dtype=np.float64)
+    place(max(1, round(spec.venues_per_user * n_users)), spec.errand_density_power)
+    venue_x = pts[n_anchors:, 0].copy()
+    venue_y = pts[n_anchors:, 1].copy()
 
     anchors_pre = [
         UserAnchors(home=home_of[u], work=work_of[u], minors=list(minors_of[u]))
@@ -481,7 +500,7 @@ def generate_world(spec: WorldSpec) -> GroundTruth:
     ap_ys: list[float] = []
     ap_anchor_ids: list[int] = []
 
-    for aid in range(len(anchor_pts)):
+    for aid in range(n_anchors):
         w = float(grid.weight_at_xy(anchor_x[aid], anchor_y[aid]))
         mean_ap = spec.ap_anchor_base + spec.ap_anchor_density_scale * w
         extra = max(0, round(rng_aps.normal(mean_ap, 0.9))) if mean_ap > 0 else 0
@@ -835,7 +854,7 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
         key = (round(x * 100), round(y * 100))
         ids = visible_cache.get(key)
         if ids is None:
-            ids = ap_index.query(x, y).astype(np.int32)
+            ids = ap_index.query(np.array([x]), np.array([y]))[1].astype(np.int32)
             visible_cache[key] = ids
         return ids
 
@@ -866,6 +885,17 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
 
         parts: list[np.ndarray] = []
         counts = np.zeros(n_scans, dtype=np.int32)
+
+        # every kept scan taken on the move, in one batched query; a bus
+        # router's id is above every static id, so it goes at its row's end
+        moving = np.nonzero((seg.kind[seg_idx] == 1) & ~dropped)[0]
+        move_off, move_ids = ap_index.query(sx[moving], sy[moving])
+        if own_bus is not None:
+            aboard = seg.is_bus[seg_idx[moving]]
+            move_ids = np.insert(move_ids, move_off[1:][aboard], own_bus)
+            move_off = move_off + np.concatenate([[0], np.cumsum(aboard)])
+        move_ids = move_ids.astype(np.int32)
+        counts[moving] = np.diff(move_off)
 
         # walk scans in segment order; each segment contributes one block
         boundaries = np.nonzero(np.diff(seg_idx))[0] + 1
@@ -903,16 +933,8 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
                 counts[a:b] = mask.sum(axis=1)
                 parts.append(np.broadcast_to(template, (b - a, width))[mask])
             else:
-                bus_here = own_bus if (own_bus is not None and seg.is_bus[si]) else None
-                for k in range(a, b):
-                    if dropped[k]:
-                        continue
-                    ids = ap_index.query(float(sx[k]), float(sy[k]))
-                    if bus_here is not None:
-                        ids = np.concatenate([ids, np.array([bus_here], dtype=np.int64)])
-                    counts[k] = ids.size
-                    if ids.size:
-                        parts.append(np.sort(ids).astype(np.int32))
+                r0, r1 = np.searchsorted(moving, (a, b))
+                parts.append(move_ids[move_off[r0] : move_off[r1]])
 
         flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
         off = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])

@@ -135,6 +135,42 @@ def grid_search_median(points, res_m=0.5, refine_m=25.0):
     return GeoPoint(f_lat, f_lon)
 
 
+def brute_radius_query(x, y, qx, qy, r: float) -> list[np.ndarray]:
+    """Per query point, every index with planar distance <= r, ascending:
+    the generator's visibility rule tested against every point."""
+    return [np.nonzero((x - px) * (x - px) + (y - py) * (y - py) <= r * r)[0] for px, py in zip(qx, qy)]
+
+
+def place_separated_loop(rng, grid, count: int, sep_m: float, taken_xy: list, power: float = 1.0):
+    """The generator's separated placement one candidate and one taken point
+    at a time: density-weighted candidates at least sep_m from every taken
+    point, relaxing to sep/2 after 40 rejections and accepting overlap after
+    60. Appends to ``taken_xy`` and returns the placed points."""
+    placed: list[tuple[float, float]] = []
+    for _ in range(count):
+        best = None
+        for attempt in range(60):
+            w = grid.weights**power
+            cell = int(rng.choice(grid.n * grid.n, size=1, p=(w / w.sum()).ravel())[0])
+            i, j = divmod(cell, grid.n)
+            x = float((j + rng.random(1)[0]) * grid.cell_m - grid.extent_m / 2)
+            y = float((i + rng.random(1)[0]) * grid.cell_m - grid.extent_m / 2)
+            min_sep = sep_m if attempt < 40 else sep_m / 2
+            ok = True
+            for qx, qy in taken_xy:
+                if (x - qx) ** 2 + (y - qy) ** 2 < min_sep * min_sep:
+                    ok = False
+                    break
+            if ok:
+                best = (x, y)
+                break
+        if best is None:
+            best = (x, y)
+        placed.append(best)
+        taken_xy.append(best)
+    return placed
+
+
 def exhaustive_max_coverage(sets: dict, k: int) -> int:
     """Best achievable coverage over all size-<=k subsets, by enumeration."""
     from itertools import combinations

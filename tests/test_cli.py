@@ -195,6 +195,34 @@ def test_config_drives_synth(tmp_path):
     assert json.loads((out2 / "world.json").read_text())["n_users"] == 3
 
 
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("density_cells = 0", "density_cells"),
+        ("density_weights = [[1, 2], [3, 4]]", "density_weights"),
+        ("density_weights = 5", "density_weights"),
+        ("excursion_stops = 5, 3", "excursion_stops"),
+    ],
+)
+def test_synth_rejects_bad_world_config(tmp_path, capsys, line, field):
+    cfg = tmp_path / "world.cfg"
+    cfg.write_text(f"n_users = 2\nn_days = 1\n{line}\n")
+    assert _run("--config", cfg, "synth", "--out", tmp_path / "data") != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not (tmp_path / "data").exists()
+
+
+def test_config_takes_flat_or_nested_density_weights(tmp_path):
+    worlds = []
+    for k, text in enumerate(("[1, 2, 3, 4]", "[[1, 2], [3, 4]]")):
+        cfg = tmp_path / f"w{k}.cfg"
+        cfg.write_text(f"n_users = 2\nn_days = 1\ndensity_cells = 2\ndensity_weights = {text}\n")
+        assert _run("--config", cfg, "synth", "--out", tmp_path / f"d{k}") == 0
+        worlds.append((tmp_path / f"d{k}" / "wifi.jsonl").read_bytes())
+    assert worlds[0] == worlds[1]
+
+
 def _all_commands(data, out, config=None):
     """Run locate, reconstruct, coverage and experiment; return the bytes of
     every CSV they write."""

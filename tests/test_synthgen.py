@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import records_to_arrays
+from oracles import brute_radius_query, place_separated_loop, records_to_arrays
 from wifimob.ap_locator import haversine_m_arrays
 from wifimob.coverage_metrics import DAY_MS
 from wifimob.synthgen import (
     WorldSpec,
+    _CityGrid,
+    _PointIndex,
+    _place_separated,
+    _rng,
     generate_world,
     mobile_ssid_names,
     simulate_sensor_arrays,
@@ -46,6 +50,118 @@ def test_bad_fraction_rejected():
         WorldSpec(colocated_fraction=1.5).validate()
     with pytest.raises(ValueError):
         WorldSpec(n_users=0).validate()
+
+
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        (dict(density_cells=0), "density_cells"),
+        (dict(density_cells=3, density_weights=(1.0,) * 8), "density_weights"),
+        (dict(density_cells=2, density_weights=((1.0, 2.0), (3.0,))), "density_weights"),
+        (dict(minor_anchors_range=(4, 2)), "minor_anchors_range"),
+        (dict(minor_anchors_range=(-1, 2)), "minor_anchors_range"),
+        (dict(excursion_stops=(5, 3)), "excursion_stops"),
+        (dict(excursion_stops=(3,)), "excursion_stops"),
+        (dict(hotspot_session_h=(2.5, 0.8)), "hotspot_session_h"),
+    ],
+)
+def test_bad_spec_names_its_field(bad, field):
+    spec = WorldSpec(seed=0, n_users=2, n_days=1, **bad)
+    with pytest.raises(ValueError, match=field):
+        spec.validate()
+    with pytest.raises(ValueError, match=field):
+        generate_world(spec)
+
+
+def test_edge_specs_stay_valid():
+    WorldSpec(density_cells=1, density_weights=(1.0,)).validate()
+    WorldSpec(density_cells=2, density_weights=(1.0, 2.0, 3.0, 4.0)).validate()
+    WorldSpec(minor_anchors_range=(0, 0), excursion_stops=(3, 3), hotspot_session_h=(1.0, 1.0)).validate()
+
+
+def _assert_query_matches_brute(index, x, y, qx, qy, r):
+    offsets, ids = index.query(qx, qy)
+    assert offsets.shape == (qx.size + 1,) and offsets[0] == 0
+    assert offsets[-1] == ids.size
+    expected = brute_radius_query(x, y, qx, qy, r)
+    for k, want in enumerate(expected):
+        assert np.array_equal(ids[offsets[k] : offsets[k + 1]], want), k
+    return offsets, ids
+
+
+def test_point_index_matches_brute_force_on_random_points():
+    rng = np.random.default_rng(3)
+    r = 100.0
+    x = rng.uniform(-1500.0, 1500.0, 3000)
+    y = rng.uniform(-1500.0, 1500.0, 3000)
+    index = _PointIndex(x, y, r)
+    qx = rng.uniform(-1700.0, 1700.0, 2000)
+    qy = rng.uniform(-1700.0, 1700.0, 2000)
+    offsets, _ = _assert_query_matches_brute(index, x, y, qx, qy, r)
+    assert np.diff(offsets).max() >= 5
+
+
+def test_point_index_edge_cases():
+    r = 100.0
+    # points on cell corners, negative coordinates, duplicates and a lone
+    # far-away point; queries exactly r away along axes and on a 60-80-100
+    # triangle, and far outside every cell
+    x = np.array([0.0, 100.0, -100.0, 0.0, 60.0, -60.0, 60.0, 60.0, -300.0, -300.0, 5000.0])
+    y = np.array([0.0, 0.0, 0.0, -100.0, 80.0, -80.0, 80.0, 80.0, -200.0, -200.0, -5000.0])
+    index = _PointIndex(x, y, r)
+    qx = np.array([0.0, 0.0, 0.0, -300.0, -400.0, 1e6, -1e6, 5000.0, 200.0, -199.0])
+    qy = np.array([0.0, 0.0, 100.0, -200.0, -200.0, 1e6, 0.0, -4900.0, 0.0, 0.0])
+    offsets, ids = _assert_query_matches_brute(index, x, y, qx, qy, r)
+    row = lambda k: list(ids[offsets[k] : offsets[k + 1]])
+    # distance exactly r counts as visible
+    assert row(0) == [0, 1, 2, 3, 4, 5, 6, 7]
+    assert row(8) == [1]
+    assert row(4) == [8, 9]
+    assert row(5) == [] and row(6) == []
+    assert row(7) == [10]
+
+
+def test_point_index_without_queries_or_points():
+    index = _PointIndex(np.array([1.0, 2.0]), np.array([3.0, 4.0]), 100.0)
+    offsets, ids = index.query(np.empty(0), np.empty(0))
+    assert list(offsets) == [0] and ids.size == 0
+    empty = _PointIndex(np.empty(0), np.empty(0), 100.0)
+    offsets, ids = empty.query(np.array([0.0, 50.0]), np.array([0.0, -50.0]))
+    assert list(offsets) == [0, 0, 0] and ids.size == 0
+
+
+def _state(rng):
+    return repr(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize(
+    "extent_km, count, sep_m, power, n_taken",
+    [
+        (8.0, 120, 250.0, 0.35, 0),
+        (8.0, 40, 250.0, 4.0, 30),
+        # crowded: the rejection budget runs out, so placements relax to
+        # sep/2 and then accept overlap
+        (1.0, 60, 250.0, 0.22, 5),
+    ],
+)
+def test_place_separated_matches_the_loop_draw_for_draw(extent_km, count, sep_m, power, n_taken):
+    grid = _CityGrid(WorldSpec(extent_km=extent_km))
+    seed_rng = np.random.default_rng(11)
+    taken = [tuple(map(float, p)) for p in seed_rng.uniform(-400.0, 400.0, (n_taken, 2))]
+    fast_rng, loop_rng = _rng(5, 0), _rng(5, 0)
+    grown = _place_separated(fast_rng, grid, count, sep_m, np.array(taken).reshape(-1, 2), power)
+    want = place_separated_loop(loop_rng, grid, count, sep_m, list(taken), power)
+    assert grown.shape == (n_taken + count, 2)
+    assert np.array_equal(grown[:n_taken], np.array(taken).reshape(-1, 2))
+    assert [tuple(map(float, p)) for p in grown[n_taken:]] == want
+    assert _state(fast_rng) == _state(loop_rng)
+    if extent_km == 1.0:
+        # each placed point's distance to the nearest point placed before it
+        nearest = np.array(
+            [np.hypot(*(grown[:k] - grown[k]).T).min() for k in range(max(n_taken, 1), len(grown))]
+        )
+        assert ((nearest >= sep_m / 2) & (nearest < sep_m)).any()  # relaxed to sep/2
+        assert (nearest < sep_m / 2).any()  # overlap accepted
 
 
 def test_no_colocation_means_no_shared_anchors():
@@ -92,6 +208,45 @@ def test_sighting_soundness_against_truth():
             assert float(d[0]) <= vis + 1e-6
             checked += 1
     assert checked > 1000
+
+
+def test_every_scan_lists_exactly_the_static_routers_in_range():
+    """Every non-empty scan lists its ids ascending, and its static ids are
+    exactly the static routers within the visibility radius of the device's
+    planar position, on a world whose scans also carry bus and hotspot
+    sightings."""
+    spec = WorldSpec(seed=6, n_users=5, n_days=2, extent_km=5.0)
+    gt = generate_world(spec)
+    arrays = simulate_sensor_arrays(gt, spec)
+    vis2 = spec.visibility_radius_m * spec.visibility_radius_m
+    kinds = {m.ap_id: m.kind for m in gt.mobile_aps}
+    mobile_seen = np.unique(arrays.scan_ap[arrays.scan_ap >= gt.n_static])
+    assert {kinds[int(a)] for a in mobile_seen} == {"bus", "hotspot"}
+
+    counts = arrays.scan_counts()
+    # every scan lists its ids strictly ascending
+    starts_row = np.zeros(arrays.scan_ap.size, dtype=bool)
+    starts_row[arrays.scan_off[:-1][counts > 0]] = True
+    assert (np.diff(arrays.scan_ap)[~starts_row[1:]] > 0).all()
+
+    checked = 0
+    for u in range(spec.n_users):
+        rows = np.nonzero((arrays.scan_user == u) & (counts > 0))[0]
+        sx, sy = gt.segments[u].position_xy(arrays.scan_ts[rows])
+        for chunk in np.array_split(np.arange(rows.size), max(1, rows.size // 1000)):
+            dx = gt.ap_x[None, :] - sx[chunk, None]
+            dy = gt.ap_y[None, :] - sy[chunk, None]
+            want = dx * dx + dy * dy <= vis2
+            # the chunk's sightings, each tagged with its row in the chunk
+            n = counts[rows[chunk]]
+            at = np.repeat(arrays.scan_off[rows[chunk]] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+            ap = arrays.scan_ap[at]
+            row = np.repeat(np.arange(chunk.size), n)
+            got = np.zeros_like(want)
+            got[row[ap < gt.n_static], ap[ap < gt.n_static]] = True
+            assert np.array_equal(got, want)
+            checked += chunk.size
+    assert checked > 0.85 * arrays.n_scans
 
 
 def test_desert_world_has_only_empty_scans():
