@@ -50,7 +50,9 @@ def main() -> int:
           f"{arrays.nonempty_scan_fraction():.0%} scans non-empty")
 
     data = prepare_experiment_data(arrays)
-    db = build_database(data.paired_records(), built_from="own paired fixes")
+    db = build_database(
+        data.pairs, data.table.user_ids, data.table.bssids, built_from="own paired fixes"
+    )
     census = db.census()
     print(f"router database: {census['total']} candidates, {census['static']} static, "
           f"{census['mobile']} mobile, {census['insufficient']} insufficient")

@@ -16,7 +16,13 @@ from .trace_model import (
     normalize_bssid,
     write_traces,
 )
-from .pairing import PairedObservation, PairingConfig, pair_observations
+from .pairing import (
+    PairedEvents,
+    PairedObservation,
+    PairingConfig,
+    pair_arrays,
+    pair_observations,
+)
 from .ap_locator import (
     ApClass,
     ApDatabase,

@@ -27,10 +27,11 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
+from .pairing import PairedEvents, _string_rank
 from .trace_model import (
     BssidId,
     GeoPoint,
@@ -125,6 +126,25 @@ class ApDatabase:
     def get(self, bssid: BssidId) -> Optional[ApRecord]:
         return self.records.get(bssid)
 
+    def beacons(
+        self, bssids: list[BssidId]
+    ) -> tuple[np.ndarray, dict[int, list[tuple[TimestampMs, TimestampMs]]]]:
+        """Which routers of a BSSID table place a scan, and when: a mask of
+        the static routers with a position, and the (start, end) segment
+        intervals of each relocated router by its index in ``bssids``.
+        Mirrors ``ApRecord.position_at``."""
+        static = np.zeros(len(bssids), dtype=bool)
+        relocated = {}
+        for i, bssid in enumerate(bssids):
+            rec = self.records.get(bssid)
+            if rec is None:
+                continue
+            if rec.ap_class is ApClass.STATIC:
+                static[i] = rec.pos is not None
+            elif rec.ap_class is ApClass.RELOCATED:
+                relocated[i] = [(s.interval.start, s.interval.end) for s in rec.segments]
+        return static, relocated
+
     def census(self) -> dict[str, int]:
         counts = {c.value: 0 for c in ApClass}
         for rec in self.records.values():
@@ -192,33 +212,16 @@ class _UnionFind:
 
 
 def dbscan(
-    points: Sequence[tuple[GeoPoint, TimestampMs]],
-    eps_m: float,
-    min_pts: int,
-    radius_m: float = EARTH_RADIUS_M,
-) -> tuple[list[set[int]], set[int]]:
-    """Cluster timestamped points; returns (clusters, noise) as index sets.
-
-    Clusters are ordered by their smallest member index. The timestamps ride
-    along untouched; callers use them for the relocation test.
-    """
-    if min_pts < 1:
-        raise ValueError("min_pts must be >= 1")
-    n = len(points)
-    if n == 0:
-        return [], set()
-    lat = np.array([p.lat_deg for p, _ in points], dtype=np.float64)
-    lon = np.array([p.lon_deg for p, _ in points], dtype=np.float64)
-    return dbscan_arrays(lat, lon, eps_m, min_pts, radius_m)
-
-
-def dbscan_arrays(
     lat_deg: np.ndarray,
     lon_deg: np.ndarray,
     eps_m: float,
     min_pts: int,
     radius_m: float = EARTH_RADIUS_M,
 ) -> tuple[list[set[int]], set[int]]:
+    """Cluster points given as degree arrays; returns (clusters, noise) as
+    index sets, clusters ordered by their smallest member index."""
+    if min_pts < 1:
+        raise ValueError("min_pts must be >= 1")
     n = lat_deg.shape[0]
     if n == 0:
         return [], set()
@@ -370,12 +373,13 @@ def _local_plane(lat_deg: np.ndarray, lon_deg: np.ndarray, radius_m: float):
 
 
 def geometric_median(
-    points: Sequence[GeoPoint],
+    lat_deg: np.ndarray,
+    lon_deg: np.ndarray,
     radius_m: float = EARTH_RADIUS_M,
     tol_m: float = 1e-6,
     max_iter: int = 20000,
 ) -> GeoPoint:
-    """Point minimizing the summed distance to ``points``.
+    """Point minimizing the summed distance to the points of two degree arrays.
 
     Runs Weiszfeld iterations on a local planar projection about the
     centroid, which is exact to well under a centimeter at the sub-kilometer
@@ -385,14 +389,13 @@ def geometric_median(
     points return their midpoint (one of the infinitely many minimizers); an
     iterate landing exactly on an input point is nudged 1 cm east.
     """
-    if not points:
+    n = lat_deg.shape[0]
+    if n == 0:
         raise ValueError("geometric_median of empty point set")
-    if len(points) == 1:
-        return points[0]
-    lat = np.array([p.lat_deg for p in points], dtype=np.float64)
-    lon = np.array([p.lon_deg for p in points], dtype=np.float64)
-    x, y, unproject = _local_plane(lat, lon, radius_m)
-    if len(points) == 2:
+    if n == 1:
+        return GeoPoint(float(lat_deg[0]), float(lon_deg[0]))
+    x, y, unproject = _local_plane(lat_deg, lon_deg, radius_m)
+    if n == 2:
         return unproject(float(x.mean()), float(y.mean()))
 
     px, py = float(x.mean()), float(y.mean())
@@ -428,16 +431,15 @@ def geometric_median(
 
 def classify_ap(
     bssid: BssidId,
-    obs: Sequence,
+    ts: np.ndarray,
+    lat: np.ndarray,
+    lon: np.ndarray,
+    contributors: frozenset[UserId],
     cfg: LocatorConfig = LocatorConfig(),
 ) -> ApRecord:
-    """Classify one access point from its paired observations.
-
-    ``obs`` items need ``pos``, ``ts`` and ``user`` attributes; all must
-    belong to ``bssid``. Observation order never affects the result.
-    """
-    n = len(obs)
-    contributors = frozenset(o.user for o in obs)
+    """Classify one access point from the columns of its paired observations,
+    sorted by (ts, lat, lon); ``contributors`` are the users they came from."""
+    n = ts.shape[0]
     if n < cfg.min_sightings:
         return ApRecord(
             bssid=bssid,
@@ -446,11 +448,7 @@ def classify_ap(
             contributors=contributors,
         )
 
-    order = sorted(range(n), key=lambda i: (obs[i].ts, obs[i].pos.lat_deg, obs[i].pos.lon_deg))
-    pts = [(obs[i].pos, obs[i].ts) for i in order]
-    clusters, noise = dbscan(
-        pts, eps_m=cfg.eps_m, min_pts=cfg.min_cluster_pts, radius_m=cfg.earth_radius_m
-    )
+    clusters, noise = dbscan(lat, lon, cfg.eps_m, cfg.min_cluster_pts, cfg.earth_radius_m)
 
     clustered = n - len(noise)
     if not clusters or clustered / n < cfg.clustered_fraction_min:
@@ -461,9 +459,9 @@ def classify_ap(
             contributors=contributors,
         )
 
+    members = [np.array(sorted(c), dtype=np.int64) for c in clusters]
     if len(clusters) == 1:
-        member_pts = [pts[i][0] for i in sorted(clusters[0])]
-        pos = geometric_median(member_pts, radius_m=cfg.earth_radius_m)
+        pos = geometric_median(lat[members[0]], lon[members[0]], radius_m=cfg.earth_radius_m)
         return ApRecord(
             bssid=bssid,
             ap_class=ApClass.STATIC,
@@ -472,10 +470,7 @@ def classify_ap(
             contributors=contributors,
         )
 
-    intervals = []
-    for cluster in clusters:
-        ts = [pts[i][1] for i in cluster]
-        intervals.append(TimeInterval(min(ts), max(ts)))
+    intervals = [TimeInterval(int(ts[m].min()), int(ts[m].max())) for m in members]
     for i in range(len(intervals)):
         for j in range(i + 1, len(intervals)):
             if intervals[i].overlaps(intervals[j]):
@@ -486,15 +481,13 @@ def classify_ap(
                     contributors=contributors,
                 )
 
-    segments = []
-    for cluster, interval in zip(clusters, intervals):
-        member_pts = [pts[i][0] for i in sorted(cluster)]
-        segments.append(
-            ApSegment(
-                pos=geometric_median(member_pts, radius_m=cfg.earth_radius_m),
-                interval=interval,
-            )
+    segments = [
+        ApSegment(
+            pos=geometric_median(lat[m], lon[m], radius_m=cfg.earth_radius_m),
+            interval=interval,
         )
+        for m, interval in zip(members, intervals)
+    ]
     segments.sort(key=lambda s: s.interval.start)
     return ApRecord(
         bssid=bssid,
@@ -505,22 +498,32 @@ def classify_ap(
     )
 
 
-def group_by_bssid(obs: Iterable) -> dict[BssidId, list]:
-    grouped: dict[BssidId, list] = {}
-    for o in obs:
-        grouped.setdefault(o.bssid, []).append(o)
-    return grouped
-
-
 def build_database(
-    obs: Iterable,
+    pairs: PairedEvents,
+    user_ids: list[UserId],
+    bssids: list[BssidId],
     cfg: LocatorConfig = LocatorConfig(),
     built_from: str = "",
 ) -> ApDatabase:
-    """Classify every access point appearing in ``obs``, in BSSID order."""
-    grouped = group_by_bssid(obs)
-    records = [classify_ap(b, grouped[b], cfg) for b in sorted(grouped)]
-    return ApDatabase(records={r.bssid: r for r in records}, built_from=built_from)
+    """Classify every access point in ``pairs``, in BSSID order.
+
+    ``user_ids`` and ``bssids`` are the tables that ``pairs.user`` and
+    ``pairs.ap`` index. One sort by (BSSID, ts, lat, lon) makes each access
+    point a contiguous run of rows in the order ``classify_ap`` takes, so
+    row order never affects the result.
+    """
+    order = np.lexsort((pairs.lon, pairs.lat, pairs.ts, _string_rank(bssids)[pairs.ap]))
+    ap, user = pairs.ap[order], pairs.user[order]
+    ts, lat, lon = pairs.ts[order], pairs.lat[order], pairs.lon[order]
+    bounds = np.flatnonzero(np.diff(ap, prepend=-1, append=-1))
+    records = {}
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        bssid = bssids[ap[lo]]
+        contributors = frozenset(user_ids[u] for u in np.unique(user[lo:hi]).tolist())
+        records[bssid] = classify_ap(
+            bssid, ts[lo:hi], lat[lo:hi], lon[lo:hi], contributors, cfg
+        )
+    return ApDatabase(records=records, built_from=built_from)
 
 
 @dataclass(slots=True)

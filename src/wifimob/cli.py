@@ -41,7 +41,7 @@ from .experiments import (
     write_experiment_grid_csv,
     write_histograms_csv,
 )
-from .pairing import PairingConfig, pair_observations, write_pairs_csv
+from .pairing import PairingConfig, pair_arrays, write_pairs_csv
 from .reconstructor import (
     build_timeline,
     read_timeline_csv,
@@ -176,10 +176,12 @@ def cmd_locate(args, cfg_values) -> int:
     arrays = _ingest(args.gps, args.wifi)
     pairing_cfg = _pairing_config(args, cfg_values)
     locator_cfg = _locator_config(args, cfg_values)
-    pairs = pair_observations(arrays, pairing_cfg)
+    pairs = pair_arrays(arrays, pairing_cfg)
     if args.dump_pairs:
-        write_pairs_csv(pairs, args.dump_pairs)
-    db = build_database(pairs, locator_cfg, built_from=f"{args.gps}+{args.wifi}")
+        write_pairs_csv(pairs.to_records(arrays.user_ids, arrays.bssids), args.dump_pairs)
+    db = build_database(
+        pairs, arrays.user_ids, arrays.bssids, locator_cfg, built_from=f"{args.gps}+{args.wifi}"
+    )
     write_apdb_csv(db, args.out)
     census = db.census()
     located = census["static"] + census["relocated"]

@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .ap_locator import ApClass, ApDatabase, LocatorConfig, build_database
+from .ap_locator import ApDatabase, LocatorConfig, build_database
 from .coverage_metrics import DAY_MS, DEFAULT_BIN_MS, CoverageSeries, coverage_histogram
 from .pairing import (  # PairedEvents is re-exported from here
     PairedEvents,
@@ -177,7 +177,11 @@ class ExperimentData:
         """Classified database over all paired data; the external-lookup stand-in."""
         if self._full_db is None:
             self._full_db = build_database(
-                self.paired_records(), self.locator, built_from="all paired observations"
+                self.pairs,
+                self.table.user_ids,
+                self.table.bssids,
+                self.locator,
+                built_from="all paired observations",
             )
         return self._full_db
 
@@ -389,24 +393,6 @@ def _selection_mask(data: ExperimentData, strategy: SamplingStrategy) -> tuple[n
     raise ValueError(f"no observation mask for strategy {strategy}")
 
 
-def _resolvable_static_and_relocated(db: ApDatabase, table: ScanTable):
-    """AP ids usable as beacons in the classified database, plus interval
-    guards for the relocated ones."""
-    static_ids = []
-    relocated: dict[int, list[tuple[int, int]]] = {}
-    ap_idx = {b: i for i, b in enumerate(table.bssids)}
-    for bssid, rec in db.records.items():
-        i = ap_idx.get(bssid)
-        if i is None:
-            continue
-        if rec.ap_class is ApClass.STATIC:
-            static_ids.append(i)
-        elif rec.ap_class is ApClass.RELOCATED:
-            static_ids.append(i)
-            relocated[i] = [(s.interval.start, s.interval.end) for s in rec.segments]
-    return np.array(sorted(static_ids), dtype=np.int64), relocated
-
-
 def run_experiment(
     source: Union[SensorArrays, ExperimentData],
     strategy: SamplingStrategy,
@@ -420,11 +406,9 @@ def run_experiment(
     relocated_guard: Optional[list[dict]] = None
 
     if isinstance(strategy, TopRouters):
-        db = data.full_database()
-        resolvable, relocated = _resolvable_static_and_relocated(db, t)
+        res_mask, relocated = data.full_database().beacons(t.bssids)
+        res_mask[list(relocated)] = True
         relocated_guard = [relocated] * n_users
-        res_mask = np.zeros(n_aps, dtype=bool)
-        res_mask[resolvable] = True
         picked = np.zeros((n_users, n_aps), dtype=bool)
         for u, sel in enumerate(data.top_router_selections(strategy.k)):
             usable = sel[res_mask[sel]]
@@ -476,28 +460,22 @@ def _classified_viewer_first(
     """
     t = data.table
     sel_mask, _ = _selection_mask(data, strategy)
-    ap_idx = {b: i for i, b in enumerate(t.bssids)}
     mat = np.full((t.n_users, t.n_aps), _NEVER, dtype=np.int64)
     # each viewer's relocated APs, guarded by that viewer's own database
-    guards: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(t.n_users)]
-    global_db = _training_database(data, sel_mask, cfg) if scenario is Scenario.GLOBAL else None
+    guards: list[dict[int, list[tuple[int, int]]]] = []
+    shared = None
+    if scenario is Scenario.GLOBAL:
+        shared = _training_database(data, sel_mask, cfg).beacons(t.bssids)
     for u in range(t.n_users):
-        if global_db is not None:
-            db = global_db
+        if shared is not None:
+            static, relocated = shared
         else:
             own = data.pairs.user == u
-            db = _training_database(
-                data, sel_mask & (own if scenario is Scenario.PERSONAL else ~own), cfg
-            )
-        for bssid, rec in db.records.items():
-            i = ap_idx.get(bssid)
-            if i is None:
-                continue
-            if rec.ap_class is ApClass.STATIC:
-                mat[u, i] = 0
-            elif rec.ap_class is ApClass.RELOCATED:
-                mat[u, i] = 0
-                guards[u][i] = [(s.interval.start, s.interval.end) for s in rec.segments]
+            keep = sel_mask & (own if scenario is Scenario.PERSONAL else ~own)
+            static, relocated = _training_database(data, keep, cfg).beacons(t.bssids)
+        mat[u, static] = 0
+        mat[u, list(relocated)] = 0
+        guards.append(relocated)
     return mat, guards
 
 
@@ -509,7 +487,7 @@ def _training_database(
     subset = PairedEvents(
         ap=p.ap[mask], user=p.user[mask], ts=p.ts[mask], lat=p.lat[mask], lon=p.lon[mask]
     )
-    return build_database(subset.to_records(data.table.user_ids, data.table.bssids), cfg.locator)
+    return build_database(subset, data.table.user_ids, data.table.bssids, cfg.locator)
 
 
 @dataclass(slots=True)

@@ -121,10 +121,12 @@ def pair_time_indices(
 def pair_arrays(arrays: SensorArrays, cfg: PairingConfig = PairingConfig()) -> PairedEvents:
     """Columnar pairing: one event per sighting in each fix's chosen scan.
 
-    Per user, fixes and scans must be in time order. Fixes whose accuracy
-    exceeds ``cfg.max_accuracy_m`` are skipped; a NaN accuracy (not
-    reported) is kept.
+    Per user, fixes and scans must be in time order; out-of-order scans
+    raise TraceError. Fixes whose accuracy exceeds ``cfg.max_accuracy_m``
+    are skipped; a NaN accuracy (not reported) is kept.
     """
+    by_user = arrays.scans_by_user()
+    bounds = np.searchsorted(arrays.scan_user[by_user], np.arange(len(arrays.user_ids) + 1))
     parts = []
     for u in range(len(arrays.user_ids)):
         fsel = np.nonzero(arrays.fix_user == u)[0]
@@ -132,7 +134,7 @@ def pair_arrays(arrays: SensorArrays, cfg: PairingConfig = PairingConfig()) -> P
             # compare in float64, the precision of the Python float threshold
             acc = arrays.fix_acc[fsel].astype(np.float64)
             fsel = fsel[~(acc > cfg.max_accuracy_m)]
-        ssel = np.nonzero(arrays.scan_user == u)[0]
+        ssel = by_user[bounds[u] : bounds[u + 1]]
         if fsel.size == 0 or ssel.size == 0:
             continue
         chosen = pair_time_indices(

@@ -18,14 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from .ap_locator import ApClass, ApDatabase, geometric_median
+from .ap_locator import ApDatabase, geometric_median
 from .coverage_metrics import DAY_MS, DEFAULT_BIN_MS, CoverageSeries
 from .trace_model import (
     BssidId,
     GeoPoint,
     SensorArrays,
     TimestampMs,
-    TraceError,
     UserId,
     WifiScan,
 )
@@ -75,7 +74,9 @@ def _estimate(
     if len(hits) == 1:
         pos = hits[0][1]
     else:
-        pos = geometric_median([p for _, p in hits])
+        lat = np.array([p.lat_deg for _, p in hits], dtype=np.float64)
+        lon = np.array([p.lon_deg for _, p in hits], dtype=np.float64)
+        pos = geometric_median(lat, lon)
     return PositionEstimate(user=user, ts=ts, pos=pos, support=support)
 
 
@@ -89,24 +90,14 @@ def build_timeline(
     order (ties allowed), so that the first resolvable scan of a bin is the
     earliest; otherwise TraceError.
     """
-    users, ts = arrays.scan_user, arrays.scan_ts
-    # per user, array order is time order; a stable sort by user keeps it
-    order = np.argsort(users, kind="stable")
-    u, t = users[order], ts[order]
+    order = arrays.scans_by_user()
+    u, t = arrays.scan_user[order], arrays.scan_ts[order]
     same_user = u[1:] == u[:-1]
-    bad = np.nonzero(same_user & (t[1:] < t[:-1]))[0]
-    if bad.size:
-        k = int(bad[0])
-        raise TraceError(
-            f"scans of user {arrays.user_ids[u[k]]} out of time order: "
-            f"{int(t[k + 1])} after {int(t[k])}"
-        )
     bins = t // bin_ms
     new_bin = np.ones(order.size, dtype=bool)
     new_bin[1:] = ~same_user | (bins[1:] != bins[:-1])
 
-    records = [db.get(b) for b in arrays.bssids]
-    usable = _usable_sightings(arrays, records)
+    usable = _usable_sightings(arrays, *db.beacons(arrays.bssids))
     hits_before = np.concatenate([[0], np.cumsum(usable, dtype=np.int64)])
     n_hits = hits_before[arrays.scan_off[1:]] - hits_before[arrays.scan_off[:-1]]
 
@@ -128,31 +119,27 @@ def build_timeline(
         scan = int(order[k])
         scan_ts = int(t[k])
         lo, hi = int(arrays.scan_off[scan]), int(arrays.scan_off[scan + 1])
-        hits = [
-            (arrays.bssids[a], records[a].position_at(scan_ts))
-            for a in arrays.scan_ap[lo:hi][usable[lo:hi]].tolist()
-        ]
+        bssids = [arrays.bssids[a] for a in arrays.scan_ap[lo:hi][usable[lo:hi]].tolist()]
+        hits = [(b, db.records[b].position_at(scan_ts)) for b in bssids]
         user = arrays.user_ids[u[k]]
         timelines[user].bins[int(bins[k])] = _estimate(user, scan_ts, hits)
     return timelines
 
 
-def _usable_sightings(arrays: SensorArrays, records: list) -> np.ndarray:
+def _usable_sightings(
+    arrays: SensorArrays, static: np.ndarray, relocated: dict[int, list]
+) -> np.ndarray:
     """Per sighting: does its router have a position at the scan's time?
 
-    Mirrors ``ApRecord.position_at``: a static router with a position, or a
-    relocated router with the timestamp inside one of its segments.
+    ``static`` and ``relocated`` are ``ApDatabase.beacons`` over
+    ``arrays.bssids``: a static router always places a scan, a relocated
+    one only inside one of its segment intervals.
     """
     ap = arrays.scan_ap
-    static = np.array(
-        [r is not None and r.ap_class is ApClass.STATIC and r.pos is not None for r in records],
-        dtype=bool,
-    )
-    relocated = np.array(
-        [r is not None and r.ap_class is ApClass.RELOCATED for r in records], dtype=bool
-    )
     usable = static[ap]
-    rel = np.nonzero(relocated[ap])[0]
+    is_relocated = np.zeros(static.size, dtype=bool)
+    is_relocated[list(relocated)] = True
+    rel = np.nonzero(is_relocated[ap])[0]
     if rel.size:
         scan_of = np.repeat(np.arange(arrays.n_scans), arrays.scan_counts())
         rel_ts = arrays.scan_ts[scan_of[rel]]
@@ -160,8 +147,8 @@ def _usable_sightings(arrays: SensorArrays, records: list) -> np.ndarray:
         for a in np.unique(rel_ap).tolist():
             sel = rel_ap == a
             inside = np.zeros(int(sel.sum()), dtype=bool)
-            for seg in records[a].segments:
-                inside |= (rel_ts[sel] >= seg.interval.start) & (rel_ts[sel] <= seg.interval.end)
+            for start, end in relocated[a]:
+                inside |= (rel_ts[sel] >= start) & (rel_ts[sel] <= end)
             usable[rel[sel]] = inside
     return usable
 

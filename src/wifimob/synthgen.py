@@ -28,13 +28,10 @@ from typing import Optional
 import numpy as np
 
 from .trace_model import (  # SensorArrays is re-exported from here
-    ApSighting,
     GeoPoint,
-    GpsFix,
     SensorArrays,
-    WifiScan,
-    _fix_line,
-    _scan_line,
+    _fix_json,
+    _scan_json,
 )
 
 DAY_MS = 86_400_000
@@ -999,19 +996,16 @@ def write_dataset(gt: GroundTruth, arrays: SensorArrays, out_dir) -> dict[str, i
 
     with (out / "gps.jsonl").open("w", encoding="utf-8") as fh:
         for k in range(arrays.fix_ts.size):
-            fix = GpsFix(
-                user=arrays.user_ids[arrays.fix_user[k]],
-                ts=int(arrays.fix_ts[k]),
-                pos=GeoPoint(float(arrays.fix_lat[k]), float(arrays.fix_lon[k])),
-                accuracy_m=round(float(arrays.fix_acc[k]), 3),
+            line = _fix_json(
+                arrays.user_ids[arrays.fix_user[k]],
+                int(arrays.fix_ts[k]),
+                float(arrays.fix_lat[k]),
+                float(arrays.fix_lon[k]),
+                round(float(arrays.fix_acc[k]), 3),
             )
-            fh.write(_fix_line(fix))
+            fh.write(line)
             fh.write("\n")
 
-    sighting_of = [
-        ApSighting(bssid=arrays.bssids[i], ssid=arrays.ssids[i])
-        for i in range(len(arrays.bssids))
-    ]
     line_cache: dict[bytes, str] = {}
     with (out / "wifi.jsonl").open("w", encoding="utf-8") as fh:
         off = arrays.scan_off
@@ -1020,8 +1014,7 @@ def write_dataset(gt: GroundTruth, arrays: SensorArrays, out_dir) -> dict[str, i
             key = ids.tobytes()
             tail = line_cache.get(key)
             if tail is None:
-                scan = WifiScan(user="", ts=0, sightings=[sighting_of[i] for i in ids])
-                line = _scan_line(scan)
+                line = _scan_json("", 0, ((arrays.bssids[i], arrays.ssids[i], None) for i in ids))
                 tail = line[line.index('"aps"') :]
                 line_cache[key] = tail
             user = arrays.user_ids[arrays.scan_user[k]]

@@ -211,6 +211,24 @@ class SensorArrays:
             return 0.0
         return float((self.scan_counts() > 0).mean())
 
+    def scans_by_user(self) -> np.ndarray:
+        """Scan rows grouped by user index, each user's rows in array order.
+
+        Each user's scans must be in time order (ties allowed); otherwise
+        TraceError, since a later row earlier in time breaks every
+        nearest-scan and first-scan-in-bin search.
+        """
+        order = np.argsort(self.scan_user, kind="stable")
+        user, ts = self.scan_user[order], self.scan_ts[order]
+        bad = np.flatnonzero((user[1:] == user[:-1]) & (ts[1:] < ts[:-1]))
+        if bad.size:
+            k = int(bad[0])
+            raise TraceError(
+                f"scans of user {self.user_ids[user[k]]} out of time order: "
+                f"{int(ts[k + 1])} after {int(ts[k])}"
+            )
+        return order
+
     def sighting_index(self, scans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat ``scan_ap`` indices of the given scans' sightings, in scan
         order, plus the sighting count of each scan."""

@@ -2,9 +2,10 @@
 
 Besides the numeric oracles (brute-force DBSCAN, grid-search median,
 exhaustive max coverage), this holds the record route. The program runs
-every stage on columns (``SensorArrays``); the functions below redo pairing,
-timelines, the presence table, training selection and the coverage of a grid
-cell on record objects (``TraceSet``), one record at a time.
+every stage on columns (``SensorArrays``, ``PairedEvents``); the functions
+below redo pairing, router grouping, timelines, the presence table, training
+selection and the coverage of a grid cell on record objects (``TraceSet``,
+``PairedObservation``), one record at a time.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from wifimob.ap_locator import (
     ApClass,
     ApDatabase,
     ApRecord,
-    build_database,
+    LocatorConfig,
+    classify_ap,
     geometric_median,
-    group_by_bssid,
     haversine_m_arrays,
 )
 from wifimob.coverage_metrics import DAY_MS, DEFAULT_BIN_MS, CoverageSeries
@@ -59,13 +60,11 @@ from wifimob.trace_model import (
 M_PER_DEG_LAT = 111194.92664455873
 
 
-def brute_dbscan(points, eps_m, min_pts):
-    """Quadratic DBSCAN: closed neighborhoods, core components, borders to
-    the lowest-index core neighbor. Mirrors the production semantics with
-    none of its indexing machinery."""
-    n = len(points)
-    lat = np.array([p.lat_deg for p, _ in points])
-    lon = np.array([p.lon_deg for p, _ in points])
+def brute_dbscan(lat, lon, eps_m, min_pts):
+    """Quadratic DBSCAN over degree arrays: closed neighborhoods, core
+    components, borders to the lowest-index core neighbor. Mirrors the
+    production semantics with none of its indexing machinery."""
+    n = len(lat)
     adj = []
     for i in range(n):
         d = haversine_m_arrays(lat[i], lon[i], lat, lon)
@@ -451,17 +450,81 @@ def greedy_top_routers(scans: Iterable[WifiScan], k: int) -> list[BssidId]:
     return _lazy_greedy(sets, k)
 
 
+def router_groups(obs: Iterable[PairedObservation]) -> list[tuple[BssidId, list[PairedObservation]]]:
+    """Observations grouped by BSSID in BSSID order, each group sorted by
+    (ts, lat, lon): the rows ``build_database`` hands ``classify_ap``."""
+    grouped: dict[BssidId, list[PairedObservation]] = {}
+    for o in obs:
+        grouped.setdefault(o.bssid, []).append(o)
+    return [
+        (bssid, sorted(grouped[bssid], key=lambda o: (o.ts, o.pos.lat_deg, o.pos.lon_deg)))
+        for bssid in sorted(grouped)
+    ]
+
+
+def latlon(points: Sequence[GeoPoint]) -> tuple[np.ndarray, np.ndarray]:
+    """Degree arrays of a point list."""
+    lat = np.array([p.lat_deg for p in points], dtype=np.float64)
+    lon = np.array([p.lon_deg for p in points], dtype=np.float64)
+    return lat, lon
+
+
+def classify_records(
+    bssid: BssidId, obs: Sequence[PairedObservation], cfg: LocatorConfig = LocatorConfig()
+) -> ApRecord:
+    """``classify_ap`` on one router's observations in any order."""
+    ((_, group),) = router_groups(obs)
+    return classify_ap(
+        bssid,
+        np.array([o.ts for o in group], dtype=np.int64),
+        *latlon([o.pos for o in group]),
+        frozenset(o.user for o in group),
+        cfg,
+    )
+
+
+def build_database_from_records(
+    obs: Iterable[PairedObservation], cfg: LocatorConfig = LocatorConfig(), built_from: str = ""
+) -> ApDatabase:
+    """``build_database`` on records: Python grouping and sorting, then the
+    product ``classify_ap`` per router."""
+    records = {
+        bssid: classify_records(bssid, group, cfg) for bssid, group in router_groups(obs)
+    }
+    return ApDatabase(records=records, built_from=built_from)
+
+
+def pair_columns(
+    obs: Sequence[PairedObservation],
+) -> tuple[PairedEvents, list[UserId], list[BssidId]]:
+    """Columns of records, rows kept in the given order, with the sorted
+    user and BSSID tables they index: the arguments of ``build_database``."""
+    user_ids = sorted({o.user for o in obs})
+    bssids = sorted({o.bssid for o in obs})
+    user_idx = {u: i for i, u in enumerate(user_ids)}
+    ap_idx = {b: i for i, b in enumerate(bssids)}
+    lat, lon = latlon([o.pos for o in obs])
+    pairs = PairedEvents(
+        ap=np.array([ap_idx[o.bssid] for o in obs], dtype=np.int32),
+        user=np.array([user_idx[o.user] for o in obs], dtype=np.int32),
+        ts=np.array([o.ts for o in obs], dtype=np.int64),
+        lat=lat,
+        lon=lon,
+    )
+    return pairs, user_ids, bssids
+
+
 def build_simple_database(obs: Iterable[PairedObservation]) -> ApDatabase:
     """Position every sighted access point, no questions asked: each BSSID
     with a paired observation becomes a static record at the geometric
     median of its observation positions."""
     records = {}
-    for bssid, group in sorted(group_by_bssid(obs).items()):
+    for bssid, group in router_groups(obs):
         records[bssid] = ApRecord(
             bssid=bssid,
             ap_class=ApClass.STATIC,
             n_sightings=len(group),
-            pos=geometric_median([o.pos for o in group]),
+            pos=geometric_median(*latlon([o.pos for o in group])),
             contributors=frozenset(o.user for o in group),
         )
     return ApDatabase(records=records)
@@ -490,7 +553,7 @@ def coverage_via_record_pipeline(
     scans_by_user: dict[UserId, list[WifiScan]] = {}
     for scan in traces.scans:
         scans_by_user.setdefault(scan.user, []).append(scan)
-    full_db = build_database(obs, cfg.locator) if isinstance(strategy, TopRouters) else None
+    full_db = build_database_from_records(obs, cfg.locator) if isinstance(strategy, TopRouters) else None
 
     timelines: dict[UserId, BinnedTimeline] = {}
     for viewer in users:
@@ -513,6 +576,9 @@ def coverage_via_record_pipeline(
             subset = select_training_pairs(
                 obs, strategy, viewer=viewer, scenario=scenario, dataset_start_ms=t0
             )
-            db = build_database(subset, cfg.locator) if classified else build_simple_database(subset)
+            if classified:
+                db = build_database_from_records(subset, cfg.locator)
+            else:
+                db = build_simple_database(subset)
         timelines.update(timeline_from_records(scans_by_user.get(viewer, []), db, cfg.bin_ms))
     return timeline_coverage(timelines)

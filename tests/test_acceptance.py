@@ -9,12 +9,11 @@ at day 90.
 
 import math
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from oracles import brute_dbscan, exhaustive_max_coverage, grid_search_median
+from oracles import brute_dbscan, exhaustive_max_coverage, grid_search_median, latlon
 from wifimob.ap_locator import ApClass, build_database, dbscan, geometric_median, haversine_m
 from wifimob.cli import main as cli_main
 from wifimob.coverage_metrics import entropy_bits, time_coverage
@@ -60,12 +59,11 @@ def test_criterion_02_oracle_equivalence():
         for i in range(n):
             c = centers[int(rng.integers(0, k))]
             scale = float(rng.choice([0.0002, 0.001, 0.004]))
-            pts.append(
-                (GeoPoint(c[0] + rng.normal(0, scale), c[1] + rng.normal(0, scale)), i)
-            )
+            pts.append(GeoPoint(c[0] + rng.normal(0, scale), c[1] + rng.normal(0, scale)))
         eps = float(rng.choice([50.0, 100.0, 200.0]))
         min_pts = int(rng.integers(2, 8))
-        if dbscan(pts, eps, min_pts) != brute_dbscan(pts, eps, min_pts):
+        lat, lon = latlon(pts)
+        if dbscan(lat, lon, eps, min_pts) != brute_dbscan(lat, lon, eps, min_pts):
             mismatches += 1
 
     worst_median = 0.0
@@ -81,7 +79,7 @@ def test_criterion_02_oracle_equivalence():
             )
             for r, t in zip(radius, theta)
         ]
-        diff = haversine_m(geometric_median(pts), grid_search_median(pts))
+        diff = haversine_m(geometric_median(*latlon(pts)), grid_search_median(pts))
         worst_median = max(worst_median, diff)
 
     elapsed = time.perf_counter() - t0
@@ -100,15 +98,15 @@ def localization(default_world):
     _, gt, arrays = default_world
     t0 = time.perf_counter()
     data = prepare_experiment_data(arrays)
-    records = data.paired_records()
-    db = build_database(records, built_from="acceptance")
+    db = build_database(data.pairs, data.table.user_ids, data.table.bssids, built_from="acceptance")
     elapsed = time.perf_counter() - t0
-    sightings = Counter(o.bssid for o in records)
-    return gt, data, records, db, sightings, elapsed
+    counts = np.bincount(data.pairs.ap, minlength=data.table.n_aps).tolist()
+    sightings = {b: n for b, n in zip(data.table.bssids, counts) if n}
+    return gt, data, db, sightings, elapsed
 
 
 def test_criterion_03_static_localization(localization):
-    gt, _, _, db, sightings, elapsed = localization
+    gt, _, db, sightings, elapsed = localization
     static_pos = gt.static_positions()
     eligible = [b for b, n in sightings.items() if n >= 5 and b in static_pos]
     errors = []
@@ -132,7 +130,7 @@ def test_criterion_03_static_localization(localization):
 
 
 def test_criterion_04_mobile_detection(localization):
-    gt, _, _, db, sightings, _ = localization
+    gt, _, db, sightings, _ = localization
     labels = gt.mobile_ssid_labels()
     eligible_mobile = [b for b in labels if sightings.get(b, 0) >= 5]
     caught = sum(
@@ -156,7 +154,7 @@ def test_criterion_04_mobile_detection(localization):
 
 
 def test_criterion_05_scenario_dominance(localization):
-    _, data, _, _, _, _ = localization
+    _, data, _, _, _ = localization
     strategies = (
         InitialPeriod(days=7),
         RandomFraction(f=0.06, seed=42),
@@ -183,7 +181,7 @@ def test_criterion_05_scenario_dominance(localization):
 
 
 def test_criterion_06_random_subsampling_band(localization):
-    _, data, _, _, _, _ = localization
+    _, data, _, _, _ = localization
     n_events = data.pairs.n_events()
     spec_days_users = 30 * 30
     f_one_per_day = spec_days_users / n_events
@@ -241,7 +239,7 @@ def test_criterion_07_initial_period_decline(long_world):
 
 
 def test_criterion_08_top_routers(localization):
-    _, data, _, _, _, _ = localization
+    _, data, _, _, _ = localization
     ks = (1, 2, 5, 10, 20)
     means = []
     for k in ks:

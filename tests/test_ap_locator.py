@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_dbscan, build_simple_database, grid_search_median
+from oracles import (
+    brute_dbscan,
+    build_database_from_records,
+    build_simple_database,
+    classify_records,
+    grid_search_median,
+    latlon,
+    pair_columns,
+    router_groups,
+)
 from wifimob.ap_locator import (
     ApClass,
     ApDatabase,
@@ -13,16 +22,14 @@ from wifimob.ap_locator import (
     ApSegment,
     TimeInterval,
     build_database,
-    classify_ap,
     dbscan,
     geometric_median,
-    group_by_bssid,
     haversine_m,
     read_apdb_csv,
     validate_against_named_ssids,
     write_apdb_csv,
 )
-from wifimob.pairing import PairedObservation
+from wifimob.pairing import PairedEvents, PairedObservation
 from wifimob.trace_model import ApSighting, GeoPoint, WifiScan
 
 LAT0, LON0 = 55.7, 12.5
@@ -63,28 +70,29 @@ class TestHaversine:
 
 class TestDbscan:
     def test_six_points_in_small_disc(self):
-        pts = [(_offset(dx, dy), i) for i, (dx, dy) in enumerate(
-            [(0, 0), (3, 1), (-2, 4), (5, -3), (1, 1), (-4, -2)])]
-        clusters, noise = dbscan(pts, eps_m=100, min_pts=5)
+        pts = [_offset(dx, dy) for dx, dy in [(0, 0), (3, 1), (-2, 4), (5, -3), (1, 1), (-4, -2)]]
+        clusters, noise = dbscan(*latlon(pts), eps_m=100, min_pts=5)
         assert clusters == [set(range(6))]
         assert noise == set()
 
     def test_two_groups_one_km_apart(self):
-        near = [(_offset(dx, 0), i) for i, dx in enumerate([0, 5, 10, 15, 20, 25])]
-        far = [(_offset(1000 + dx, 0), 6 + i) for i, dx in enumerate([0, 5, 10, 15, 20, 25])]
-        clusters, noise = dbscan(near + far, eps_m=100, min_pts=5)
+        near = [_offset(dx, 0) for dx in [0, 5, 10, 15, 20, 25]]
+        far = [_offset(1000 + dx, 0) for dx in [0, 5, 10, 15, 20, 25]]
+        clusters, noise = dbscan(*latlon(near + far), eps_m=100, min_pts=5)
         assert clusters == [set(range(6)), set(range(6, 12))]
         assert noise == set()
 
     def test_sparse_points_are_noise(self):
-        pts = [(_offset(400 * i, 0), i) for i in range(5)]
-        clusters, noise = dbscan(pts, eps_m=100, min_pts=3)
+        pts = [_offset(400 * i, 0) for i in range(5)]
+        clusters, noise = dbscan(*latlon(pts), eps_m=100, min_pts=3)
         assert clusters == []
         assert noise == set(range(5))
 
     def test_min_pts_validated(self):
-        with pytest.raises(ValueError):
-            dbscan([], eps_m=100, min_pts=0)
+        lat, lon = latlon([_offset(0, 0)] * 3)
+        for n in (0, 3):
+            with pytest.raises(ValueError, match="min_pts"):
+                dbscan(lat[:n], lon[:n], eps_m=100, min_pts=0)
 
     @pytest.mark.parametrize("trial", range(20))
     def test_matches_brute_force_reference(self, trial):
@@ -96,21 +104,19 @@ class TestDbscan:
         for i in range(n):
             c = centers[int(rng.integers(0, k))]
             scale = float(rng.choice([0.0002, 0.001, 0.004]))
-            pts.append((GeoPoint(c[0] + rng.normal(0, scale), c[1] + rng.normal(0, scale)), i))
+            pts.append(GeoPoint(c[0] + rng.normal(0, scale), c[1] + rng.normal(0, scale)))
         eps = float(rng.choice([50.0, 100.0, 200.0]))
         min_pts = int(rng.integers(2, 8))
-        assert dbscan(pts, eps, min_pts) == brute_dbscan(pts, eps, min_pts)
+        lat, lon = latlon(pts)
+        assert dbscan(lat, lon, eps, min_pts) == brute_dbscan(lat, lon, eps, min_pts)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_partition_property(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 60))
-        pts = [
-            (GeoPoint(LAT0 + rng.normal(0, 0.002), LON0 + rng.normal(0, 0.002)), i)
-            for i in range(n)
-        ]
-        clusters, noise = dbscan(pts, eps_m=100, min_pts=4)
+        pts = [GeoPoint(LAT0 + rng.normal(0, 0.002), LON0 + rng.normal(0, 0.002)) for _ in range(n)]
+        clusters, noise = dbscan(*latlon(pts), eps_m=100, min_pts=4)
         seen = set(noise)
         for cluster in clusters:
             assert not (seen & cluster)
@@ -145,10 +151,10 @@ class TestGridDbscan:
 
     @staticmethod
     def _cluster(points):
-        pts = [(p, i) for i, p in enumerate(points)]
-        assert len(pts) > 64
-        got = dbscan(pts, eps_m=100, min_pts=5)
-        assert got == brute_dbscan(pts, 100, 5)
+        lat, lon = latlon(points)
+        assert len(lat) > 64
+        got = dbscan(lat, lon, eps_m=100, min_pts=5)
+        assert got == brute_dbscan(lat, lon, 100, 5)
         return got
 
     def test_dense_cells_two_apart_without_a_pair_in_reach(self):
@@ -181,38 +187,37 @@ def test_grid_path_matches_brute_force_on_default_world(default_data):
     path (more than 64 points, not inside one eps ball) clusters exactly as
     the brute-force oracle does, in the order classify_ap feeds them."""
     point_sets = set()
-    for obs in group_by_bssid(default_data.paired_records()).values():
-        pts = tuple(
-            sorted(((o.pos, o.ts) for o in obs), key=lambda p: (p[1], p[0].lat_deg, p[0].lon_deg))
-        )
-        lat = [p.lat_deg for p, _ in pts]
-        lon = [p.lon_deg for p, _ in pts]
+    for _, obs in router_groups(default_data.paired_records()):
+        pts = tuple(o.pos for o in obs)
+        lat = [p.lat_deg for p in pts]
+        lon = [p.lon_deg for p in pts]
         corner_gap = haversine_m(GeoPoint(min(lat), min(lon)), GeoPoint(max(lat), max(lon)))
         if len(pts) > 64 and corner_gap > 100:
             point_sets.add(pts)
     assert len(point_sets) > 20
     for pts in point_sets:
-        assert dbscan(pts, 100, 5) == brute_dbscan(pts, 100, 5)
+        lat, lon = latlon(pts)
+        assert dbscan(lat, lon, 100, 5) == brute_dbscan(lat, lon, 100, 5)
 
 
 class TestGeometricMedian:
     def test_single_point(self):
         p = GeoPoint(55.7, 12.5)
-        assert geometric_median([p]) == p
+        assert geometric_median(*latlon([p])) == p
 
     def test_two_points_midpoint(self):
         a, b = _offset(0, 0), _offset(100, 0)
-        mid = geometric_median([a, b])
+        mid = geometric_median(*latlon([a, b]))
         assert haversine_m(mid, _offset(50, 0)) < 0.01
 
     def test_square_center(self):
         corners = [_offset(0, 0), _offset(100, 0), _offset(0, 100), _offset(100, 100)]
-        center = geometric_median(corners)
+        center = geometric_median(*latlon(corners))
         assert haversine_m(center, _offset(50, 50)) < 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            geometric_median([])
+            geometric_median(*latlon([]))
 
     @pytest.mark.parametrize("trial", range(10))
     def test_matches_grid_search(self, trial):
@@ -222,20 +227,20 @@ class TestGeometricMedian:
             GeoPoint(LAT0 + rng.normal(0, 0.004), LON0 + rng.normal(0, 0.004))
             for _ in range(n)
         ]
-        assert haversine_m(geometric_median(pts), grid_search_median(pts)) < 1.0
+        assert haversine_m(geometric_median(*latlon(pts)), grid_search_median(pts)) < 1.0
 
 
 class TestClassify:
     def test_too_few_sightings(self):
         obs = _obs("02:00:00:00:00:01", [_offset(0, 0)] * 4)
-        rec = classify_ap("02:00:00:00:00:01", obs)
+        rec = classify_records("02:00:00:00:00:01", obs)
         assert rec.ap_class is ApClass.INSUFFICIENT
         assert rec.n_sightings == 4
 
     def test_tight_cluster_is_static(self):
         rng = np.random.default_rng(3)
         pts = [_offset(rng.normal(0, 8), rng.normal(0, 8)) for _ in range(10)]
-        rec = classify_ap("02:00:00:00:00:01", _obs("02:00:00:00:00:01", pts))
+        rec = classify_records("02:00:00:00:00:01", _obs("02:00:00:00:00:01", pts))
         assert rec.ap_class is ApClass.STATIC
         assert rec.n_sightings == 10
         assert min(haversine_m(rec.pos, p) for p in pts) <= 100
@@ -244,7 +249,7 @@ class TestClassify:
         day = 86_400_000
         site_a = _obs("x", [_offset(i, 0) for i in range(10)], ts0=0, step_ms=day)
         site_b = _obs("x", [_offset(2000 + i, 0) for i in range(10)], ts0=20 * day, step_ms=day)
-        rec = classify_ap("x", site_a + site_b)
+        rec = classify_records("x", site_a + site_b)
         assert rec.ap_class is ApClass.RELOCATED
         assert len(rec.segments) == 2
         s1, s2 = rec.segments
@@ -259,45 +264,55 @@ class TestClassify:
         for i, (a, b) in enumerate(zip(site_a, site_b)):
             obs.append(PairedObservation("x", a, 2 * i * 1000, "u"))
             obs.append(PairedObservation("x", b, (2 * i + 1) * 1000, "u"))
-        rec = classify_ap("x", obs)
+        rec = classify_records("x", obs)
         assert rec.ap_class is ApClass.MOBILE
 
     def test_route_spread_is_mobile(self):
         # sightings strung evenly along a 5 km line never concentrate
         pts = [_offset(i * 250, 0) for i in range(21)]
-        rec = classify_ap("x", _obs("x", pts))
+        rec = classify_records("x", _obs("x", pts))
         assert rec.ap_class is ApClass.MOBILE
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(4)
-        pts = [_offset(rng.normal(0, 10), rng.normal(0, 10)) for _ in range(12)]
-        pts += [_offset(3000 + rng.normal(0, 10), 0) for _ in range(3)]
-        obs = _obs("x", pts)
-        rec1 = classify_ap("x", obs)
-        rec2 = classify_ap("x", list(reversed(obs)))
-        assert rec1 == rec2
 
     def test_monotone_evidence_never_returns_to_insufficient(self):
         rng = np.random.default_rng(5)
         pts = [_offset(rng.normal(0, 8), rng.normal(0, 8)) for _ in range(5)]
         obs = _obs("x", pts)
-        assert classify_ap("x", obs).ap_class is not ApClass.INSUFFICIENT
+        assert classify_records("x", obs).ap_class is not ApClass.INSUFFICIENT
         for extra in range(1, 6):
             more = obs + _obs("x", [_offset(rng.normal(0, 8), rng.normal(0, 8))] * extra, ts0=10**9)
-            assert classify_ap("x", more).ap_class is not ApClass.INSUFFICIENT
+            assert classify_records("x", more).ap_class is not ApClass.INSUFFICIENT
 
     def test_static_within_eps_of_some_observation(self):
         rng = np.random.default_rng(6)
         for trial in range(20):
             pts = [_offset(rng.normal(0, 30), rng.normal(0, 30)) for _ in range(15)]
-            rec = classify_ap("x", _obs("x", pts))
+            rec = classify_records("x", _obs("x", pts))
             if rec.ap_class is ApClass.STATIC:
                 assert min(haversine_m(rec.pos, p) for p in pts) <= 100
 
 
+def _permuted(pairs, order):
+    return PairedEvents(*(getattr(pairs, f)[order] for f in ("ap", "user", "ts", "lat", "lon")))
+
+
+def _record_key(rec):
+    """Everything a record holds, positions by their exact bits."""
+    def hexed(p):
+        return None if p is None else (p.lat_deg.hex(), p.lon_deg.hex())
+
+    segments = [(hexed(s.pos), s.interval.start, s.interval.end) for s in rec.segments]
+    return rec.bssid, rec.ap_class, rec.n_sightings, hexed(rec.pos), segments, rec.contributors
+
+
+def _assert_same_database(got, want):
+    assert list(got.records) == list(want.records)
+    for bssid in want.records:
+        assert _record_key(got.records[bssid]) == _record_key(want.records[bssid]), bssid
+
+
 class TestDatabase:
     def test_empty_input(self):
-        db = build_database([])
+        db = build_database(*pair_columns([]))
         assert db.records == {}
         assert db.census()["total"] == 0
 
@@ -307,8 +322,42 @@ class TestDatabase:
             PairedObservation("x", p, i * 1000, "alice" if i % 2 else "bob")
             for i, p in enumerate(pts)
         ]
-        db = build_database(obs)
+        obs.append(PairedObservation("y", pts[0], 0, "carol"))
+        db = build_database(*pair_columns(obs))
         assert db.get("x").contributors == frozenset({"alice", "bob"})
+        assert db.get("y").contributors == frozenset({"carol"})
+
+    def test_permutation_invariant(self):
+        """Row order never matters, down to the bits of each position: all
+        users see the routers at the same instants, so only the (lat, lon)
+        sort keys order their rows."""
+        rng = np.random.default_rng(4)
+        obs = []
+        for bssid, center in (("x", 0), ("y", 3000)):
+            for k in range(15):
+                pos = _offset(center + rng.normal(0, 10), rng.normal(0, 10))
+                obs.append(PairedObservation(bssid, pos, (k % 3) * 1000, f"u{k}"))
+        # a cluster with three far outliers, at distinct instants
+        pts = [_offset(rng.normal(0, 10), rng.normal(0, 10)) for _ in range(12)]
+        obs += _obs("z", pts + [_offset(3000 + rng.normal(0, 10), 0) for _ in range(3)])
+        pairs, user_ids, bssids = pair_columns(obs)
+        want = build_database(pairs, user_ids, bssids)
+        assert want.census()["static"] == 2 and want.get("z").ap_class is ApClass.MOBILE
+        for order in (np.arange(len(obs))[::-1], rng.permutation(len(obs))):
+            _assert_same_database(build_database(_permuted(pairs, order), user_ids, bssids), want)
+        _assert_same_database(want, build_database_from_records(obs))
+
+    def test_matches_record_oracle_on_default_world(self, default_data):
+        """Every router of the default world, and again with the paired
+        rows shuffled, equals the record oracle's classification."""
+        want = build_database_from_records(default_data.paired_records())
+        assert want.census() == {
+            "static": 818, "relocated": 0, "mobile": 45, "insufficient": 1091, "total": 1954
+        }
+        names = (default_data.table.user_ids, default_data.table.bssids)
+        _assert_same_database(build_database(default_data.pairs, *names), want)
+        order = np.random.default_rng(5).permutation(default_data.pairs.count())
+        _assert_same_database(build_database(_permuted(default_data.pairs, order), *names), want)
 
     def test_lookup_of_unseen_bssid_is_absent(self):
         db = build_simple_database(_obs("x", [_offset(0, 0)] * 3))
@@ -325,7 +374,7 @@ class TestDatabase:
         obs += _obs("b", [_offset(3000 + i, 0) for i in range(10)], ts0=30 * day, step_ms=day)
         obs += _obs("c", [_offset(i * 300, 0) for i in range(9)])
         obs += _obs("d", [_offset(0, 0)] * 2)
-        db = build_database(obs)
+        db = build_database(*pair_columns(obs))
         path = tmp_path / "apdb.csv"
         write_apdb_csv(db, path)
         loaded = read_apdb_csv(path)
@@ -404,7 +453,7 @@ def test_named_ssid_recall_on_synthetic_fixture():
         else:
             pts = [_offset(5000 + i * 300 + rng.normal(0, 8), rng.normal(0, 8)) for _ in range(8)]
             obs.extend(_obs(bssid, pts))
-    db = build_database(obs)
+    db = build_database(*pair_columns(obs))
     counts = validate_against_named_ssids(db, scans, {"AndroidAP"})
     assert counts.classified == 40
     assert counts.recall >= 0.90

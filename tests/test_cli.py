@@ -4,10 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from oracles import pair_records, prepare_from_traces, timeline_from_records
+from oracles import (
+    build_database_from_records,
+    pair_records,
+    prepare_from_traces,
+    timeline_from_records,
+)
 from wifimob import cli
 from wifimob.cli import main
-from wifimob.trace_model import ingest_traces_verbose
+from wifimob.trace_model import TraceSet, ingest_traces_verbose
 
 
 def _run(*argv):
@@ -241,11 +246,44 @@ def _all_commands(data, out, config=None):
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
 
 
+class _Traces(TraceSet):
+    """Record traces with the name tables ``locate`` passes along."""
+
+    @property
+    def user_ids(self):
+        return self.users()
+
+    @property
+    def bssids(self):
+        return sorted({s.bssid for scan in self.scans for s in scan.sightings})
+
+
+class _RecordPairs(list):
+    """Record pairs standing in for ``PairedEvents``; their record form is
+    themselves."""
+
+    def to_records(self, user_ids, bssids):
+        return list(self)
+
+
+def _record_ingest(gps, wifi):
+    traces, report = ingest_traces_verbose(gps, wifi)
+    return _Traces(traces.fixes, traces.scans), report
+
+
 def _record_route(monkeypatch):
     """Point the CLI at the record route: TraceSet ingest, record pairing,
-    record timelines and record experiment tables."""
-    monkeypatch.setattr(cli, "ingest_arrays", ingest_traces_verbose)
-    monkeypatch.setattr(cli, "pair_observations", pair_records)
+    the record database builder, record timelines and record experiment
+    tables."""
+    monkeypatch.setattr(cli, "ingest_arrays", _record_ingest)
+    monkeypatch.setattr(cli, "pair_arrays", lambda traces, cfg: _RecordPairs(pair_records(traces, cfg)))
+    monkeypatch.setattr(
+        cli,
+        "build_database",
+        lambda pairs, user_ids, bssids, cfg, built_from: build_database_from_records(
+            pairs, cfg, built_from
+        ),
+    )
     monkeypatch.setattr(cli, "build_timeline", lambda traces, db: timeline_from_records(traces.scans, db))
     monkeypatch.setattr(cli, "prepare_experiment_data", prepare_from_traces)
 

@@ -11,7 +11,6 @@ from wifimob.ap_locator import (
     ApRecord,
     ApSegment,
     TimeInterval,
-    build_database,
     haversine_m,
 )
 from wifimob.experiments import prepare_experiment_data
@@ -183,7 +182,7 @@ def test_two_day_single_user_reconstruction_accuracy():
     arrays = simulate_sensor_arrays(gt, spec)
     # the single user needs company for pairing evidence: their own
     data = prepare_experiment_data(arrays)
-    db = build_database(data.paired_records())
+    db = data.full_database()
     timelines = build_timeline(arrays, db)
     tl = timelines[gt.user_ids[0]]
     assert tl.bins, "nothing reconstructed"
@@ -267,7 +266,7 @@ def test_columnar_timeline_matches_records_on_hand_built_routers(tmp_path):
 
 def test_columnar_timeline_matches_records_on_small_world(small_world, tmp_path):
     _, gt, arrays, traces = small_world
-    db = build_database(prepare_experiment_data(arrays).paired_records())
+    db = prepare_experiment_data(arrays).full_database()
     records = timeline_from_records(traces.scans, db)
     assert build_timeline(arrays, db) == records
     write_dataset(gt, arrays, tmp_path)
