@@ -373,27 +373,12 @@ def table_from_traces(traces: TraceSet, bin_ms: int) -> ScanTable:
     )
 
 
-def _pairs_from_records(
-    obs: Sequence[PairedObservation], table: ScanTable
-) -> PairedEvents:
-    user_idx = {u: i for i, u in enumerate(table.user_ids)}
-    ap_idx = {b: i for i, b in enumerate(table.bssids)}
-    rows = [o for o in obs if o.bssid in ap_idx and o.user in user_idx]
-    return PairedEvents(
-        ap=np.array([ap_idx[o.bssid] for o in rows], dtype=np.int32),
-        user=np.array([user_idx[o.user] for o in rows], dtype=np.int32),
-        ts=np.array([o.ts for o in rows], dtype=np.int64),
-        lat=np.array([o.pos.lat_deg for o in rows], dtype=np.float64),
-        lon=np.array([o.pos.lon_deg for o in rows], dtype=np.float64),
-    )
-
-
 def prepare_from_traces(
     traces: TraceSet, cfg: ExperimentConfig = ExperimentConfig()
 ) -> ExperimentData:
     """``prepare_experiment_data`` on records."""
     table = table_from_traces(traces, cfg.bin_ms)
-    pairs = _pairs_from_records(pair_records(traces, cfg.pairing), table)
+    pairs, _, _ = pair_columns(pair_records(traces, cfg.pairing), table.user_ids, table.bssids)
     return ExperimentData(table=table, pairs=pairs, t0_ms=traces.span_ms()[0], locator=cfg.locator)
 
 
@@ -450,7 +435,9 @@ def greedy_top_routers(scans: Iterable[WifiScan], k: int) -> list[BssidId]:
     return _lazy_greedy(sets, k)
 
 
-def router_groups(obs: Iterable[PairedObservation]) -> list[tuple[BssidId, list[PairedObservation]]]:
+def router_groups(
+    obs: Iterable[PairedObservation],
+) -> list[tuple[BssidId, list[PairedObservation]]]:
     """Observations grouped by BSSID in BSSID order, each group sorted by
     (ts, lat, lon): the rows ``build_database`` hands ``classify_ap``."""
     grouped: dict[BssidId, list[PairedObservation]] = {}
@@ -496,11 +483,14 @@ def build_database_from_records(
 
 def pair_columns(
     obs: Sequence[PairedObservation],
+    user_ids: Optional[list[UserId]] = None,
+    bssids: Optional[list[BssidId]] = None,
 ) -> tuple[PairedEvents, list[UserId], list[BssidId]]:
-    """Columns of records, rows kept in the given order, with the sorted
-    user and BSSID tables they index: the arguments of ``build_database``."""
-    user_ids = sorted({o.user for o in obs})
-    bssids = sorted({o.bssid for o in obs})
+    """Columns of records, rows kept in the given order, with the user and
+    BSSID tables they index (by default the sorted names in ``obs``): the
+    arguments of ``build_database``."""
+    user_ids = sorted({o.user for o in obs}) if user_ids is None else user_ids
+    bssids = sorted({o.bssid for o in obs}) if bssids is None else bssids
     user_idx = {u: i for i, u in enumerate(user_ids)}
     ap_idx = {b: i for i, b in enumerate(bssids)}
     lat, lon = latlon([o.pos for o in obs])
@@ -553,7 +543,9 @@ def coverage_via_record_pipeline(
     scans_by_user: dict[UserId, list[WifiScan]] = {}
     for scan in traces.scans:
         scans_by_user.setdefault(scan.user, []).append(scan)
-    full_db = build_database_from_records(obs, cfg.locator) if isinstance(strategy, TopRouters) else None
+    full_db = None
+    if isinstance(strategy, TopRouters):
+        full_db = build_database_from_records(obs, cfg.locator)
 
     timelines: dict[UserId, BinnedTimeline] = {}
     for viewer in users:

@@ -15,6 +15,7 @@ from oracles import (
     pair_columns,
     router_groups,
 )
+from wifimob import ap_locator
 from wifimob.ap_locator import (
     ApClass,
     ApDatabase,
@@ -22,6 +23,7 @@ from wifimob.ap_locator import (
     ApSegment,
     TimeInterval,
     build_database,
+    classify_ap,
     dbscan,
     geometric_median,
     haversine_m,
@@ -346,6 +348,34 @@ class TestDatabase:
         for order in (np.arange(len(obs))[::-1], rng.permutation(len(obs))):
             _assert_same_database(build_database(_permuted(pairs, order), user_ids, bssids), want)
         _assert_same_database(want, build_database_from_records(obs))
+
+    def test_routers_reach_classify_ap_in_ts_lat_lon_order(self, monkeypatch):
+        """Whatever the row order, each router's rows reach ``classify_ap``
+        sorted by (ts, lat, lon), as the record oracle sorts them: users
+        share instants here, so the position keys decide the ties."""
+        rng = np.random.default_rng(9)
+        obs = [
+            PairedObservation(b, _offset(rng.normal(0, 20), rng.normal(0, 20)), t, f"u{k}")
+            for b in ("x", "y")
+            for t in (0, 1000, 2000)
+            for k in range(4)
+        ]
+        want = {
+            b: ([o.ts for o in g], [o.pos.lat_deg for o in g], [o.pos.lon_deg for o in g])
+            for b, g in router_groups(obs)
+        }
+        seen = {}
+
+        def spy(bssid, ts, lat, lon, contributors, cfg):
+            seen[bssid] = (ts.tolist(), lat.tolist(), lon.tolist())
+            return classify_ap(bssid, ts, lat, lon, contributors, cfg)
+
+        monkeypatch.setattr(ap_locator, "classify_ap", spy)
+        pairs, user_ids, bssids = pair_columns(obs)
+        for order in (np.arange(len(obs))[::-1], rng.permutation(len(obs))):
+            seen.clear()
+            build_database(_permuted(pairs, order), user_ids, bssids)
+            assert seen == want
 
     def test_matches_record_oracle_on_default_world(self, default_data):
         """Every router of the default world, and again with the paired
