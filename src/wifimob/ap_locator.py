@@ -440,31 +440,62 @@ def classify_ap(
     """Classify one access point from the columns of its paired observations,
     sorted by (ts, lat, lon); ``contributors`` are the users they came from."""
     n = ts.shape[0]
-
-    def record(ap_class: ApClass, **located) -> ApRecord:
-        return ApRecord(bssid, ap_class, n, contributors=contributors, **located)
-
     if n < cfg.min_sightings:
-        return record(ApClass.INSUFFICIENT)
+        return ApRecord(
+            bssid=bssid,
+            ap_class=ApClass.INSUFFICIENT,
+            n_sightings=n,
+            contributors=contributors,
+        )
 
     clusters, noise = dbscan(lat, lon, cfg.eps_m, cfg.min_cluster_pts, cfg.earth_radius_m)
-    if not clusters or (n - len(noise)) / n < cfg.clustered_fraction_min:
-        return record(ApClass.MOBILE)
+
+    clustered = n - len(noise)
+    if not clusters or clustered / n < cfg.clustered_fraction_min:
+        return ApRecord(
+            bssid=bssid,
+            ap_class=ApClass.MOBILE,
+            n_sightings=n,
+            contributors=contributors,
+        )
 
     members = [np.array(sorted(c), dtype=np.int64) for c in clusters]
     if len(clusters) == 1:
-        m = members[0]
-        return record(ApClass.STATIC, pos=geometric_median(lat[m], lon[m], cfg.earth_radius_m))
+        pos = geometric_median(lat[members[0]], lon[members[0]], radius_m=cfg.earth_radius_m)
+        return ApRecord(
+            bssid=bssid,
+            ap_class=ApClass.STATIC,
+            n_sightings=n,
+            pos=pos,
+            contributors=contributors,
+        )
 
     intervals = [TimeInterval(int(ts[m].min()), int(ts[m].max())) for m in members]
-    if any(a.overlaps(b) for i, a in enumerate(intervals) for b in intervals[i + 1 :]):
-        return record(ApClass.MOBILE)
+    for i in range(len(intervals)):
+        for j in range(i + 1, len(intervals)):
+            if intervals[i].overlaps(intervals[j]):
+                return ApRecord(
+                    bssid=bssid,
+                    ap_class=ApClass.MOBILE,
+                    n_sightings=n,
+                    contributors=contributors,
+                )
+
     segments = [
-        ApSegment(pos=geometric_median(lat[m], lon[m], cfg.earth_radius_m), interval=interval)
+        ApSegment(
+            pos=geometric_median(lat[m], lon[m], radius_m=cfg.earth_radius_m),
+            interval=interval,
+        )
         for m, interval in zip(members, intervals)
     ]
     segments.sort(key=lambda s: s.interval.start)
-    return record(ApClass.RELOCATED, segments=segments)
+    return ApRecord(
+        bssid=bssid,
+        ap_class=ApClass.RELOCATED,
+        n_sightings=n,
+        segments=segments,
+        contributors=contributors,
+    )
 
 
 def build_database(
