@@ -131,8 +131,8 @@ class ApDatabase:
     ) -> tuple[np.ndarray, dict[int, list[tuple[TimestampMs, TimestampMs]]]]:
         """Which routers of a BSSID table place a scan, and when: a mask of
         the static routers with a position, and the (start, end) segment
-        intervals of each relocated router by its index in ``bssids``.
-        Mirrors ``ApRecord.position_at``."""
+        intervals of each relocated router by its index in ``bssids``, for
+        ``in_segments``. Mirrors ``ApRecord.position_at``."""
         static = np.zeros(len(bssids), dtype=bool)
         relocated = {}
         for i, bssid in enumerate(bssids):
@@ -151,6 +151,16 @@ class ApDatabase:
             counts[rec.ap_class.value] += 1
         counts["total"] = len(self.records)
         return counts
+
+
+def in_segments(ts: np.ndarray, intervals: list[tuple[TimestampMs, TimestampMs]]) -> np.ndarray:
+    """Per timestamp: does it fall in one of a relocated router's closed
+    (start, end) segment intervals, as ``ApDatabase.beacons`` lists them?
+    The array form of ``ApRecord.position_at``."""
+    inside = np.zeros(ts.shape, dtype=bool)
+    for start, end in intervals:
+        inside |= (ts >= start) & (ts <= end)
+    return inside
 
 
 def haversine_m(a: GeoPoint, b: GeoPoint, radius_m: float = EARTH_RADIUS_M) -> float:

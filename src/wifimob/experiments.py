@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .ap_locator import ApDatabase, LocatorConfig, build_database
+from .ap_locator import ApDatabase, LocatorConfig, build_database, in_segments
 from .coverage_metrics import DAY_MS, DEFAULT_BIN_MS, CoverageSeries, coverage_histogram
 from .pairing import (  # PairedEvents is re-exported from here
     PairedEvents,
@@ -346,11 +346,7 @@ def _coverage_from_first_ts(
             lo, hi = bounds[u], bounds[u + 1]
             for ap, intervals in guard.items():
                 rows = lo + np.flatnonzero(t.pres_ap[lo:hi] == ap)
-                ts = t.pres_last_ts[rows]
-                ok = np.zeros(rows.size, dtype=bool)
-                for start, end in intervals:
-                    ok |= (ts >= start) & (ts <= end)
-                known[rows] &= ok
+                known[rows] &= in_segments(t.pres_last_ts[rows], intervals)
 
     # presence rows are sorted by (user, bin, ap), so the covered (user, bin)
     # pairs and both day counts come out as runs in (user, day) order

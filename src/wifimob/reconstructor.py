@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ap_locator import ApDatabase, geometric_median
+from .ap_locator import ApDatabase, geometric_median, in_segments
 from .coverage_metrics import DAY_MS, DEFAULT_BIN_MS, CoverageSeries
 from .trace_model import (
     BssidId,
@@ -146,10 +146,7 @@ def _usable_sightings(
         rel_ap = ap[rel]
         for a in np.unique(rel_ap).tolist():
             sel = rel_ap == a
-            inside = np.zeros(int(sel.sum()), dtype=bool)
-            for start, end in relocated[a]:
-                inside |= (rel_ts[sel] >= start) & (rel_ts[sel] <= end)
-            usable[rel[sel]] = inside
+            usable[rel[sel]] = in_segments(rel_ts[sel], relocated[a])
     return usable
 
 

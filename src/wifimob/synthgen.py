@@ -31,6 +31,7 @@ from .trace_model import (  # SensorArrays is re-exported from here
     GeoPoint,
     SensorArrays,
     _fix_json,
+    _ragged_index,
     _scan_json,
 )
 
@@ -843,20 +844,9 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
         if entries:
             shared_anchor_hotspots[aid] = entries
 
-    # stay locations repeat heavily (anchors and shared venues), so visible
-    # sets are cached by quantized position
-    visible_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def visible_at(x: float, y: float) -> np.ndarray:
-        key = (round(x * 100), round(y * 100))
-        ids = visible_cache.get(key)
-        if ids is None:
-            ids = ap_index.query(np.array([x]), np.array([y]))[1].astype(np.int32)
-            visible_cache[key] = ids
-        return ids
-
     all_fix = []
     all_scan = []
+    rows_of = []  # per user: the query's CSR, each kept scan's row, mobile inserts
 
     for u in range(n_users):
         rng = _rng(spec.seed, 4, u)
@@ -873,68 +863,50 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
         seg_idx = np.clip(np.searchsorted(seg.t1, ts, side="right"), 0, len(seg.t0) - 1)
         dropped = rng.random(n_scans) < spec.scan_dropout
 
-        # a device never lists its own hotspot; the bus router is sighted by
-        # its rider while aboard
-        own_bus = bus_by_owner.get(u)
-
         sx, sy = seg.position_xy(ts)
         cell_w = gt.grid.weight_at_xy(sx, sy).astype(np.float32)
 
-        parts: list[np.ndarray] = []
-        counts = np.zeros(n_scans, dtype=np.int32)
+        # static routers of every kept scan in one batched query: a stay scan
+        # asks once per stay segment at its point, a move scan at its own
+        # position; each scan lists its query's CSR row
+        kept = np.nonzero(~dropped)[0]
+        kseg = seg_idx[kept]
+        stay = seg.kind[kseg] == 0
+        stay_seg, stay_row = np.unique(kseg[stay], return_inverse=True)
+        move = kept[~stay]
+        q_off, q_ids = ap_index.query(
+            np.concatenate([seg.x0[stay_seg], sx[move]]),
+            np.concatenate([seg.y0[stay_seg], sy[move]]),
+        )
+        qrow = np.empty(kept.size, dtype=np.int64)
+        qrow[stay] = stay_row
+        qrow[~stay] = stay_seg.size + np.arange(move.size)
 
-        # every kept scan taken on the move, in one batched query; a bus
-        # router's id is above every static id, so it goes at its row's end
-        moving = np.nonzero((seg.kind[seg_idx] == 1) & ~dropped)[0]
-        move_off, move_ids = ap_index.query(sx[moving], sy[moving])
+        # mobile routers, whose ids are above every static id, go at their
+        # row's end: the rider's bus while aboard, and the hotspots of other
+        # owners tethering at a shared anchor (a device never lists its own)
+        mob_row, mob_id = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        own_bus = bus_by_owner.get(u)
         if own_bus is not None:
-            aboard = seg.is_bus[seg_idx[moving]]
-            move_ids = np.insert(move_ids, move_off[1:][aboard], own_bus)
-            move_off = move_off + np.concatenate([[0], np.cumsum(aboard)])
-        move_ids = move_ids.astype(np.int32)
-        counts[moving] = np.diff(move_off)
-
-        # walk scans in segment order; each segment contributes one block
-        boundaries = np.nonzero(np.diff(seg_idx))[0] + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [n_scans]])
-        for a, b in zip(starts, ends):
-            si = int(seg_idx[a])
-            keep = ~dropped[a:b]
-            block_ts = ts[a:b]
-            if seg.kind[si] == 0:
-                aid = int(seg.anchor[si])
-                static_ids = visible_at(float(seg.x0[si]), float(seg.y0[si]))
-                extra_owner_ids = []
-                extra_masks = []
-                if aid >= 0 and aid in shared_anchor_hotspots:
-                    for owner, iv0, iv1 in shared_anchor_hotspots[aid]:
-                        if owner == u:
-                            continue
-                        pos = np.searchsorted(iv0, block_ts, side="right") - 1
-                        inside = (pos >= 0) & (block_ts < iv1[np.clip(pos, 0, len(iv1) - 1)])
-                        if inside.any():
-                            extra_owner_ids.append(hotspot_by_owner[owner])
-                            extra_masks.append(inside)
-                row_ids = list(static_ids)
-                row_ids.extend(extra_owner_ids)
-                template = np.array(sorted(row_ids), dtype=np.int32)
-                width = template.size
-                if width == 0:
+            aboard = np.nonzero(seg.is_bus[kseg])[0]
+            mob_row.append(aboard)
+            mob_id.append(np.full(aboard.size, own_bus))
+        kanchor = seg.anchor[kseg]  # >= 0 on stays at an anchor only
+        for aid in np.unique(kanchor[kanchor >= 0]):
+            rows = np.nonzero(kanchor == aid)[0]
+            t = ts[kept[rows]]
+            for owner, iv0, iv1 in shared_anchor_hotspots.get(int(aid), ()):
+                if owner == u:
                     continue
-                mask = np.ones((b - a, width), dtype=bool)
-                col_of = {int(v): k for k, v in enumerate(template)}
-                for owner_id, inside in zip(extra_owner_ids, extra_masks):
-                    mask[:, col_of[owner_id]] = inside
-                mask[~keep, :] = False
-                counts[a:b] = mask.sum(axis=1)
-                parts.append(np.broadcast_to(template, (b - a, width))[mask])
-            else:
-                r0, r1 = np.searchsorted(moving, (a, b))
-                parts.append(move_ids[move_off[r0] : move_off[r1]])
-
-        flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
-        off = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+                pos = np.searchsorted(iv0, t, side="right") - 1
+                inside = (pos >= 0) & (t < iv1[np.clip(pos, 0, len(iv1) - 1)])
+                mob_row.append(rows[inside])
+                mob_id.append(np.full(int(inside.sum()), hotspot_by_owner[owner]))
+        row, mid = np.concatenate(mob_row), np.concatenate(mob_id)
+        order = np.lexsort((mid, row))
+        counts = np.zeros(n_scans, dtype=np.int64)
+        counts[kept] = np.diff(q_off)[qrow] + np.bincount(row, minlength=kept.size)
+        rows_of.append((q_off, q_ids.astype(np.int32), qrow, row[order], mid[order]))
 
         # GPS fixes: strict period with a random phase, Gaussian position noise
         gps_ms = spec.gps_period_s * 1000.0
@@ -947,7 +919,7 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
         flat_lat, flat_lon = _xy_to_latlon(fx, fy)
 
         all_fix.append((np.full(fts.size, u, dtype=np.int32), fts, flat_lat, flat_lon))
-        all_scan.append((np.full(n_scans, u, dtype=np.int32), ts, off, flat, cell_w))
+        all_scan.append((np.full(n_scans, u, dtype=np.int32), ts, counts, cell_w))
 
     fix_user = np.concatenate([f[0] for f in all_fix])
     fix_ts = np.concatenate([f[1] for f in all_fix])
@@ -956,10 +928,18 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
 
     scan_user = np.concatenate([s[0] for s in all_scan])
     scan_ts = np.concatenate([s[1] for s in all_scan])
-    scan_cell_w = np.concatenate([s[4] for s in all_scan])
-    counts_all = np.concatenate([np.diff(s[2]) for s in all_scan])
-    scan_off = np.concatenate([[0], np.cumsum(counts_all, dtype=np.int64)])
-    scan_ap = np.concatenate([s[3] for s in all_scan]) if all_scan else np.empty(0, np.int32)
+    scan_cell_w = np.concatenate([s[3] for s in all_scan])
+    scan_off = np.concatenate([[0], np.cumsum(np.concatenate([s[2] for s in all_scan]))])
+    # each user's sightings go straight into scan_ap; holding them per user
+    # for one final concatenate kept grid_30d's peak RSS 10-13 % higher,
+    # as the allocator held on to the freed per-user parts
+    scan_ap = np.empty(scan_off[-1], dtype=np.int32)
+    lo = 0
+    for q_off, q_ids, qrow, row, mid in rows_of:
+        at, lens = _ragged_index(q_off, qrow)
+        ids = np.insert(q_ids[at], np.cumsum(lens)[row], mid)
+        scan_ap[lo : lo + ids.size] = ids
+        lo += ids.size
 
     return SensorArrays(
         user_ids=gt.user_ids,

@@ -249,8 +249,75 @@ def test_every_scan_lists_exactly_the_static_routers_in_range():
     assert checked > 0.85 * arrays.n_scans
 
 
+SPARSE_MOBILE_WORLD = WorldSpec(
+    seed=6,
+    n_users=8,
+    n_days=3,
+    ap_per_anchor_min=0,
+    ap_anchor_base=0.0,
+    ap_anchor_density_scale=0.0,
+    campus_extra_aps=0,
+    background_aps_per_km2=0.5,
+    mobile_ap_fraction=1.0,
+)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [WorldSpec(seed=6, n_users=5, n_days=2, extent_km=5.0), SPARSE_MOBILE_WORLD],
+    ids=["seed6", "sparse"],
+)
+def test_bus_and_hotspot_rows_follow_their_rules(spec):
+    """A bus router is listed by its rider exactly while aboard, and a
+    hotspot only by another user staying at its owner's anchor at that
+    instant. In the sparse world most rows hold no static id, so the mobile
+    ids of many rows go in at one flat position and must keep row order."""
+    gt = generate_world(spec)
+    arrays = simulate_sensor_arrays(gt, spec)
+    counts = arrays.scan_counts()
+    scan_of = np.repeat(np.arange(arrays.n_scans), counts)
+    viewer = arrays.scan_user[scan_of]
+    ts = arrays.scan_ts[scan_of]
+
+    def segment_at(u, t):
+        seg = gt.segments[u]
+        i = np.clip(np.searchsorted(seg.t1, t, side="right"), 0, len(seg.t0) - 1)
+        return seg, i
+
+    buses = [m for m in gt.mobile_aps if m.kind == "bus"]
+    assert buses
+    for m in buses:
+        hit = arrays.scan_ap == m.ap_id
+        # (a) only its rider lists it, and only on bus segments
+        assert (viewer[hit] == m.owner).all()
+        seg, i = segment_at(m.owner, ts[hit])
+        assert ((seg.kind[i] == 1) & seg.is_bus[i]).all()
+        # (b) every non-empty scan of the rider aboard lists it
+        rows = np.nonzero((arrays.scan_user == m.owner) & (counts > 0))[0]
+        seg, i = segment_at(m.owner, arrays.scan_ts[rows])
+        aboard = rows[(seg.kind[i] == 1) & seg.is_bus[i]]
+        assert aboard.size > 0
+        assert np.array_equal(np.unique(scan_of[hit]), aboard)
+
+    # (c) hotspot sightings: viewer and owner differ and stay at one anchor
+    hotspots = [m for m in gt.mobile_aps if m.kind == "hotspot"]
+    seen = 0
+    for m in hotspots:
+        hit = np.nonzero(arrays.scan_ap == m.ap_id)[0]
+        seen += hit.size
+        for v, t in zip(viewer[hit].tolist(), ts[hit].tolist()):
+            assert v != m.owner
+            vseg, vi = segment_at(v, t)
+            oseg, oi = segment_at(m.owner, t)
+            assert vseg.kind[vi] == 0 and oseg.kind[oi] == 0
+            assert vseg.anchor[vi] >= 0 and vseg.anchor[vi] == oseg.anchor[oi]
+    assert seen > 0
+
+
 def test_desert_world_has_only_empty_scans():
-    spec = WorldSpec(
+    """No router in range, or no scan kept (an empty batched query): every
+    scan row is empty."""
+    desert = WorldSpec(
         seed=3,
         n_users=2,
         n_days=1,
@@ -261,11 +328,15 @@ def test_desert_world_has_only_empty_scans():
         background_aps_per_km2=0.0,
         mobile_ap_fraction=0.0,
     )
-    gt = generate_world(spec)
-    assert gt.n_static == 0
-    arrays = simulate_sensor_arrays(gt, spec)
-    assert arrays.scan_ap.size == 0
-    assert arrays.nonempty_scan_fraction() == 0.0
+    silent = WorldSpec(seed=3, n_users=2, n_days=1, scan_dropout=1.0)
+    for spec in (desert, silent):
+        gt = generate_world(spec)
+        assert (gt.n_static == 0) == (spec is desert)
+        arrays = simulate_sensor_arrays(gt, spec)
+        assert arrays.n_scans > 0
+        assert arrays.scan_ap.size == 0
+        assert not arrays.scan_off.any()
+        assert arrays.nonempty_scan_fraction() == 0.0
 
 
 def test_lone_ap_stay_scans_contain_exactly_it():
