@@ -21,10 +21,10 @@ from wifimob.experiments import (
     TopRouters,
     prepare_experiment_data,
     run_experiment,
+    write_coverage_plots,
     write_experiment_grid_csv,
     write_histograms_csv,
 )
-from wifimob.svgplot import write_line_plot
 from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays
 
 
@@ -68,19 +68,7 @@ def main() -> int:
 
     write_experiment_grid_csv(results, out / "experiment_grid.csv")
     write_histograms_csv(results, out / "histograms.csv")
-    by_cell = {}
-    for res in results:
-        series = by_cell.setdefault(res.strategy.label(), {})
-        series[res.scenario.value] = sorted(res.coverage.daily_means().items())
-    for (name, param), series in sorted(by_cell.items()):
-        write_line_plot(
-            out / f"coverage_{name}_{param.replace('.', 'p')}.svg",
-            series,
-            title=f"{name}({param})",
-            x_label="day",
-            y_label="mean coverage",
-            y_range=(0.0, 1.0),
-        )
+    write_coverage_plots(results, out)
     print(f"wrote {out}/experiment_grid.csv, histograms.csv, and plots")
     return 0
 

@@ -38,6 +38,7 @@ from .experiments import (
     TopRouters,
     prepare_experiment_data,
     run_experiment,
+    write_coverage_plots,
     write_experiment_grid_csv,
     write_histograms_csv,
 )
@@ -48,7 +49,6 @@ from .reconstructor import (
     timeline_coverage,
     write_timeline_csv,
 )
-from .svgplot import write_line_plot
 # ingest_traces_verbose, the record-route twin of ingest_arrays, stays
 # importable here for code that wraps or compares the CLI's ingest
 from .trace_model import GeoPoint, TraceError, ingest_arrays, ingest_traces_verbose  # noqa: F401
@@ -293,21 +293,7 @@ def cmd_experiment(args, cfg_values) -> int:
     write_experiment_grid_csv(results, out_dir / "experiment_grid.csv")
     write_histograms_csv(results, out_dir / "histograms.csv")
     if args.plots:
-        by_cell: dict[tuple[str, str], dict] = {}
-        for res in results:
-            name, param = res.strategy.label()
-            series = by_cell.setdefault((name, param), {})
-            means = res.coverage.daily_means()
-            series[res.scenario.value] = sorted((d, m) for d, m in means.items())
-        for (name, param), series in sorted(by_cell.items()):
-            write_line_plot(
-                out_dir / f"coverage_{name}_{param.replace('.', 'p')}.svg",
-                series,
-                title=f"{name}({param})",
-                x_label="day",
-                y_label="mean coverage",
-                y_range=(0.0, 1.0),
-            )
+        write_coverage_plots(results, out_dir)
     return 0
 
 

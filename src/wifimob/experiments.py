@@ -41,7 +41,8 @@ from .pairing import (  # PairedEvents is re-exported from here
     PairingConfig,
     pair_arrays,
 )
-from .trace_model import BssidId, SensorArrays, UserId
+from .svgplot import write_line_plot
+from .trace_model import BssidId, SensorArrays, UserId, user_bounds
 from .synthgen import _rng
 
 _NEVER = np.int64(np.iinfo(np.int64).max)
@@ -201,7 +202,7 @@ class ExperimentData:
     def _user_bin_sets(self) -> list[dict[int, set[int]]]:
         if self._bin_sets is None:
             t = self.table
-            bounds = np.searchsorted(t.pres_user, np.arange(t.n_users + 1))
+            bounds = user_bounds(t.pres_user, t.n_users)
             self._bin_sets = []
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 # the user's rows, regrouped by AP
@@ -220,25 +221,25 @@ def _table_from_arrays(arrays: SensorArrays, bin_ms: int) -> ScanTable:
     """Presence table built one user at a time.
 
     Only one user's sightings are expanded at once, so the temporaries
-    scale with the largest user rather than with the whole log. Scan rows
-    need not be grouped by user.
+    scale with the largest user rather than with the whole log.
     """
     n_users, n_aps = len(arrays.user_ids), len(arrays.bssids)
-    by_user = np.argsort(arrays.scan_user, kind="stable")
-    bounds = np.searchsorted(arrays.scan_user[by_user], np.arange(n_users + 1))
+    bounds = user_bounds(arrays.scan_user, n_users)
     data_user, data_bin = [], []
     pres_user, pres_bin, pres_ap, pres_last_ts = [], [], [], []
     for u in range(n_users):
-        scans = by_user[bounds[u] : bounds[u + 1]]
-        bins = arrays.scan_ts[scans] // bin_ms
+        lo, hi = bounds[u], bounds[u + 1]
+        scan_ts = arrays.scan_ts[lo:hi]
+        bins = scan_ts // bin_ms
         uniq_bins = np.unique(bins)
         data_user.append(np.full(uniq_bins.size, u, dtype=np.int32))
         data_bin.append(uniq_bins)
 
-        flat, lens = arrays.sighting_index(scans)
-        if flat.size == 0:
+        off = arrays.scan_off[lo : hi + 1]
+        if off[0] == off[-1]:
             continue
-        key = np.repeat(bins, lens) * n_aps + arrays.scan_ap[flat]
+        lens = np.diff(off)
+        key = np.repeat(bins, lens) * n_aps + arrays.scan_ap[off[0] : off[-1]]
         order = np.argsort(key, kind="stable")
         key = key[order]
         starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
@@ -246,7 +247,7 @@ def _table_from_arrays(arrays: SensorArrays, bin_ms: int) -> ScanTable:
         pres_bin.append(key[starts] // n_aps)
         pres_ap.append(key[starts] % n_aps)
         # the latest sighting instant within each (bin, ap) run
-        ts = np.repeat(arrays.scan_ts[scans], lens)
+        ts = np.repeat(scan_ts, lens)
         pres_last_ts.append(np.maximum.reduceat(ts[order], starts))
 
     return ScanTable(
@@ -283,17 +284,6 @@ class ExperimentResult:
     coverage: CoverageSeries
     histograms: dict[int, list[int]]
     summary: dict[str, float]
-
-    def __eq__(self, other) -> bool:  # type: ignore[override]
-        if not isinstance(other, ExperimentResult):
-            return NotImplemented
-        return (
-            self.strategy == other.strategy
-            and self.scenario == other.scenario
-            and self.coverage.per_user_day == other.coverage.per_user_day
-            and self.histograms == other.histograms
-            and self.summary == other.summary
-        )
 
 
 def _first_ts_matrix(
@@ -341,7 +331,7 @@ def _coverage_from_first_ts(
     t = data.table
     known = viewer_first_ts[t.pres_user.astype(np.int64), t.pres_ap.astype(np.int64)] <= t.pres_last_ts
     if relocated_guard:
-        bounds = np.searchsorted(t.pres_user, np.arange(t.n_users + 1))
+        bounds = user_bounds(t.pres_user, t.n_users)
         for u, guard in enumerate(relocated_guard):
             lo, hi = bounds[u], bounds[u + 1]
             for ap, intervals in guard.items():
@@ -555,3 +545,20 @@ def write_histograms_csv(results: Sequence[ExperimentResult], path) -> None:
                     writer.writerow(
                         [name, param, res.scenario.value, day, repr(i / 10), count]
                     )
+
+
+def write_coverage_plots(results: Sequence[ExperimentResult], out_dir) -> None:
+    """One coverage-vs-day SVG per strategy, a line per scenario."""
+    by_cell: dict[tuple[str, str], dict] = {}
+    for res in results:
+        series = by_cell.setdefault(res.strategy.label(), {})
+        series[res.scenario.value] = sorted(res.coverage.daily_means().items())
+    for (name, param), series in sorted(by_cell.items()):
+        write_line_plot(
+            Path(out_dir) / f"coverage_{name}_{param.replace('.', 'p')}.svg",
+            series,
+            title=f"{name}({param})",
+            x_label="day",
+            y_label="mean coverage",
+            y_range=(0.0, 1.0),
+        )

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trace_model import BssidId, GeoPoint, SensorArrays, TimestampMs, UserId
+from .trace_model import BssidId, GeoPoint, SensorArrays, TimestampMs, UserId, user_bounds
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,28 +121,29 @@ def pair_time_indices(
 def pair_arrays(arrays: SensorArrays, cfg: PairingConfig = PairingConfig()) -> PairedEvents:
     """Columnar pairing: one event per sighting in each fix's chosen scan.
 
-    Per user, fixes and scans must be in time order; out-of-order scans
-    raise TraceError. Fixes whose accuracy exceeds ``cfg.max_accuracy_m``
-    are skipped; a NaN accuracy (not reported) is kept.
+    Each user's fixes and scans are a slice in time order, as
+    :class:`SensorArrays` guarantees. Fixes whose accuracy exceeds
+    ``cfg.max_accuracy_m`` are skipped; a NaN accuracy (not reported) is kept.
     """
-    by_user = arrays.scans_by_user()
-    bounds = np.searchsorted(arrays.scan_user[by_user], np.arange(len(arrays.user_ids) + 1))
+    n_users = len(arrays.user_ids)
+    fix_bounds = user_bounds(arrays.fix_user, n_users)
+    scan_bounds = user_bounds(arrays.scan_user, n_users)
     parts = []
-    for u in range(len(arrays.user_ids)):
-        fsel = np.nonzero(arrays.fix_user == u)[0]
+    for u in range(n_users):
+        fsel = np.arange(fix_bounds[u], fix_bounds[u + 1])
         if cfg.max_accuracy_m is not None:
             # compare in float64, the precision of the Python float threshold
             acc = arrays.fix_acc[fsel].astype(np.float64)
             fsel = fsel[~(acc > cfg.max_accuracy_m)]
-        ssel = by_user[bounds[u] : bounds[u + 1]]
-        if fsel.size == 0 or ssel.size == 0:
+        s_lo, s_hi = scan_bounds[u], scan_bounds[u + 1]
+        if fsel.size == 0 or s_lo == s_hi:
             continue
         chosen = pair_time_indices(
-            arrays.fix_ts[fsel], arrays.scan_ts[ssel], cfg.window_ms
+            arrays.fix_ts[fsel], arrays.scan_ts[s_lo:s_hi], cfg.window_ms
         )
         hit = chosen >= 0
         fix_i = fsel[hit]
-        flat_idx, lens = arrays.sighting_index(ssel[chosen[hit]])
+        flat_idx, lens = arrays.sighting_index(s_lo + chosen[hit])
         total = int(flat_idx.size)
         if total == 0:
             continue

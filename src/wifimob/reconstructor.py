@@ -86,15 +86,14 @@ def build_timeline(
     """Per-user binned timelines of a columnar log.
 
     Each bin's first resolvable scan is found with array operations; only
-    those scans get a position estimate. Each user's scans must be in time
-    order (ties allowed), so that the first resolvable scan of a bin is the
-    earliest; otherwise TraceError.
+    those scans get a position estimate. Each user's scans are in time
+    order, as :class:`SensorArrays` guarantees, so the first resolvable scan
+    of a bin is the earliest.
     """
-    order = arrays.scans_by_user()
-    u, t = arrays.scan_user[order], arrays.scan_ts[order]
+    u, t = arrays.scan_user, arrays.scan_ts
     same_user = u[1:] == u[:-1]
     bins = t // bin_ms
-    new_bin = np.ones(order.size, dtype=bool)
+    new_bin = np.ones(t.size, dtype=bool)
     new_bin[1:] = ~same_user | (bins[1:] != bins[:-1])
 
     usable = _usable_sightings(arrays, *db.beacons(arrays.bssids))
@@ -102,7 +101,7 @@ def build_timeline(
     n_hits = hits_before[arrays.scan_off[1:]] - hits_before[arrays.scan_off[:-1]]
 
     # the first resolvable scan of each (user, bin) run
-    res_pos = np.nonzero(n_hits[order] > 0)[0]
+    res_pos = np.nonzero(n_hits > 0)[0]
     run = np.cumsum(new_bin)[res_pos]
     first_in_run = np.ones(res_pos.size, dtype=bool)
     first_in_run[1:] = run[1:] != run[:-1]
@@ -116,9 +115,8 @@ def build_timeline(
             tl = timelines[user] = BinnedTimeline(user=user, bin_ms=bin_ms)
         tl.bins_with_data.add(int(bins[k]))
     for k in first.tolist():
-        scan = int(order[k])
         scan_ts = int(t[k])
-        lo, hi = int(arrays.scan_off[scan]), int(arrays.scan_off[scan + 1])
+        lo, hi = int(arrays.scan_off[k]), int(arrays.scan_off[k + 1])
         bssids = [arrays.bssids[a] for a in arrays.scan_ap[lo:hi][usable[lo:hi]].tolist()]
         hits = [(b, db.records[b].position_at(scan_ts)) for b in bssids]
         user = arrays.user_ids[u[k]]

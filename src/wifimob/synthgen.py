@@ -33,6 +33,7 @@ from .trace_model import (  # SensorArrays is re-exported from here
     _fix_json,
     _ragged_index,
     _scan_json,
+    user_bounds,
 )
 
 DAY_MS = 86_400_000
@@ -863,9 +864,6 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
         seg_idx = np.clip(np.searchsorted(seg.t1, ts, side="right"), 0, len(seg.t0) - 1)
         dropped = rng.random(n_scans) < spec.scan_dropout
 
-        sx, sy = seg.position_xy(ts)
-        cell_w = gt.grid.weight_at_xy(sx, sy).astype(np.float32)
-
         # static routers of every kept scan in one batched query: a stay scan
         # asks once per stay segment at its point, a move scan at its own
         # position; each scan lists its query's CSR row
@@ -874,9 +872,9 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
         stay = seg.kind[kseg] == 0
         stay_seg, stay_row = np.unique(kseg[stay], return_inverse=True)
         move = kept[~stay]
+        mx, my = seg.position_xy(ts[move])
         q_off, q_ids = ap_index.query(
-            np.concatenate([seg.x0[stay_seg], sx[move]]),
-            np.concatenate([seg.y0[stay_seg], sy[move]]),
+            np.concatenate([seg.x0[stay_seg], mx]), np.concatenate([seg.y0[stay_seg], my])
         )
         qrow = np.empty(kept.size, dtype=np.int64)
         qrow[stay] = stay_row
@@ -919,7 +917,7 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
         flat_lat, flat_lon = _xy_to_latlon(fx, fy)
 
         all_fix.append((np.full(fts.size, u, dtype=np.int32), fts, flat_lat, flat_lon))
-        all_scan.append((np.full(n_scans, u, dtype=np.int32), ts, counts, cell_w))
+        all_scan.append((np.full(n_scans, u, dtype=np.int32), ts, counts))
 
     fix_user = np.concatenate([f[0] for f in all_fix])
     fix_ts = np.concatenate([f[1] for f in all_fix])
@@ -928,7 +926,6 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
 
     scan_user = np.concatenate([s[0] for s in all_scan])
     scan_ts = np.concatenate([s[1] for s in all_scan])
-    scan_cell_w = np.concatenate([s[3] for s in all_scan])
     scan_off = np.concatenate([[0], np.cumsum(np.concatenate([s[2] for s in all_scan]))])
     # each user's sightings go straight into scan_ap; holding them per user
     # for one final concatenate kept grid_30d's peak RSS 10-13 % higher,
@@ -945,7 +942,6 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
         user_ids=gt.user_ids,
         bssids=gt.bssids(),
         ssids=[gt.ssid(i) for i in range(gt.n_aps)],
-        n_static=gt.n_static,
         fix_user=fix_user,
         fix_ts=fix_ts,
         fix_lat=fix_lat,
@@ -955,14 +951,19 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
         scan_ts=scan_ts,
         scan_off=scan_off,
         scan_ap=scan_ap,
-        scan_cell_w=scan_cell_w,
     )
 
 
-def density_count_r2(arrays: SensorArrays) -> float:
-    """r-squared of per-scan AP count against the density weight of the scan's cell."""
+def density_count_r2(gt: GroundTruth, arrays: SensorArrays) -> float:
+    """r-squared of per-scan AP count against the density weight of the cell
+    at the scan's true position; ``arrays`` is ``gt``'s simulated log."""
+    bounds = user_bounds(arrays.scan_user, len(arrays.user_ids))
+    w = np.empty(arrays.n_scans, dtype=np.float32)
+    for u, seg in enumerate(gt.segments):
+        lo, hi = bounds[u], bounds[u + 1]
+        w[lo:hi] = gt.grid.weight_at_xy(*seg.position_xy(arrays.scan_ts[lo:hi]))
+    w = w.astype(np.float64)
     counts = arrays.scan_counts().astype(np.float64)
-    w = arrays.scan_cell_w.astype(np.float64)
     if counts.size < 2 or counts.std() == 0 or w.std() == 0:
         return 0.0
     r = np.corrcoef(w, counts)[0, 1]

@@ -176,16 +176,17 @@ class SensorArrays:
     Scan sightings are ragged: scan ``k`` holds
     ``scan_ap[scan_off[k]:scan_off[k + 1]]``. A missing fix accuracy is NaN.
 
-    Arrays from :func:`ingest_arrays` carry sorted tables, rows in canonical
-    order, no SSIDs (``ssids`` is all None), zeros in ``scan_cell_w`` and
-    ``n_static == 0``: the last two are generator ground truth that a log
-    file does not hold.
+    Fix rows and scan rows are each sorted by (user index, ts), ties
+    allowed, so each user's rows are one slice (:func:`user_bounds`) in time
+    order: nearest-scan pairing and first-scan-in-bin timelines rely on it.
+    Construction checks this and raises TraceError naming the first user
+    whose rows break it. Arrays from :func:`ingest_arrays` also carry sorted
+    tables and no SSIDs (``ssids`` is all None).
     """
 
     user_ids: list[str]
     bssids: list[str]
     ssids: list[Optional[str]]
-    n_static: int
     # GPS fixes
     fix_user: np.ndarray
     fix_ts: np.ndarray
@@ -197,7 +198,10 @@ class SensorArrays:
     scan_ts: np.ndarray
     scan_off: np.ndarray
     scan_ap: np.ndarray
-    scan_cell_w: np.ndarray  # density weight at the true scan position
+
+    def __post_init__(self) -> None:
+        _check_row_order("fixes", self.user_ids, self.fix_user, self.fix_ts)
+        _check_row_order("scans", self.user_ids, self.scan_user, self.scan_ts)
 
     @property
     def n_scans(self) -> int:
@@ -211,28 +215,31 @@ class SensorArrays:
             return 0.0
         return float((self.scan_counts() > 0).mean())
 
-    def scans_by_user(self) -> np.ndarray:
-        """Scan rows grouped by user index, each user's rows in array order.
-
-        Each user's scans must be in time order (ties allowed); otherwise
-        TraceError, since a later row earlier in time breaks every
-        nearest-scan and first-scan-in-bin search.
-        """
-        order = np.argsort(self.scan_user, kind="stable")
-        user, ts = self.scan_user[order], self.scan_ts[order]
-        bad = np.flatnonzero((user[1:] == user[:-1]) & (ts[1:] < ts[:-1]))
-        if bad.size:
-            k = int(bad[0])
-            raise TraceError(
-                f"scans of user {self.user_ids[user[k]]} out of time order: "
-                f"{int(ts[k + 1])} after {int(ts[k])}"
-            )
-        return order
-
     def sighting_index(self, scans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat ``scan_ap`` indices of the given scans' sightings, in scan
         order, plus the sighting count of each scan."""
         return _ragged_index(self.scan_off, scans)
+
+
+def _check_row_order(what: str, user_ids: list[str], user: np.ndarray, ts: np.ndarray) -> None:
+    same = user[1:] == user[:-1]
+    bad = np.flatnonzero((user[1:] < user[:-1]) | (same & (ts[1:] < ts[:-1])))
+    if bad.size:
+        k = int(bad[0])
+        if same[k]:
+            raise TraceError(
+                f"{what} of user {user_ids[user[k]]} out of time order: "
+                f"{int(ts[k + 1])} after {int(ts[k])}"
+            )
+        raise TraceError(
+            f"{what} of user {user_ids[user[k + 1]]} after those of user {user_ids[user[k]]}"
+        )
+
+
+def user_bounds(user: np.ndarray, n_users: int) -> np.ndarray:
+    """Row bounds of each user in a column sorted by user index: user
+    ``u``'s rows are ``bounds[u]:bounds[u + 1]``."""
+    return np.searchsorted(user, np.arange(n_users + 1))
 
 
 def _ragged_index(off: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -512,7 +519,6 @@ def ingest_arrays(gps_path, wifi_path) -> tuple[SensorArrays, IngestReport]:
         user_ids=user_ids,
         bssids=bssids,
         ssids=[None] * len(bssids),
-        n_static=0,
         fix_user=f_user[f_order],
         fix_ts=f_ts[f_order],
         fix_lat=f_lat[f_order],
@@ -522,7 +528,6 @@ def ingest_arrays(gps_path, wifi_path) -> tuple[SensorArrays, IngestReport]:
         scan_ts=s_ts[s_order],
         scan_off=np.concatenate([[0], np.cumsum(lens)]).astype(np.int64),
         scan_ap=ap_map[ap_raw[flat]],
-        scan_cell_w=np.zeros(s_order.size, dtype=np.float32),
     )
     return arrays, report
 

@@ -252,7 +252,6 @@ def records_to_arrays(
         user_ids=user_ids,
         bssids=bssids,
         ssids=[ssid_of[b] for b in bssids],
-        n_static=0,
         fix_user=np.array([user_idx[f.user] for f in fixes], dtype=np.int32),
         fix_ts=np.array([f.ts for f in fixes], dtype=np.int64),
         fix_lat=np.array([f.pos.lat_deg for f in fixes], dtype=np.float64),
@@ -266,7 +265,6 @@ def records_to_arrays(
         scan_ap=np.array(
             [ap_idx[s.bssid] for scan in scans for s in scan.sightings], dtype=np.int32
         ),
-        scan_cell_w=np.zeros(len(scans), dtype=np.float32),
     )
 
 

@@ -281,7 +281,7 @@ def test_criterion_08_top_routers(localization):
 def test_criterion_09_emission_calibration(default_world):
     _, gt, arrays = default_world
     nonempty = arrays.nonempty_scan_fraction()
-    r2 = density_count_r2(arrays)
+    r2 = density_count_r2(gt, arrays)
     _report(
         9,
         "emission calibration",

@@ -29,7 +29,7 @@ from wifimob.experiments import (
 )
 from wifimob.pairing import PairedObservation
 from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays
-from wifimob.trace_model import ApSighting, GeoPoint, GpsFix, SensorArrays, WifiScan
+from wifimob.trace_model import ApSighting, GeoPoint, GpsFix, SensorArrays, TraceError, WifiScan
 
 P = GeoPoint(55.7, 12.5)
 
@@ -371,7 +371,6 @@ def _hand_built_arrays(scans, user_ids, bssids, fix_users=()):
         user_ids=user_ids,
         bssids=bssids,
         ssids=[None] * len(bssids),
-        n_static=0,
         fix_user=np.array(fix_users, dtype=np.int32),
         fix_ts=np.arange(n_fix, dtype=np.int64),
         fix_lat=np.full(n_fix, 55.0),
@@ -381,7 +380,6 @@ def _hand_built_arrays(scans, user_ids, bssids, fix_users=()):
         scan_ts=np.array([t for _, t, _ in scans], dtype=np.int64),
         scan_off=np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]).astype(np.int64),
         scan_ap=np.array([a for _, _, aps in scans for a in aps], dtype=np.int32),
-        scan_cell_w=np.zeros(len(scans), dtype=np.float32),
     )
 
 
@@ -394,7 +392,7 @@ class TestScanTable:
 
     def test_matches_record_oracle_on_hand_built_arrays(self):
         bin_ms = 600_000
-        scans = [
+        interleaved = [
             (0, 700_000, [1, 0]),
             (1, 100, [2]),
             (0, 650_000, [0]),  # ap 0 again in bin 1, earlier
@@ -404,13 +402,16 @@ class TestScanTable:
             (3, 900_000, []),
             (0, 1_199_999, [0]),  # ap 0 again in bin 1, latest
         ]
+        user_ids = ["ann", "bob", "cat", "dan"]
+        bssids = ["02:00:00:00:00:01", "02:00:00:00:00:02", "02:00:00:00:00:03"]
+        # rows must come in (user, ts) order, fixes as well as scans
+        with pytest.raises(TraceError, match="scans of user ann after those of user bob"):
+            _hand_built_arrays(interleaved, user_ids, bssids, fix_users=[0, 2])
+        scans = sorted(interleaved, key=lambda row: row[:2])
+        with pytest.raises(TraceError, match="fixes of user ann after those of user cat"):
+            _hand_built_arrays(scans, user_ids, bssids, fix_users=[2, 0])
         # cat has fixes but no scans
-        arrays = _hand_built_arrays(
-            scans,
-            ["ann", "bob", "cat", "dan"],
-            ["02:00:00:00:00:01", "02:00:00:00:00:02", "02:00:00:00:00:03"],
-            fix_users=[2, 0],
-        )
+        arrays = _hand_built_arrays(scans, user_ids, bssids, fix_users=[0, 2])
         table = _table_from_arrays(arrays, bin_ms)
         oracle = _oracle_table(arrays, bin_ms)
         assert table.bssids == oracle.bssids

@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import arrays_to_traceset, pair_records, prepare_from_traces, records_to_arrays
-from wifimob.ap_locator import ApDatabase
 from wifimob.experiments import ExperimentConfig, prepare_experiment_data
 from wifimob.pairing import PairingConfig, pair_arrays, pair_observations, pair_time_indices
-from wifimob.reconstructor import build_timeline
 from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays
 from wifimob.trace_model import ApSighting, GeoPoint, GpsFix, TraceError, TraceSet, WifiScan
 
@@ -68,15 +66,12 @@ def test_accuracy_filter_off_by_default():
 
 
 def test_out_of_order_scans_fail_loudly():
-    """Pairing rejects a user's unsorted scans as timelines do, instead of
-    silently missing the scan nearest in time."""
+    """A user's unsorted scans are refused when the columns are built, so
+    pairing never silently misses the scan nearest in time."""
     fixes = [GpsFix(user="u", ts=0, pos=GeoPoint(55.0, 12.0))]
     scans = [WifiScan(user="u", ts=2000, sightings=[]), WifiScan(user="u", ts=0, sightings=[AP1])]
-    arrays = records_to_arrays(fixes, scans)
     with pytest.raises(TraceError, match="scans of user u out of time order: 0 after 2000"):
-        pair_arrays(arrays)
-    with pytest.raises(TraceError, match="scans of user u out of time order: 0 after 2000"):
-        build_timeline(arrays, ApDatabase(records={}))
+        records_to_arrays(fixes, scans)
 
 
 def test_bad_window_rejected():

@@ -199,14 +199,23 @@ def test_two_day_single_user_reconstruction_accuracy():
 def test_timeline_rejects_out_of_order_scans():
     db = ApDatabase(records={"a": _static("a", _offset(0, 0))})
     scans = [_scan(["a"], ts=700_000), _scan(["a"], ts=0, user="v"), _scan([], ts=0)]
-    with pytest.raises(TraceError, match="out of time order"):
+    # the columns refuse such rows when they are built
+    with pytest.raises(TraceError, match="scans of user u after those of user v"):
         _timeline(scans, db)
+    with pytest.raises(TraceError, match="scans of user u out of time order: 0 after 700000"):
+        _timeline([scans[0], scans[2], scans[1]], db)
     with pytest.raises(TraceError, match="out of time order"):
         timeline_from_records(scans, db)
-    # equal timestamps and interleaved users are fine
-    _timeline([_scan([], ts=5), _scan([], ts=1, user="v"), _scan(["a"], ts=5)], db)
-    ok = [_scan(["a"], ts=5), _scan(["a"], ts=1, user="v"), _scan(["a"], ts=5)]
-    assert _timeline(ok, db) == timeline_from_records(ok, db)
+    # equal timestamps are fine; interleaved users are fine for the record
+    # oracle, and the columns take the same rows in (user, ts) order
+    for rows in (
+        [_scan([], ts=5), _scan([], ts=1, user="v"), _scan(["a"], ts=5)],
+        [_scan(["a"], ts=5), _scan(["a"], ts=1, user="v"), _scan(["a"], ts=5)],
+    ):
+        with pytest.raises(TraceError, match="scans of user u after those of user v"):
+            _timeline(rows, db)
+        in_order = sorted(rows, key=lambda s: s.user)  # stable: ties keep their order
+        assert _timeline(in_order, db) == timeline_from_records(rows, db)
 
 
 def _write_jsonl(path, rows):

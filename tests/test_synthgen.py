@@ -436,5 +436,5 @@ def test_default_world_calibration(default_world):
     assert 2500 <= gt.n_static <= 3700
     nonempty = arrays.nonempty_scan_fraction()
     assert 0.85 <= nonempty <= 0.95
-    r2 = density_count_r2(arrays)
+    r2 = density_count_r2(gt, arrays)
     assert 0.35 <= r2 <= 0.65

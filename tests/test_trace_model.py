@@ -12,6 +12,7 @@ from wifimob.trace_model import (
     BssidParseError,
     GeoPoint,
     GpsFix,
+    SensorArrays,
     TraceError,
     TraceSet,
     WifiScan,
@@ -19,8 +20,10 @@ from wifimob.trace_model import (
     ingest_traces,
     ingest_traces_verbose,
     normalize_bssid,
+    user_bounds,
     write_traces,
 )
+from wifimob.synthgen import write_dataset
 
 
 def test_normalize_bssid_forms():
@@ -208,10 +211,11 @@ def _array_rows(arrays):
     return fixes, scans
 
 
-def _assert_routes_agree(gps, wifi):
+def _assert_routes_agree(gps, wifi, records=None):
     """ingest_arrays and the record ingest accept the same lines, report the
-    same errors and yield the same rows in the same order."""
-    traces, report = ingest_traces_verbose(gps, wifi)
+    same errors and yield the same rows in the same order. ``records`` is the
+    record ingest's result on these files, when already at hand."""
+    traces, report = records or ingest_traces_verbose(gps, wifi)
     arrays, array_report = ingest_arrays(gps, wifi)
     assert array_report == report
     assert _array_rows(arrays) == _record_rows(traces)
@@ -242,24 +246,73 @@ def test_ingest_order_insensitive(tmp_path_factory, traces, shuffle_seed):
     assert wifi.read_bytes() == wifi2.read_bytes()
 
 
-def test_synthetic_ingest_matches_generator_counts(small_world, tmp_path):
-    _, gt, arrays, traces = small_world
-    from wifimob.synthgen import write_dataset
+@pytest.fixture(scope="module")
+def synthetic_files(small_world, tmp_path_factory):
+    """small_world written out once, with its record ingest and line report."""
+    _, gt, arrays, _ = small_world
+    out = tmp_path_factory.mktemp("synthetic")
+    counts = write_dataset(gt, arrays, out)
+    gps, wifi = out / "gps.jsonl", out / "wifi.jsonl"
+    return gps, wifi, counts, ingest_traces_verbose(gps, wifi)
 
-    counts = write_dataset(gt, arrays, tmp_path)
-    loaded = ingest_traces(tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl")
+
+def test_synthetic_ingest_matches_generator_counts(small_world, synthetic_files):
+    _, _, _, traces = small_world
+    _, _, counts, (loaded, _) = synthetic_files
     assert len(loaded.fixes) == counts["gps_fixes"] == len(traces.fixes)
     assert len(loaded.scans) == counts["wifi_scans"] == len(traces.scans)
 
 
-def test_ingest_routes_agree_on_synthetic_files(small_world, tmp_path):
-    _, gt, arrays, _ = small_world
-    from wifimob.synthgen import write_dataset
-
-    write_dataset(gt, arrays, tmp_path)
-    traces, loaded = _assert_routes_agree(tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl")
+def test_ingest_routes_agree_on_synthetic_files(small_world, synthetic_files):
+    _, _, arrays, _ = small_world
+    gps, wifi, _, records = synthetic_files
+    traces, loaded = _assert_routes_agree(gps, wifi, records)
     assert loaded.n_scans == arrays.n_scans and loaded.scan_ap.size == arrays.scan_ap.size
-    assert loaded.n_static == 0 and not loaded.scan_cell_w.any()
+    assert loaded.ssids == [None] * len(loaded.bssids)
+
+
+def _rows_arrays(fixes=(), scans=(), user_ids=("amy", "bob", "cat")):
+    """SensorArrays holding ``(user index, ts)`` fix and scan rows in the
+    given order; every scan is empty."""
+
+    def columns(rows):
+        rows = np.array(rows, dtype=np.int64).reshape(-1, 2)
+        return rows[:, 0].astype(np.int32), rows[:, 1]
+
+    fix_user, fix_ts = columns(fixes)
+    scan_user, scan_ts = columns(scans)
+    return SensorArrays(
+        user_ids=list(user_ids),
+        bssids=[],
+        ssids=[],
+        fix_user=fix_user,
+        fix_ts=fix_ts,
+        fix_lat=np.zeros(fix_ts.size),
+        fix_lon=np.zeros(fix_ts.size),
+        fix_acc=np.full(fix_ts.size, np.nan),
+        scan_user=scan_user,
+        scan_ts=scan_ts,
+        scan_off=np.zeros(scan_ts.size + 1, dtype=np.int64),
+        scan_ap=np.empty(0, dtype=np.int32),
+    )
+
+
+def test_sensor_arrays_rows_sorted_by_user_then_time():
+    # ties on (user, ts) are fine, and bob has no rows at all
+    arrays = _rows_arrays(fixes=[(0, 5), (0, 5), (2, 1)], scans=[(0, 3), (2, 0), (2, 0), (2, 9)])
+    assert user_bounds(arrays.fix_user, 3).tolist() == [0, 2, 2, 3]
+    assert user_bounds(arrays.scan_user, 3).tolist() == [0, 1, 1, 4]
+    assert user_bounds(_rows_arrays().scan_user, 3).tolist() == [0, 0, 0, 0]
+    assert user_bounds(_rows_arrays(user_ids=()).fix_user, 0).tolist() == [0]
+    with pytest.raises(TraceError, match="fixes of user cat out of time order: 0 after 1"):
+        _rows_arrays(fixes=[(0, 5), (2, 1), (2, 0)], scans=[(0, 3)])
+    with pytest.raises(TraceError, match="scans of user amy out of time order: 2 after 3"):
+        _rows_arrays(fixes=[(0, 5)], scans=[(0, 3), (0, 2), (2, 0)])
+    # a lower user after a higher one, even at a later time
+    with pytest.raises(TraceError, match="scans of user amy after those of user cat"):
+        _rows_arrays(scans=[(0, 1), (2, 0), (0, 7)])
+    with pytest.raises(TraceError, match="fixes of user bob after those of user cat"):
+        _rows_arrays(fixes=[(2, 0), (1, 5)])
 
 
 def _hand_built_lines():
