@@ -366,20 +366,161 @@ def _dbscan_grid(lat, lon, eps_m, min_pts, radius_m, cos_max):
     return assignment
 
 
-def _local_plane(lat_deg: np.ndarray, lon_deg: np.ndarray, radius_m: float):
-    """Equirectangular projection about the centroid; returns (x, y, unproject)."""
-    lat0 = float(np.mean(lat_deg))
-    lon0 = float(np.mean(lon_deg))
-    coslat = math.cos(math.radians(lat0))
-    x = np.radians(lon_deg - lon0) * radius_m * coslat
-    y = np.radians(lat_deg - lat0) * radius_m
+def _lead_zero(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` split in runs of ``counts``, each run led by a 0.0, and
+    the index of every leading zero.
 
-    def unproject(px: float, py: float) -> GeoPoint:
-        lat = lat0 + math.degrees(py / radius_m)
-        lon = lon0 + math.degrees(px / (radius_m * coslat))
-        return GeoPoint(lat, lon)
+    ``np.add.reduceat`` starts a run's sum from the run's first entry,
+    ``run.sum()`` from zero; over led runs the two agree to the bit, and an
+    empty run sums to 0.0.
+    """
+    heads = np.cumsum(counts) - counts + np.arange(counts.size)
+    led = np.zeros(values.size + counts.size)
+    body = np.ones(led.size, dtype=bool)
+    body[heads] = False
+    led[body] = values
+    return led, heads
 
-    return x, y, unproject
+
+def geometric_medians(
+    lat_deg: np.ndarray,
+    lon_deg: np.ndarray,
+    starts: np.ndarray,
+    radius_m: float = EARTH_RADIUS_M,
+    tol_m: float = 1e-6,
+    max_iter: int = 20000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Geometric medians of many point sets at once, as (lat, lon) arrays.
+
+    Set ``i`` holds the points ``starts[i]`` up to ``starts[i + 1]`` (the
+    last one to the end) of two degree arrays; no set may be empty.
+
+    Each set runs Weiszfeld iterations on a local equirectangular plane
+    about its centroid, which is exact to well under a centimeter at the
+    sub-kilometer scales clusters have here. The stop threshold is
+    deliberately tight: near-degenerate point sets give the iteration a long
+    flat valley, and a loose step cutoff can park it tens of meters from the
+    minimizer (Beck & Sabach 2015). When an iterate comes within 0.5 m of a
+    data point that meets the vertex optimality condition (Vardi & Zhang
+    2000), that point is the median; an iterate sitting on any other data point is nudged
+    1 cm east. One point is its own median, and two return their midpoint
+    (one of the infinitely many minimizers).
+
+    Every iteration serves all sets still running with segment reductions
+    over their points, each set led by a zero so that its sums are those of
+    the set on its own: a set's median never depends on the others.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.diff(starts, append=lat_deg.shape[0])
+    if starts.size == 0 or starts[0] != 0 or (counts < 1).any():
+        raise ValueError("geometric_median of empty point set")
+    out_lat = lat_deg[starts].astype(np.float64)
+    out_lon = lon_deg[starts].astype(np.float64)
+    multi = np.flatnonzero(counts > 1)
+    if multi.size == 0:
+        return out_lat, out_lon
+
+    # the local plane of each set, its points led by a zero
+    n = counts[multi]
+    in_multi = np.repeat(counts > 1, counts)
+    lat, heads = _lead_zero(lat_deg[in_multi], n)
+    lon, _ = _lead_zero(lon_deg[in_multi], n)
+    lat0 = np.add.reduceat(lat, heads) / n
+    lon0 = np.add.reduceat(lon, heads) / n
+    coslat = np.array([math.cos(math.radians(v)) for v in lat0.tolist()])
+    size = n + 1
+    x = np.radians(lon - np.repeat(lon0, size)) * radius_m * np.repeat(coslat, size)
+    y = np.radians(lat - np.repeat(lat0, size)) * radius_m
+    # zero heads keep every sum below per set; their distance is set to
+    # infinity, so their weight is zero too
+    x[heads] = 0.0
+    y[heads] = 0.0
+    px = np.add.reduceat(x, heads) / n
+    py = np.add.reduceat(y, heads) / n
+    # plane results; two points stop at their midpoint
+    rx, ry = px.copy(), py.copy()
+
+    ids = np.arange(n.size)
+
+    def keep_sets(keep):
+        nonlocal x, y, size, heads, ids, px, py
+        at = np.repeat(keep, size)
+        x, y = x[at], y[at]
+        size, ids, px, py = size[keep], ids[keep], px[keep], py[keep]
+        heads = np.cumsum(size) - size
+
+    keep_sets(n > 2)
+    for _ in range(max_iter):
+        if ids.size == 0:
+            break
+        d = np.hypot(x - np.repeat(px, size), y - np.repeat(py, size))
+        d[heads] = np.inf
+        dmin = np.minimum.reduceat(d, heads)
+        done = np.zeros(ids.size, dtype=bool)
+        near = np.flatnonzero(dmin < 0.5)
+        if near.size:
+            # close to a data point: when that point satisfies the vertex
+            # optimality condition it IS the median, and iterating further
+            # would only creep toward it sublinearly
+            vertex, vx, vy = _vertex_test(x, y, d, dmin, heads, size, near)
+            done[near[vertex]] = True
+            rx[ids[near[vertex]]] = vx[vertex]
+            ry[ids[near[vertex]]] = vy[vertex]
+        # sits on a non-optimal data point (some d < 1e-9); nudge east and retry
+        nudge = (dmin < 1e-9) & ~done
+        px[nudge] += 0.01
+        step = ~(done | nudge)
+        # a nudged set's infinite weights are never read
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = 1.0 / d
+            wsum = np.add.reduceat(w, heads)
+            nx = np.add.reduceat(x * w, heads)[step] / wsum[step]
+            ny = np.add.reduceat(y * w, heads)[step] / wsum[step]
+        # Python's hypot, as in the one-set loop: numpy's may differ in the
+        # last bit, and these norms decide when a set stops
+        moved = np.array(
+            list(map(math.hypot, (nx - px[step]).tolist(), (ny - py[step]).tolist()))
+        )
+        px[step], py[step] = nx, ny
+        stopped = np.flatnonzero(step)[moved < tol_m]
+        done[stopped] = True
+        rx[ids[stopped]], ry[ids[stopped]] = px[stopped], py[stopped]
+        if done.any():
+            keep_sets(~done)
+    rx[ids], ry[ids] = px, py
+
+    out_lat[multi] = lat0 + np.degrees(ry / radius_m)
+    out_lon[multi] = lon0 + np.degrees(rx / (radius_m * coslat))
+    return out_lat, out_lon
+
+
+def _vertex_test(x, y, d, dmin, heads, size, near):
+    """For the sets ``near`` (indices into ``heads``): is the data point
+    nearest the iterate, the first of them, optimal (its multiplicity at
+    least the length of the summed unit vectors to the other points)? Also
+    returns that point's plane coordinates."""
+    m = size[near]
+    local = np.cumsum(m) - m
+    at = np.arange(m.sum()) + np.repeat(heads[near] - local, m)
+    first = np.where(d[at] == np.repeat(dmin[near], m), at, at[-1] + 1)
+    k = np.minimum.reduceat(first, local)
+    xk, yk = x[k], y[k]
+    dx = x[at] - np.repeat(xk, m)
+    dy = y[at] - np.repeat(yk, m)
+    dj = np.hypot(dx, dy)
+    others = dj > 1e-9
+    coincide = ~others
+    others[local] = coincide[local] = False
+    multiplicity = np.add.reduceat(coincide.astype(np.int64), local)
+    n_others = np.add.reduceat(others.astype(np.int64), local)
+    pull_x, led = _lead_zero(dx[others] / dj[others], n_others)
+    pull_y, _ = _lead_zero(dy[others] / dj[others], n_others)
+    pull_x = np.add.reduceat(pull_x, led).tolist()
+    pull_y = np.add.reduceat(pull_y, led).tolist()
+    vertex = np.array(
+        [math.hypot(a, b) <= c for a, b, c in zip(pull_x, pull_y, multiplicity.tolist())]
+    )
+    return vertex, xk, yk
 
 
 def geometric_median(
@@ -389,54 +530,10 @@ def geometric_median(
     tol_m: float = 1e-6,
     max_iter: int = 20000,
 ) -> GeoPoint:
-    """Point minimizing the summed distance to the points of two degree arrays.
-
-    Runs Weiszfeld iterations on a local planar projection about the
-    centroid, which is exact to well under a centimeter at the sub-kilometer
-    scales clusters have here. The stop threshold is deliberately tight:
-    near-degenerate point sets give the iteration a long flat valley, and a
-    loose step cutoff can park it tens of meters from the minimizer. Two
-    points return their midpoint (one of the infinitely many minimizers); an
-    iterate landing exactly on an input point is nudged 1 cm east.
-    """
-    n = lat_deg.shape[0]
-    if n == 0:
-        raise ValueError("geometric_median of empty point set")
-    if n == 1:
-        return GeoPoint(float(lat_deg[0]), float(lon_deg[0]))
-    x, y, unproject = _local_plane(lat_deg, lon_deg, radius_m)
-    if n == 2:
-        return unproject(float(x.mean()), float(y.mean()))
-
-    px, py = float(x.mean()), float(y.mean())
-    for _ in range(max_iter):
-        dx = x - px
-        dy = y - py
-        d = np.hypot(dx, dy)
-        dmin_idx = int(np.argmin(d))
-        if d[dmin_idx] < 0.5:
-            # close to a data point: when that point satisfies the vertex
-            # optimality condition it IS the median, and iterating further
-            # would only creep toward it sublinearly
-            dj = np.hypot(x - x[dmin_idx], y - y[dmin_idx])
-            others = dj > 1e-9
-            multiplicity = int((~others).sum())
-            pull_x = ((x[others] - x[dmin_idx]) / dj[others]).sum()
-            pull_y = ((y[others] - y[dmin_idx]) / dj[others]).sum()
-            if math.hypot(pull_x, pull_y) <= multiplicity:
-                return unproject(float(x[dmin_idx]), float(y[dmin_idx]))
-        if np.any(d < 1e-9):
-            px += 0.01  # sits on a non-optimal data point; nudge east and retry
-            continue
-        w = 1.0 / d
-        wsum = w.sum()
-        nx = float((x * w).sum() / wsum)
-        ny = float((y * w).sum() / wsum)
-        step = math.hypot(nx - px, ny - py)
-        px, py = nx, ny
-        if step < tol_m:
-            break
-    return unproject(px, py)
+    """Point minimizing the summed distance to the points of two degree
+    arrays: ``geometric_medians`` of one set."""
+    lat, lon = geometric_medians(lat_deg, lon_deg, [0], radius_m, tol_m, max_iter)
+    return GeoPoint(float(lat[0]), float(lon[0]))
 
 
 def classify_ap(
@@ -449,63 +546,76 @@ def classify_ap(
 ) -> ApRecord:
     """Classify one access point from the columns of its paired observations,
     sorted by (ts, lat, lon); ``contributors`` are the users they came from."""
+    pending = _classify_unplaced(bssid, ts, lat, lon, contributors, cfg)
+    _place([pending], ts, lat, lon, cfg)
+    return pending[0]
+
+
+def _classify_unplaced(
+    bssid: BssidId,
+    ts: np.ndarray,
+    lat: np.ndarray,
+    lon: np.ndarray,
+    contributors: frozenset[UserId],
+    cfg: LocatorConfig,
+) -> tuple[ApRecord, list[np.ndarray]]:
+    """``classify_ap`` short of positions: the record with its class, and the
+    rows of each cluster that needs a geometric median (one for a static
+    router, one per segment in time order for a relocated one)."""
     n = ts.shape[0]
+    record = ApRecord(bssid=bssid, ap_class=ApClass.INSUFFICIENT, n_sightings=n,
+                      contributors=contributors)
     if n < cfg.min_sightings:
-        return ApRecord(
-            bssid=bssid,
-            ap_class=ApClass.INSUFFICIENT,
-            n_sightings=n,
-            contributors=contributors,
-        )
+        return record, []
 
     clusters, noise = dbscan(lat, lon, cfg.eps_m, cfg.min_cluster_pts, cfg.earth_radius_m)
-
+    record.ap_class = ApClass.MOBILE
     clustered = n - len(noise)
     if not clusters or clustered / n < cfg.clustered_fraction_min:
-        return ApRecord(
-            bssid=bssid,
-            ap_class=ApClass.MOBILE,
-            n_sightings=n,
-            contributors=contributors,
-        )
+        return record, []
 
     members = [np.array(sorted(c), dtype=np.int64) for c in clusters]
-    if len(clusters) == 1:
-        pos = geometric_median(lat[members[0]], lon[members[0]], radius_m=cfg.earth_radius_m)
-        return ApRecord(
-            bssid=bssid,
-            ap_class=ApClass.STATIC,
-            n_sightings=n,
-            pos=pos,
-            contributors=contributors,
-        )
+    if len(members) == 1:
+        record.ap_class = ApClass.STATIC
+        return record, members
 
     intervals = [TimeInterval(int(ts[m].min()), int(ts[m].max())) for m in members]
     for i in range(len(intervals)):
         for j in range(i + 1, len(intervals)):
             if intervals[i].overlaps(intervals[j]):
-                return ApRecord(
-                    bssid=bssid,
-                    ap_class=ApClass.MOBILE,
-                    n_sightings=n,
-                    contributors=contributors,
-                )
+                return record, []
+    record.ap_class = ApClass.RELOCATED
+    return record, [members[i] for i in np.argsort([iv.start for iv in intervals])]
 
-    segments = [
-        ApSegment(
-            pos=geometric_median(lat[m], lon[m], radius_m=cfg.earth_radius_m),
-            interval=interval,
-        )
-        for m, interval in zip(members, intervals)
-    ]
-    segments.sort(key=lambda s: s.interval.start)
-    return ApRecord(
-        bssid=bssid,
-        ap_class=ApClass.RELOCATED,
-        n_sightings=n,
-        segments=segments,
-        contributors=contributors,
+
+def _place(
+    pending: list[tuple[ApRecord, list[np.ndarray]]],
+    ts: np.ndarray,
+    lat: np.ndarray,
+    lon: np.ndarray,
+    cfg: LocatorConfig,
+) -> None:
+    """Give each pending record of ``_classify_unplaced`` its positions, with
+    one ``geometric_medians`` call over every cluster; cluster rows index
+    ``ts``, ``lat`` and ``lon``."""
+    clusters = [m for _, members in pending for m in members]
+    if not clusters:
+        return
+    sizes = np.array([m.size for m in clusters])
+    rows = np.concatenate(clusters)
+    mlat, mlon = geometric_medians(
+        lat[rows], lon[rows], np.cumsum(sizes) - sizes, cfg.earth_radius_m
     )
+    positions = iter(zip(mlat.tolist(), mlon.tolist()))
+    for record, members in pending:
+        placed = [GeoPoint(*next(positions)) for _ in members]
+        if record.ap_class is ApClass.STATIC:
+            record.pos = placed[0]
+        elif record.ap_class is ApClass.RELOCATED:
+            record.segments = [
+                ApSegment(pos=pos, interval=TimeInterval(int(ts[m].min()), int(ts[m].max())))
+                for pos, m in zip(placed, members)
+            ]
 
 
 def build_database(
@@ -520,20 +630,24 @@ def build_database(
     ``user_ids`` and ``bssids`` are the tables that ``pairs.user`` and
     ``pairs.ap`` index. One sort by (BSSID, ts, lat, lon) makes each access
     point a contiguous run of rows in the order ``classify_ap`` takes, so
-    row order never affects the result.
+    row order never affects the result. Every router is clustered first;
+    one ``geometric_medians`` call then places all of them.
     """
     order = np.lexsort((pairs.lon, pairs.lat, pairs.ts, _string_rank(bssids)[pairs.ap]))
     ap, user = pairs.ap[order], pairs.user[order]
     ts, lat, lon = pairs.ts[order], pairs.lat[order], pairs.lon[order]
     bounds = np.flatnonzero(np.diff(ap, prepend=-1, append=-1))
-    records = {}
+    pending = []
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         bssid = bssids[ap[lo]]
         contributors = frozenset(user_ids[u] for u in np.unique(user[lo:hi]).tolist())
-        records[bssid] = classify_ap(
+        record, members = _classify_unplaced(
             bssid, ts[lo:hi], lat[lo:hi], lon[lo:hi], contributors, cfg
         )
-    return ApDatabase(records=records, built_from=built_from)
+        pending.append((record, [lo + m for m in members]))
+    _place(pending, ts, lat, lon, cfg)
+    return ApDatabase(records={record.bssid: record for record, _ in pending},
+                      built_from=built_from)
 
 
 @dataclass(slots=True)

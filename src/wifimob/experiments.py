@@ -231,9 +231,9 @@ def _table_from_arrays(arrays: SensorArrays, bin_ms: int) -> ScanTable:
         lo, hi = bounds[u], bounds[u + 1]
         scan_ts = arrays.scan_ts[lo:hi]
         bins = scan_ts // bin_ms
-        uniq_bins = np.unique(bins)
-        data_user.append(np.full(uniq_bins.size, u, dtype=np.int32))
-        data_bin.append(uniq_bins)
+        # the user's scans are in time order, so each bin is one run
+        data_bin.append(bins[np.flatnonzero(np.diff(bins, prepend=bins[:1] - 1))])
+        data_user.append(np.full(data_bin[-1].size, u, dtype=np.int32))
 
         off = arrays.scan_off[lo : hi + 1]
         if off[0] == off[-1]:

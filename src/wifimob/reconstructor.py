@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ap_locator import ApDatabase, geometric_median, in_segments
+from .ap_locator import ApDatabase, geometric_median, geometric_medians, in_segments
 from .coverage_metrics import DAY_MS, DEFAULT_BIN_MS, CoverageSeries
 from .trace_model import (
     BssidId,
@@ -114,13 +114,26 @@ def build_timeline(
         if tl is None:
             tl = timelines[user] = BinnedTimeline(user=user, bin_ms=bin_ms)
         tl.bins_with_data.add(int(bins[k]))
+
+    # every chosen scan's hits in BSSID order, then one median per scan
+    supports, hit_lat, hit_lon = [], [], []
     for k in first.tolist():
         scan_ts = int(t[k])
         lo, hi = int(arrays.scan_off[k]), int(arrays.scan_off[k + 1])
-        bssids = [arrays.bssids[a] for a in arrays.scan_ap[lo:hi][usable[lo:hi]].tolist()]
-        hits = [(b, db.records[b].position_at(scan_ts)) for b in bssids]
+        bssids = sorted(arrays.bssids[a] for a in arrays.scan_ap[lo:hi][usable[lo:hi]].tolist())
+        positions = [db.records[b].position_at(scan_ts) for b in bssids]
+        supports.append(bssids)
+        hit_lat.extend(p.lat_deg for p in positions)
+        hit_lon.extend(p.lon_deg for p in positions)
+    if not supports:
+        return timelines
+    sizes = np.array([len(s) for s in supports])
+    lat, lon = geometric_medians(np.array(hit_lat), np.array(hit_lon), np.cumsum(sizes) - sizes)
+    for k, support, a, b in zip(first.tolist(), supports, lat.tolist(), lon.tolist()):
         user = arrays.user_ids[u[k]]
-        timelines[user].bins[int(bins[k])] = _estimate(user, scan_ts, hits)
+        timelines[user].bins[int(bins[k])] = PositionEstimate(
+            user=user, ts=int(t[k]), pos=GeoPoint(a, b), support=support
+        )
     return timelines
 
 

@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from wifimob.ap_locator import (
+    EARTH_RADIUS_M,
     ApClass,
     ApDatabase,
     ApRecord,
@@ -132,6 +133,81 @@ def grid_search_median(points, res_m=0.5, refine_m=25.0):
     fine_lon = np.arange(c_lon - refine_m / m_lon, c_lon + refine_m / m_lon, res_m / m_lon)
     f_lat, f_lon = argmin_over(fine_lat, fine_lon)
     return GeoPoint(f_lat, f_lon)
+
+
+def _local_plane(lat_deg: np.ndarray, lon_deg: np.ndarray, radius_m: float):
+    """Equirectangular projection about the centroid; returns (x, y, unproject)."""
+    lat0 = float(np.mean(lat_deg))
+    lon0 = float(np.mean(lon_deg))
+    coslat = math.cos(math.radians(lat0))
+    x = np.radians(lon_deg - lon0) * radius_m * coslat
+    y = np.radians(lat_deg - lat0) * radius_m
+
+    def unproject(px: float, py: float) -> GeoPoint:
+        lat = lat0 + math.degrees(py / radius_m)
+        lon = lon0 + math.degrees(px / (radius_m * coslat))
+        return GeoPoint(lat, lon)
+
+    return x, y, unproject
+
+
+def geometric_median_loop(
+    lat_deg: np.ndarray,
+    lon_deg: np.ndarray,
+    radius_m: float = EARTH_RADIUS_M,
+    tol_m: float = 1e-6,
+    max_iter: int = 20000,
+) -> GeoPoint:
+    """Point minimizing the summed distance to the points of two degree arrays,
+    one Weiszfeld loop per point set: the per-set form of
+    ``ap_locator.geometric_medians``, which must agree with it to the bit.
+
+    Runs Weiszfeld iterations on a local planar projection about the
+    centroid, which is exact to well under a centimeter at the sub-kilometer
+    scales clusters have here. The stop threshold is deliberately tight:
+    near-degenerate point sets give the iteration a long flat valley, and a
+    loose step cutoff can park it tens of meters from the minimizer. Two
+    points return their midpoint (one of the infinitely many minimizers); an
+    iterate landing exactly on an input point is nudged 1 cm east.
+    """
+    n = lat_deg.shape[0]
+    if n == 0:
+        raise ValueError("geometric_median of empty point set")
+    if n == 1:
+        return GeoPoint(float(lat_deg[0]), float(lon_deg[0]))
+    x, y, unproject = _local_plane(lat_deg, lon_deg, radius_m)
+    if n == 2:
+        return unproject(float(x.mean()), float(y.mean()))
+
+    px, py = float(x.mean()), float(y.mean())
+    for _ in range(max_iter):
+        dx = x - px
+        dy = y - py
+        d = np.hypot(dx, dy)
+        dmin_idx = int(np.argmin(d))
+        if d[dmin_idx] < 0.5:
+            # close to a data point: when that point satisfies the vertex
+            # optimality condition it IS the median, and iterating further
+            # would only creep toward it sublinearly
+            dj = np.hypot(x - x[dmin_idx], y - y[dmin_idx])
+            others = dj > 1e-9
+            multiplicity = int((~others).sum())
+            pull_x = ((x[others] - x[dmin_idx]) / dj[others]).sum()
+            pull_y = ((y[others] - y[dmin_idx]) / dj[others]).sum()
+            if math.hypot(pull_x, pull_y) <= multiplicity:
+                return unproject(float(x[dmin_idx]), float(y[dmin_idx]))
+        if np.any(d < 1e-9):
+            px += 0.01  # sits on a non-optimal data point; nudge east and retry
+            continue
+        w = 1.0 / d
+        wsum = w.sum()
+        nx = float((x * w).sum() / wsum)
+        ny = float((y * w).sum() / wsum)
+        step = math.hypot(nx - px, ny - py)
+        px, py = nx, ny
+        if step < tol_m:
+            break
+    return unproject(px, py)
 
 
 def brute_radius_query(x, y, qx, qy, r: float) -> list[np.ndarray]:

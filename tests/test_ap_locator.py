@@ -10,6 +10,7 @@ from oracles import (
     build_database_from_records,
     build_simple_database,
     classify_records,
+    geometric_median_loop,
     grid_search_median,
     latlon,
     pair_columns,
@@ -23,9 +24,9 @@ from wifimob.ap_locator import (
     ApSegment,
     TimeInterval,
     build_database,
-    classify_ap,
     dbscan,
     geometric_median,
+    geometric_medians,
     haversine_m,
     read_apdb_csv,
     validate_against_named_ssids,
@@ -232,6 +233,113 @@ class TestGeometricMedian:
         assert haversine_m(geometric_median(*latlon(pts)), grid_search_median(pts)) < 1.0
 
 
+def _hexed(lat, lon):
+    return [(a.hex(), b.hex()) for a, b in zip(np.asarray(lat).tolist(), np.asarray(lon).tolist())]
+
+
+def _batched(point_sets, **kw):
+    """``geometric_medians`` over a list of (lat, lon) point sets."""
+    sizes = np.array([lat.size for lat, _ in point_sets])
+    lat = np.concatenate([lat for lat, _ in point_sets])
+    lon = np.concatenate([lon for _, lon in point_sets])
+    return _hexed(*geometric_medians(lat, lon, np.cumsum(sizes) - sizes, **kw))
+
+
+def _looped(point_sets, **kw):
+    """The per-set oracle over the same point sets."""
+    medians = [geometric_median_loop(lat, lon, **kw) for lat, lon in point_sets]
+    return _hexed([p.lat_deg for p in medians], [p.lon_deg for p in medians])
+
+
+def _nudge_set():
+    """Seven points whose centroid is exactly the last of them, a point
+    that is not the median: the iteration starts on a data point that
+    fails the vertex test, so it must be nudged off it."""
+    h = 2.0**-12
+    b = (55.5, 12.5 + h)
+    pts = [b, (55.5 + 4 * h, 12.5 - h), b, (55.5 - 4 * h, 12.5 - h), b, (55.5, 12.5 - h), (55.5, 12.5)]
+    return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
+
+
+class TestBatchedMedian:
+    """``geometric_medians`` equals the per-set Weiszfeld loop to the bit,
+    and a set's median never depends on the rest of its batch."""
+
+    def test_every_cluster_of_default_world(self, default_data):
+        point_sets = []
+        for _, obs in router_groups(default_data.paired_records()):
+            if len(obs) < 5:
+                continue
+            lat, lon = latlon([o.pos for o in obs])
+            for cluster in dbscan(lat, lon, 100, 5)[0]:
+                members = np.array(sorted(cluster))
+                point_sets.append((lat[members], lon[members]))
+        assert len(point_sets) > 818
+        want = _looped(point_sets)
+        assert _batched(point_sets) == want
+        assert _batched(point_sets[::-1]) == want[::-1]
+
+    def test_mixed_sizes_and_branches(self):
+        rng = np.random.default_rng(17)
+        point_sets = []
+        for n in [1, 2, 3, 1200, 1, 3, 2, 40, 1001, 7, 3, 2, 1, 250]:
+            scale = float(rng.choice([0.00002, 0.0005, 0.003]))
+            point_sets.append((LAT0 + rng.normal(0, scale, n), LON0 + rng.normal(0, scale, n)))
+        # duplicates: the iteration reaches a repeated point, which passes
+        # the vertex test; and a set whose points all coincide
+        dup = [_offset(0, 0)] * 5 + [_offset(30, 0), _offset(0, 40)]
+        point_sets.insert(4, latlon(dup))
+        point_sets.insert(9, latlon([_offset(3, 4)] * 6))
+        # two pairs 0.6 m apart: at the first point the pull equals its
+        # multiplicity, so the vertex test decides on a tie
+        point_sets.insert(6, latlon([_offset(0, 0), _offset(0.6, 0)] * 2))
+        point_sets.insert(2, _nudge_set())
+        want = _looped(point_sets)
+        assert _batched(point_sets) == want
+        # each set alone, through the one-set call, gives its batch result
+        for (lat, lon), hexed in zip(point_sets, want):
+            alone = geometric_median(lat, lon)
+            assert _hexed([alone.lat_deg], [alone.lon_deg]) == [hexed]
+        order = rng.permutation(len(point_sets))
+        assert _batched([point_sets[i] for i in order]) == [want[i] for i in order]
+        # the duplicated point is returned; the nudged set ends far from its start
+        dup_lat, dup_lon = geometric_medians(*latlon(dup), [0])
+        assert haversine_m(GeoPoint(dup_lat[0], dup_lon[0]), dup[0]) < 1e-6
+        lat, lon = _nudge_set()
+        assert (np.mean(lat), np.mean(lon)) == (lat[-1], lon[-1])
+        nudged = geometric_median(lat, lon)
+        assert haversine_m(nudged, GeoPoint(lat[-1], lon[-1])) > 10
+        assert haversine_m(nudged, GeoPoint(lat[0], lon[0])) < 1e-6
+
+    def test_sets_near_zero_degrees_keep_every_bit(self):
+        """Near latitude and longitude zero the degree result is as fine as
+        the plane arithmetic, so a sum taken in another order shows in it
+        (elsewhere adding a few meters to the centroid's degrees rounds
+        such differences away)."""
+        rng = np.random.default_rng(41)
+        point_sets = [
+            (rng.normal(0, 0.0005, n), rng.normal(0, 0.0005, n))
+            for n in (3, 5, 9, 17, 40, 130, 1100)
+            for _ in range(3)
+        ]
+        assert _batched(point_sets) == _looped(point_sets)
+
+    def test_small_max_iter_stops_every_set_where_the_loop_stops(self):
+        rng = np.random.default_rng(23)
+        point_sets = [
+            (LAT0 + rng.normal(0, 0.001, n), LON0 + rng.normal(0, 0.001, n)) for n in (3, 30, 300)
+        ]
+        want = _looped(point_sets, max_iter=3)
+        assert _batched(point_sets, max_iter=3) == want
+        assert _batched(point_sets) != want
+
+    def test_empty_set_rejected(self):
+        lat, lon = latlon([_offset(0, 0), _offset(5, 0)])
+        for starts in ([0, 1, 1], [0, 2], [1], []):
+            with pytest.raises(ValueError, match="empty"):
+                geometric_medians(lat, lon, starts)
+
+
 class TestClassify:
     def test_too_few_sightings(self):
         obs = _obs("02:00:00:00:00:01", [_offset(0, 0)] * 4)
@@ -350,9 +458,11 @@ class TestDatabase:
         _assert_same_database(want, build_database_from_records(obs))
 
     def test_routers_reach_classify_ap_in_ts_lat_lon_order(self, monkeypatch):
-        """Whatever the row order, each router's rows reach ``classify_ap``
-        sorted by (ts, lat, lon), as the record oracle sorts them: users
-        share instants here, so the position keys decide the ties."""
+        """Whatever the row order, each router's rows reach the per-router
+        classification (``_classify_unplaced``, the part of ``classify_ap``
+        before positions) sorted by (ts, lat, lon), as the record oracle
+        sorts them: users share instants here, so the position keys decide
+        the ties."""
         rng = np.random.default_rng(9)
         obs = [
             PairedObservation(b, _offset(rng.normal(0, 20), rng.normal(0, 20)), t, f"u{k}")
@@ -365,17 +475,51 @@ class TestDatabase:
             for b, g in router_groups(obs)
         }
         seen = {}
+        classify_unplaced = ap_locator._classify_unplaced
 
         def spy(bssid, ts, lat, lon, contributors, cfg):
             seen[bssid] = (ts.tolist(), lat.tolist(), lon.tolist())
-            return classify_ap(bssid, ts, lat, lon, contributors, cfg)
+            return classify_unplaced(bssid, ts, lat, lon, contributors, cfg)
 
-        monkeypatch.setattr(ap_locator, "classify_ap", spy)
+        monkeypatch.setattr(ap_locator, "_classify_unplaced", spy)
         pairs, user_ids, bssids = pair_columns(obs)
         for order in (np.arange(len(obs))[::-1], rng.permutation(len(obs))):
             seen.clear()
             build_database(_permuted(pairs, order), user_ids, bssids)
             assert seen == want
+
+    def test_relocated_segments_placed_alike_on_every_route(self):
+        """A router moved twice, between static routers: its three segment
+        positions are the same bits from ``build_database`` (one batched
+        median call for the whole database), from ``classify_ap`` on its
+        rows alone, from the record oracle, and from the per-set loop on
+        each site's points."""
+        day = 86_400_000
+        rng = np.random.default_rng(31)
+        sites = [(0, 0), (2500, 0), (800, 3000)]
+        moved = []
+        for s, (east, north) in enumerate(sites):
+            pts = [_offset(east + rng.normal(0, 8), north + rng.normal(0, 8)) for _ in range(12)]
+            moved.append(_obs("r", pts, ts0=s * 20 * day, step_ms=day // 2, user=f"u{s}"))
+        obs = [o for site in moved for o in site]
+        for bssid, east in (("a", 400), ("z", -900)):
+            pts = [_offset(east + rng.normal(0, 8), rng.normal(0, 8)) for _ in range(9)]
+            obs += _obs(bssid, pts, user="u9")
+        obs += _obs("m", [_offset(i * 300, 0) for i in range(9)])
+        pairs, user_ids, bssids = pair_columns(obs)
+        db = build_database(_permuted(pairs, rng.permutation(len(obs))), user_ids, bssids)
+        assert db.census() == {
+            "static": 2, "relocated": 1, "mobile": 1, "insufficient": 0, "total": 4
+        }
+        rec = db.get("r")
+        alone = classify_records("r", [o for o in obs if o.bssid == "r"])
+        assert _record_key(rec) == _record_key(alone)
+        _assert_same_database(db, build_database_from_records(obs))
+        looped = [geometric_median_loop(*latlon([o.pos for o in site])) for site in moved]
+        assert [(s.pos.lat_deg.hex(), s.pos.lon_deg.hex()) for s in rec.segments] == [
+            (p.lat_deg.hex(), p.lon_deg.hex()) for p in looped
+        ]
+        assert [s.interval.start for s in rec.segments] == [s * 20 * day for s in range(3)]
 
     def test_matches_record_oracle_on_default_world(self, default_data):
         """Every router of the default world, and again with the paired
