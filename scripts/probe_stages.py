@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Time each stage of the paper's grid on a seeded world, in one process.
+
+Builds the seed-7 world, its experiment data and full router database, runs the
+18 cells of the benchmark's ``grid_30d`` workload (initial period 7/28
+days, random fraction f_daily/4 f_daily, top routers 5/20, x 3 sharing
+scenarios), then the binned timeline of every scan. Prints one JSON line:
+per stage, its wall time in seconds and the process's ``ru_maxrss`` high-water
+mark in MiB once it ended.
+
+Usage: python scripts/probe_stages.py [--users 30] [--days 30]
+"""
+
+import argparse
+import json
+import resource
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from wifimob.experiments import (
+    InitialPeriod,
+    RandomFraction,
+    Scenario,
+    TopRouters,
+    prepare_experiment_data,
+    run_experiment,
+)
+from wifimob.reconstructor import build_timeline
+from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--users", type=int, default=30)
+    parser.add_argument("--days", type=int, default=30)
+    args = parser.parse_args()
+
+    stages = []
+
+    def timed(name, fn, *fn_args):
+        t0 = time.perf_counter()
+        result = fn(*fn_args)
+        stages.append({
+            "stage": name,
+            "s": round(time.perf_counter() - t0, 4),
+            "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        })
+        return result
+
+    spec = WorldSpec(seed=7, n_users=args.users, n_days=args.days)
+    gt = timed("generate_world", generate_world, spec)
+    arrays = timed("simulate_sensor_arrays", simulate_sensor_arrays, gt, spec)
+    data = timed("prepare_experiment_data", prepare_experiment_data, arrays)
+    db = timed("full_database()", data.full_database)
+
+    f_daily = args.users * args.days / data.pairs.n_events()
+    strategies = [
+        InitialPeriod(days=7),
+        InitialPeriod(days=28),
+        RandomFraction(f=f_daily, seed=1),
+        RandomFraction(f=4 * f_daily, seed=1),
+        TopRouters(k=5),
+        TopRouters(k=20),
+    ]
+    for strategy in strategies:
+        name, param = strategy.label()
+        for scenario in Scenario:
+            timed(f"{name}({param})x{scenario.value}", run_experiment, data, strategy, scenario)
+    timed("build_timeline", build_timeline, arrays, db)
+
+    print(json.dumps({"users": args.users, "days": args.days, "stages": stages}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,7 +42,7 @@ from .pairing import (  # PairedEvents is re-exported from here
     pair_arrays,
 )
 from .svgplot import write_line_plot
-from .trace_model import BssidId, SensorArrays, UserId, user_bounds
+from .trace_model import BssidId, SensorArrays, TraceError, UserId, user_bounds
 from .synthgen import _rng
 
 _NEVER = np.int64(np.iinfo(np.int64).max)
@@ -218,10 +218,12 @@ class ExperimentData:
 
 
 def _table_from_arrays(arrays: SensorArrays, bin_ms: int) -> ScanTable:
-    """Presence table built one user at a time.
+    """Presence table by one value sort of a packed int64 key per user.
 
-    Only one user's sightings are expanded at once, so the temporaries
-    scale with the largest user rather than with the whole log.
+    A sighting's key is ``(r * n_aps + ap) * n + s``: ``r`` ranks its scan's
+    bin among the user's data bins, ``s`` indexes the user's ``n`` scans. Sorted,
+    runs of ``key // n`` are the (bin, ap) pairs; scans are in time order, so a
+    run's last key holds its latest scan. Keys are range-checked, never wrapped.
     """
     n_users, n_aps = len(arrays.user_ids), len(arrays.bssids)
     bounds = user_bounds(arrays.scan_user, n_users)
@@ -229,27 +231,25 @@ def _table_from_arrays(arrays: SensorArrays, bin_ms: int) -> ScanTable:
     pres_user, pres_bin, pres_ap, pres_last_ts = [], [], [], []
     for u in range(n_users):
         lo, hi = bounds[u], bounds[u + 1]
-        scan_ts = arrays.scan_ts[lo:hi]
+        n, scan_ts = int(hi - lo), arrays.scan_ts[lo:hi]
         bins = scan_ts // bin_ms
-        # the user's scans are in time order, so each bin is one run
-        data_bin.append(bins[np.flatnonzero(np.diff(bins, prepend=bins[:1] - 1))])
+        new_bin = np.diff(bins, prepend=bins[:1] - 1) != 0
+        data_bin.append(bins[new_bin])
         data_user.append(np.full(data_bin[-1].size, u, dtype=np.int32))
-
         off = arrays.scan_off[lo : hi + 1]
         if off[0] == off[-1]:
             continue
-        lens = np.diff(off)
-        key = np.repeat(bins, lens) * n_aps + arrays.scan_ap[off[0] : off[-1]]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        pres_user.append(np.full(starts.size, u, dtype=np.int32))
-        pres_bin.append(key[starts] // n_aps)
-        pres_ap.append(key[starts] % n_aps)
-        # the latest sighting instant within each (bin, ap) run
-        ts = np.repeat(scan_ts, lens)
-        pres_last_ts.append(np.maximum.reduceat(ts[order], starts))
-
+        _check_key_range(arrays.user_ids[u], data_bin[-1].size, n_aps, n)
+        scan_key = (np.cumsum(new_bin) - 1) * (n_aps * n) + np.arange(n)
+        key = np.multiply(arrays.scan_ap[off[0] : off[-1]], n, dtype=np.int64)
+        key += np.repeat(scan_key, np.diff(off))
+        key.sort()
+        pair = key // n
+        ends = np.flatnonzero(np.append(pair[1:] != pair[:-1], True))
+        pres_user.append(np.full(ends.size, u, dtype=np.int32))
+        pres_bin.append(data_bin[-1][pair[ends] // n_aps])
+        pres_ap.append(pair[ends] % n_aps)
+        pres_last_ts.append(scan_ts[key[ends] % n])
     return ScanTable(
         user_ids=list(arrays.user_ids),
         bssids=list(arrays.bssids),
@@ -261,6 +261,16 @@ def _table_from_arrays(arrays: SensorArrays, bin_ms: int) -> ScanTable:
         pres_ap=_concat(pres_ap, np.int32),
         pres_last_ts=_concat(pres_last_ts, np.int64),
     )
+
+
+def _check_key_range(user: UserId, n_bins: int, n_aps: int, n_scans: int) -> None:
+    """Raise unless every presence key ``(r * n_aps + ap) * n_scans + s``,
+    at most ``n_bins * n_aps * n_scans - 1``, fits in int64."""
+    if n_bins * n_aps * n_scans >= 2**63:
+        raise TraceError(
+            f"presence keys of user {user} would overflow int64: "
+            f"{n_bins} data bins x {n_aps} routers x {n_scans} scans"
+        )
 
 
 def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
@@ -329,7 +339,10 @@ def _coverage_from_first_ts(
     """``relocated_guard`` holds one dict per viewer: AP id -> the segment
     intervals outside which that viewer cannot place the AP."""
     t = data.table
-    known = viewer_first_ts[t.pres_user.astype(np.int64), t.pres_ap.astype(np.int64)] <= t.pres_last_ts
+    # one flat gather; ravel copies GLOBAL's broadcast row into a full matrix
+    flat = np.multiply(t.pres_user, t.n_aps, dtype=np.int64)
+    flat += t.pres_ap
+    known = viewer_first_ts.ravel()[flat] <= t.pres_last_ts
     if relocated_guard:
         bounds = user_bounds(t.pres_user, t.n_users)
         for u, guard in enumerate(relocated_guard):

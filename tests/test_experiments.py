@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     arrays_to_traceset,
@@ -21,6 +23,7 @@ from wifimob.experiments import (
     RandomFraction,
     Scenario,
     TopRouters,
+    _check_key_range,
     _selection_mask,
     _table_from_arrays,
     prepare_experiment_data,
@@ -436,6 +439,44 @@ class TestScanTable:
         table = _table_from_arrays(arrays, DEFAULT_BIN_MS)
         assert table.pres_user.size == 0 and table.data_user.size == 0
         _assert_tables_equal(table, _oracle_table(arrays))
+
+    def test_bins_far_from_zero_do_not_wrap(self):
+        """Absolute bin indices near 2**62 times the router count overflow
+        int64; the key ranks each bin among the user's data bins instead."""
+        scans = [(0, 2**62, [2, 0]), (0, 2**62 + 7, [1])]
+        bssids = ["02:00:00:00:00:01", "02:00:00:00:00:02", "02:00:00:00:00:03"]
+        arrays = _hand_built_arrays(scans, ["ann"], bssids)
+        table = _table_from_arrays(arrays, 1)
+        _assert_tables_equal(table, _oracle_table(arrays, 1))
+        assert table.pres_bin.tolist() == [2**62, 2**62, 2**62 + 7]
+
+    def test_key_range_check_raises_before_int64_wraps(self):
+        side = 2**21  # side**3 == 2**63
+        _check_key_range("ann", side, side, side - 1)
+        _check_key_range("ann", 1, 2**62, 1)
+        with pytest.raises(TraceError, match="presence keys of user ann would overflow int64"):
+            _check_key_range("ann", side, side, side)
+        with pytest.raises(TraceError, match="user bob"):
+            _check_key_range("bob", 3, 2**40, 2**30)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_record_oracle_on_drawn_logs(self, data):
+        n_users = data.draw(st.integers(0, 4), label="n_users")
+        n_aps = data.draw(st.integers(0, 4), label="n_aps")
+        bin_ms = data.draw(st.sampled_from([1, 7, 600_000]), label="bin_ms")
+        # narrow ranges give tied timestamps and shared bins; wide ones reach 2**62
+        ts = st.one_of(st.integers(0, 30), st.integers(2**62 - 30, 2**62), st.integers(0, 2**62))
+        aps = st.lists(st.integers(0, n_aps - 1), unique=True, max_size=n_aps) if n_aps else st.just([])
+        scans = []
+        for u in range(n_users):
+            rows = data.draw(st.lists(st.tuples(ts, aps), max_size=8), label=f"scans of {u}")
+            scans += [(u, t, a) for t, a in sorted(rows, key=lambda row: row[0])]
+        user_ids = [f"user{u}" for u in range(n_users)]
+        bssids = [f"02:00:00:00:00:{i:02x}" for i in range(n_aps)]
+        # every user has a fix, so users with no scans stay in the table
+        arrays = _hand_built_arrays(scans, user_ids, bssids, fix_users=list(range(n_users)))
+        _assert_tables_equal(_table_from_arrays(arrays, bin_ms), _oracle_table(arrays, bin_ms))
 
     def test_build_memory_scales_with_one_user(self):
         """Temporaries span one user's sightings, not the whole log: the
