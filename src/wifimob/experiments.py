@@ -227,7 +227,7 @@ def _table_from_arrays(arrays: SensorArrays, bin_ms: int) -> ScanTable:
     """
     n_users, n_aps = len(arrays.user_ids), len(arrays.bssids)
     bounds = user_bounds(arrays.scan_user, n_users)
-    data_user, data_bin = [], []
+    data_bin = []
     pres_user, pres_bin, pres_ap, pres_last_ts = [], [], [], []
     for u in range(n_users):
         lo, hi = bounds[u], bounds[u + 1]
@@ -235,26 +235,26 @@ def _table_from_arrays(arrays: SensorArrays, bin_ms: int) -> ScanTable:
         bins = scan_ts // bin_ms
         new_bin = np.diff(bins, prepend=bins[:1] - 1) != 0
         data_bin.append(bins[new_bin])
-        data_user.append(np.full(data_bin[-1].size, u, dtype=np.int32))
         off = arrays.scan_off[lo : hi + 1]
         if off[0] == off[-1]:
             continue
         _check_key_range(arrays.user_ids[u], data_bin[-1].size, n_aps, n)
-        scan_key = (np.cumsum(new_bin) - 1) * (n_aps * n) + np.arange(n)
+        # r counts bin starts up to the scan; no sighting-long array outlives u
         key = np.multiply(arrays.scan_ap[off[0] : off[-1]], n, dtype=np.int64)
-        key += np.repeat(scan_key, np.diff(off))
+        key += np.repeat((np.cumsum(new_bin) - 1) * (n_aps * n) + np.arange(n), np.diff(off))
         key.sort()
         pair = key // n
         ends = np.flatnonzero(np.append(pair[1:] != pair[:-1], True))
+        key, pair = key[ends], pair[ends]
         pres_user.append(np.full(ends.size, u, dtype=np.int32))
-        pres_bin.append(data_bin[-1][pair[ends] // n_aps])
-        pres_ap.append(pair[ends] % n_aps)
-        pres_last_ts.append(scan_ts[key[ends] % n])
+        pres_bin.append(data_bin[-1][pair // n_aps])
+        pres_ap.append(pair % n_aps)
+        pres_last_ts.append(scan_ts[key % n])
     return ScanTable(
         user_ids=list(arrays.user_ids),
         bssids=list(arrays.bssids),
         bin_ms=bin_ms,
-        data_user=_concat(data_user, np.int32),
+        data_user=np.repeat(np.arange(n_users, dtype=np.int32), [b.size for b in data_bin]),
         data_bin=_concat(data_bin, np.int64),
         pres_user=_concat(pres_user, np.int32),
         pres_bin=_concat(pres_bin, np.int64),
