@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Time each stage of the paper's grid on a seeded world, in one process.
 
-Builds the seed-7 world, its experiment data and full router database, runs the
-18 cells of the benchmark's ``grid_30d`` workload (initial period 7/28
-days, random fraction f_daily/4 f_daily, top routers 5/20, x 3 sharing
-scenarios), then the binned timeline of every scan. Prints one JSON line:
+Builds the seed-7 world, its experiment data, full router database and each
+user's greedy top 5 and top 20 routers, runs the 18 cells of the benchmark's
+``grid_30d`` workload (initial period 7/28 days, random fraction f_daily/4
+f_daily, top routers 5/20, x 3 sharing scenarios), then the binned timeline
+of every scan. Prints one JSON line:
 per stage, its wall time in seconds and the process's ``ru_maxrss`` high-water
 mark in MiB once it ended.
 
@@ -55,6 +56,8 @@ def main() -> int:
     arrays = timed("simulate_sensor_arrays", simulate_sensor_arrays, gt, spec)
     data = timed("prepare_experiment_data", prepare_experiment_data, arrays)
     db = timed("full_database()", data.full_database)
+    for k in (5, 20):
+        timed(f"top_router_selections({k})", data.top_router_selections, k)
 
     f_daily = args.users * args.days / data.pairs.n_events()
     strategies = [

@@ -25,7 +25,6 @@ hurts.
 from __future__ import annotations
 
 import csv
-import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -102,35 +101,11 @@ class ExperimentConfig:
     locator: LocatorConfig = LocatorConfig()
     pairing: PairingConfig = PairingConfig()
 
-
-def _lazy_greedy(sets: dict, k: int) -> list:
-    """Greedy max-coverage with lazy marginal-gain re-evaluation.
-
-    Keys are picked by descending marginal gain; ties go to the smaller key.
-    Once every remaining key adds nothing, the rest follow in descending
-    original-size order until k is reached, so asking for more routers than
-    exist simply returns them all.
-    """
-    heap = [(-len(s), key) for key, s in sets.items() if len(s)]
-    heapq.heapify(heap)
-    covered: set = set()
-    chosen: list = []
-    while heap and len(chosen) < k:
-        neg_gain, key = heapq.heappop(heap)
-        gain = len(sets[key] - covered)
-        if gain != -neg_gain:
-            if gain > 0:
-                heapq.heappush(heap, (-gain, key))
-            continue
-        if gain == 0:
-            continue
-        chosen.append(key)
-        covered |= sets[key]
-    if len(chosen) < k:
-        picked = set(chosen)
-        rest = sorted((key for key in sets if key not in picked), key=lambda key: (-len(sets[key]), key))
-        chosen.extend(rest[: k - len(chosen)])
-    return chosen
+    def __post_init__(self) -> None:
+        if self.known_rule not in ("any_sighting", "classified"):
+            raise ValueError(f"unknown known_rule: {self.known_rule!r}")
+        if not isinstance(self.bin_ms, int) or isinstance(self.bin_ms, bool) or self.bin_ms < 1:
+            raise ValueError(f"bin_ms must be an int >= 1, got {self.bin_ms!r}")
 
 
 @dataclass(slots=True)
@@ -170,8 +145,6 @@ class ExperimentData:
     t0_ms: int
     locator: LocatorConfig = LocatorConfig()
     _full_db: Optional[ApDatabase] = None
-    # per user: AP id -> the bins in which the user saw it
-    _bin_sets: Optional[list[dict[int, set[int]]]] = None
     _top_by_k: dict[int, list[np.ndarray]] = field(default_factory=dict)
 
     def full_database(self) -> ApDatabase:
@@ -193,28 +166,45 @@ class ExperimentData:
         """Per-user greedy top-k AP ids (ascending) over the user's own timebins."""
         selections = self._top_by_k.get(k)
         if selections is None:
+            t = self.table
+            bounds = user_bounds(t.pres_user, t.n_users)
             selections = self._top_by_k[k] = [
-                np.array(sorted(_lazy_greedy(sets, k)), dtype=np.int64)
-                for sets in self._user_bin_sets()
+                np.sort(_greedy_picks(t.pres_bin[lo:hi], t.pres_ap[lo:hi], t.n_aps, k))
+                for lo, hi in zip(bounds[:-1], bounds[1:])
             ]
         return selections
 
-    def _user_bin_sets(self) -> list[dict[int, set[int]]]:
-        if self._bin_sets is None:
-            t = self.table
-            bounds = user_bounds(t.pres_user, t.n_users)
-            self._bin_sets = []
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                # the user's rows, regrouped by AP
-                order = np.argsort(t.pres_ap[lo:hi])
-                bins = t.pres_bin[lo:hi][order].tolist()
-                aps, starts = np.unique(t.pres_ap[lo:hi][order], return_index=True)
-                ends = np.append(starts[1:], len(bins))
-                self._bin_sets.append({
-                    ap: set(bins[s:e])
-                    for ap, s, e in zip(aps.tolist(), starts.tolist(), ends.tolist())
-                })
-        return self._bin_sets
+
+def _greedy_picks(bins: np.ndarray, aps: np.ndarray, n_aps: int, k: int) -> np.ndarray:
+    """Greedy max-coverage of one user's timebins, AP ids in pick order.
+
+    Rows are distinct (bin, ap) pairs sorted by (bin, ap), so each bin is a
+    run of rows. A router's gain is the number of uncovered bins holding it;
+    each pick takes the largest gain, the smallest id on ties, and takes the
+    routers of the bins it newly covers off their gains. Once no router adds
+    a bin, the user's other routers follow by (-bins held, id) until k.
+    """
+    held = np.bincount(aps, minlength=n_aps)
+    gain = held.copy()
+    new_bin = np.diff(bins, prepend=bins[:1] - 1) != 0
+    run, starts = np.cumsum(new_bin) - 1, np.flatnonzero(new_bin)
+    lens = np.diff(np.append(starts, bins.size))
+    covered = np.zeros(starts.size, dtype=bool)
+    picks: list[int] = []
+    while len(picks) < k and gain.any():
+        ap = int(np.argmax(gain))
+        picks.append(ap)
+        r = run[aps == ap]
+        r = r[~covered[r]]
+        covered[r] = True
+        # the rows of the newly covered bins, gathered run by run
+        n = lens[r]
+        rows = np.repeat(starts[r] - np.cumsum(n) + n, n) + np.arange(n.sum())
+        gain -= np.bincount(aps[rows], minlength=n_aps)
+    held[picks] = 0
+    rest = np.flatnonzero(held)
+    rest = rest[np.argsort(-held[rest], kind="stable")]
+    return np.concatenate([np.array(picks, dtype=np.int64), rest[: k - len(picks)]])
 
 
 def _table_from_arrays(arrays: SensorArrays, bin_ms: int) -> ScanTable:
@@ -418,10 +408,8 @@ def run_experiment(
         sel_mask, sequential = _selection_mask(data, strategy)
         mat = _first_ts_matrix(data, sel_mask, sequential)
         viewer_first = _viewer_first_ts(mat, scenario)
-    elif cfg.known_rule == "classified":
-        viewer_first, relocated_guard = _classified_viewer_first(data, strategy, scenario, cfg)
     else:
-        raise ValueError(f"unknown known_rule: {cfg.known_rule}")
+        viewer_first, relocated_guard = _classified_viewer_first(data, strategy, scenario, cfg)
 
     coverage = _coverage_from_first_ts(data, viewer_first, relocated_guard)
 

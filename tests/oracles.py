@@ -10,6 +10,7 @@ selection and the coverage of a grid cell on record objects (``TraceSet``,
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Iterable, Optional, Sequence
 
@@ -35,7 +36,6 @@ from wifimob.experiments import (
     ScanTable,
     Scenario,
     TopRouters,
-    _lazy_greedy,
 )
 from wifimob.pairing import (
     PairedEvents,
@@ -491,6 +491,36 @@ def select_training_pairs(
     elif scenario is Scenario.GLOBAL_EXCLUDING_SELF:
         picked = [o for o in picked if o.user != viewer]
     return picked
+
+
+def _lazy_greedy(sets: dict, k: int) -> list:
+    """Greedy max-coverage with lazy marginal-gain re-evaluation (Minoux).
+
+    Keys are picked by descending marginal gain; ties go to the smaller key.
+    Once every remaining key adds nothing, the rest follow in descending
+    original-size order until k is reached, so asking for more routers than
+    exist simply returns them all.
+    """
+    heap = [(-len(s), key) for key, s in sets.items() if len(s)]
+    heapq.heapify(heap)
+    covered: set = set()
+    chosen: list = []
+    while heap and len(chosen) < k:
+        neg_gain, key = heapq.heappop(heap)
+        gain = len(sets[key] - covered)
+        if gain != -neg_gain:
+            if gain > 0:
+                heapq.heappush(heap, (-gain, key))
+            continue
+        if gain == 0:
+            continue
+        chosen.append(key)
+        covered |= sets[key]
+    if len(chosen) < k:
+        picked = set(chosen)
+        rest = sorted((key for key in sets if key not in picked), key=lambda key: (-len(sets[key]), key))
+        chosen.extend(rest[: k - len(chosen)])
+    return chosen
 
 
 def greedy_top_routers(scans: Iterable[WifiScan], k: int) -> list[BssidId]:

@@ -258,7 +258,7 @@ def test_criterion_08_top_routers(localization):
             f"r{r:02d}": set(int(b) for b in rng.integers(0, 25, size=int(rng.integers(1, 9))))
             for r in range(n_routers)
         }
-        from wifimob.experiments import _lazy_greedy
+        from oracles import _lazy_greedy
 
         best1 = exhaustive_max_coverage(sets, 1)
         pick1 = _lazy_greedy(sets, 1)

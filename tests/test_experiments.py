@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _lazy_greedy,
     arrays_to_traceset,
     coverage_via_record_pipeline,
     exhaustive_max_coverage,
@@ -24,6 +25,7 @@ from wifimob.experiments import (
     Scenario,
     TopRouters,
     _check_key_range,
+    _greedy_picks,
     _selection_mask,
     _table_from_arrays,
     prepare_experiment_data,
@@ -32,7 +34,15 @@ from wifimob.experiments import (
 )
 from wifimob.pairing import PairedObservation
 from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays
-from wifimob.trace_model import ApSighting, GeoPoint, GpsFix, SensorArrays, TraceError, WifiScan
+from wifimob.trace_model import (
+    ApSighting,
+    GeoPoint,
+    GpsFix,
+    SensorArrays,
+    TraceError,
+    WifiScan,
+    user_bounds,
+)
 
 P = GeoPoint(55.7, 12.5)
 
@@ -166,6 +176,87 @@ class TestGreedy:
             covered = len(set().union(*(sets[c] for c in chosen)))
             optimum = exhaustive_max_coverage(sets, k)
             assert covered >= (1 - 1 / math.e) * optimum
+
+
+def _bin_sets(bins, aps):
+    """AP id -> the bins holding it: the oracle's view of one user's rows."""
+    sets = {}
+    for b, a in zip(bins.tolist(), aps.tolist()):
+        sets.setdefault(a, set()).add(b)
+    return sets
+
+
+def _rows(sets):
+    """Presence rows of one user, sorted by (bin, ap) as the table holds them."""
+    pairs = sorted((b, a) for a, bins in sets.items() for b in bins)
+    bins = np.array([b for b, _ in pairs], dtype=np.int64)
+    aps = np.array([a for _, a in pairs], dtype=np.int32)
+    return bins, aps
+
+
+class TestArrayGreedy:
+    """``_greedy_picks`` picks what the heap-based lazy greedy picks, in order."""
+
+    def test_every_user_of_default_world(self, default_data):
+        t = default_data.table
+        bounds = user_bounds(t.pres_user, t.n_users)
+        selections = {k: default_data.top_router_selections(k) for k in (1, 5, 20)}
+        for u in range(t.n_users):
+            bins, aps = t.pres_bin[bounds[u] : bounds[u + 1]], t.pres_ap[bounds[u] : bounds[u + 1]]
+            sets = _bin_sets(bins, aps)
+            assert len(sets) > 20
+            for k in (1, 5, 20, len(sets) + 3):
+                want = _lazy_greedy(sets, k)
+                assert _greedy_picks(bins, aps, t.n_aps, k).tolist() == want, (u, k)
+                if k in selections:
+                    assert selections[k][u].tolist() == sorted(want), (u, k)
+
+    @pytest.mark.parametrize("trial", range(40))
+    def test_random_small_instances(self, trial):
+        # few bins and routers, so equal gains are common
+        rng = np.random.default_rng(900 + trial)
+        for _ in range(25):
+            n_aps = int(rng.integers(1, 9))
+            n_bins = int(rng.integers(1, 7))
+            sets = {}
+            for _ in range(int(rng.integers(0, 20))):
+                sets.setdefault(int(rng.integers(0, n_aps)), set()).add(int(rng.integers(0, n_bins)))
+            bins, aps = _rows(sets)
+            for k in (1, 2, 3, n_aps + 2):
+                assert _greedy_picks(bins, aps, n_aps, k).tolist() == _lazy_greedy(sets, k)
+
+    def test_no_presence_rows(self):
+        empty = _greedy_picks(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32), 4, 3)
+        assert empty.tolist() == _lazy_greedy({}, 3) == []
+        # user 1 scans but never sees a router
+        arrays = _hand_built_arrays(
+            [(0, 0, [0, 1]), (0, 600_000, [1]), (1, 0, []), (1, 600_000, [])], [0, 1], [0, 1]
+        )
+        data = prepare_experiment_data(arrays)
+        assert [sel.tolist() for sel in data.top_router_selections(3)] == [[0, 1], []]
+
+    def test_tie_goes_to_lower_router_id(self):
+        # routers 1 and 3 each add two bins; 0 and 2 then tie in the padding
+        sets = {3: {0, 1}, 1: {2, 3}, 2: {0}, 0: {3}}
+        bins, aps = _rows(sets)
+        assert _lazy_greedy(sets, 4) == [1, 3, 0, 2]
+        assert _greedy_picks(bins, aps, 4, 4).tolist() == [1, 3, 0, 2]
+        assert _greedy_picks(bins, aps, 4, 1).tolist() == [1]
+
+
+class TestExperimentConfig:
+    def test_unknown_known_rule_raises(self):
+        with pytest.raises(ValueError, match="known_rule"):
+            ExperimentConfig(known_rule="bogus")
+
+    @pytest.mark.parametrize("bin_ms", [0, -600_000, 600_000.0, "600000", True])
+    def test_bin_ms_must_be_a_positive_int(self, bin_ms):
+        with pytest.raises(ValueError, match="bin_ms"):
+            ExperimentConfig(bin_ms=bin_ms)
+
+    def test_valid_fields_accepted(self):
+        cfg = ExperimentConfig(bin_ms=1, known_rule="classified")
+        assert (cfg.bin_ms, cfg.known_rule) == (1, "classified")
 
 
 class TestEngine:
@@ -344,6 +435,40 @@ def test_relocated_guard_is_per_viewer():
         assert engine.per_user_day == reference.per_user_day, scenario
     personal = run_experiment(data, strategy, Scenario.PERSONAL, cfg).coverage
     assert personal.per_user_day == {("a", 0): 1.0, ("a", 1): 1.0, ("b", 5): 1.0}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="defect 4(b): the relocated guard tests only a bin's latest sighting "
+    "of the router against its segments; the timeline tests each scan",
+)
+def test_relocated_bin_seen_inside_and_after_a_segment():
+    """``a`` sees X at two sites on days 0 and 1, so X is relocated, and once
+    more, unpaired, a minute after the first segment's last fix: bin 5 of day
+    0 holds a scan inside that segment and a later one outside every segment.
+    The timeline places the bin from its first scan."""
+    x = [ApSighting("02:00:00:00:00:0a")]
+    far = GeoPoint(P.lat_deg, P.lon_deg + 0.02)  # about 1.3 km east
+    scans, fixes = [], []
+    for day, pos in ((0, P), (1, far)):
+        for k in range(6):
+            ts = day * DAY_MS + k * DEFAULT_BIN_MS
+            scans.append(WifiScan(user="a", ts=ts, sightings=x))
+            fixes.append(GpsFix(user="a", ts=ts, pos=pos))
+    scans.insert(6, WifiScan(user="a", ts=5 * DEFAULT_BIN_MS + 60_000, sightings=x))
+    arrays = records_to_arrays(fixes, scans)
+    cfg = ExperimentConfig(known_rule="classified")
+    data = prepare_experiment_data(arrays, cfg)
+    _, relocated = data.full_database().beacons(data.table.bssids)
+    assert relocated == {0: [(0, 5 * DEFAULT_BIN_MS), (DAY_MS, DAY_MS + 5 * DEFAULT_BIN_MS)]}
+    traces = arrays_to_traceset(arrays)
+    strategy = InitialPeriod(days=30)
+    reference = coverage_via_record_pipeline(traces, strategy, Scenario.PERSONAL, cfg)
+    assert reference.per_user_day == {("a", 0): 1.0, ("a", 1): 1.0}
+    for scenario in Scenario:
+        engine = run_experiment(data, strategy, scenario, cfg).coverage
+        reference = coverage_via_record_pipeline(traces, strategy, scenario, cfg)
+        assert engine.per_user_day == reference.per_user_day, scenario
 
 
 _TABLE_FIELDS = ("data_user", "data_bin", "pres_user", "pres_bin", "pres_last_ts")
