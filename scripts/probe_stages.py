@@ -5,9 +5,8 @@ Builds the seed-7 world, its experiment data, full router database and each
 user's greedy top 5 and top 20 routers, runs the 18 cells of the benchmark's
 ``grid_30d`` workload (initial period 7/28 days, random fraction f_daily/4
 f_daily, top routers 5/20, x 3 sharing scenarios), then the binned timeline
-of every scan. Prints one JSON line:
-per stage, its wall time in seconds and the process's ``ru_maxrss`` high-water
-mark in MiB once it ended.
+of every scan. Prints one JSON line: per stage, its wall time in seconds and
+the process's ``ru_maxrss`` high-water mark in MiB once it ended.
 
 Usage: python scripts/probe_stages.py [--users 30] [--days 30]
 """
