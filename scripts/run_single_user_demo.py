@@ -29,9 +29,9 @@ def _timeline_stats(gt, timelines, user_idx, user_id):
     if tl is None:
         return 0.0, []
     errors = []
-    for est in tl.bins.values():
-        lat, lon = gt.position_at(user_idx, np.array([est.ts]))
-        errors.append(haversine_m(est.pos, GeoPoint(float(lat[0]), float(lon[0]))))
+    for ts, a, b in zip(tl.ts.tolist(), tl.lat.tolist(), tl.lon.tolist()):
+        lat, lon = gt.position_at(user_idx, np.array([ts]))
+        errors.append(haversine_m(GeoPoint(a, b), GeoPoint(float(lat[0]), float(lon[0]))))
     return len(tl.bins) / max(1, len(tl.bins_with_data)), errors
 
 

@@ -231,10 +231,9 @@ def cmd_coverage(args, cfg_values) -> int:
             for user in sorted(timelines):
                 tl = timelines[user]
                 labels = []
-                for b in sorted(tl.bins):
-                    est = tl.bins[b]
-                    rec = db.get(est.support[0]) if est.support else None
-                    label = rec.label_at(est.ts) if rec else None
+                for bssid, ts in zip(tl.first_support.tolist(), tl.ts.tolist()):
+                    rec = db.get(bssid)
+                    label = rec.label_at(ts) if rec else None
                     if label is not None:
                         labels.append(label)
                 h = entropy_bits(labels)
@@ -351,18 +350,14 @@ def cmd_evaluate(args, cfg_values) -> int:
                 )
         timelines = read_timeline_csv(args.timeline)
         bin_errors = []
-        estimated = 0
         for user in sorted(timelines):
             tl = timelines[user]
-            for b in sorted(tl.bins):
-                est = tl.bins[b]
-                estimated += 1
-                key = (user, (est.ts // 60_000) * 60_000)
-                truth = truth_track.get(key)
+            for ts, lat, lon in zip(tl.ts.tolist(), tl.lat.tolist(), tl.lon.tolist()):
+                truth = truth_track.get((user, (ts // 60_000) * 60_000))
                 if truth is not None:
-                    bin_errors.append(haversine_m(truth, est.pos))
+                    bin_errors.append(haversine_m(truth, GeoPoint(lat, lon)))
         pct = _percentiles(bin_errors)
-        print(f"estimated bins: {estimated}")
+        print(f"estimated bins: {sum(tl.bins.size for tl in timelines.values())}")
         if pct:
             print(
                 "bin position error m: "

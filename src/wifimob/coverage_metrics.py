@@ -13,6 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .trace_model import UserId
 
 DAY_MS = 86_400_000
@@ -61,12 +63,20 @@ class CoverageSeries:
             counts[day] = counts.get(day, 0) + 1
         return {day: sums[day] / counts[day] for day in sums}
 
-    def mean(self) -> Optional[float]:
-        """Mean of daily means across the whole span."""
-        means = self.daily_means()
-        if not means:
-            return None
-        return sum(means.values()) / len(means)
+
+def _run_starts(user: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Where each run of equal (user, key) neighbours starts."""
+    new = np.ones(user.size, dtype=bool)
+    new[1:] = (user[1:] != user[:-1]) | (key[1:] != key[:-1])
+    return np.flatnonzero(new)
+
+
+def _day_runs(user: np.ndarray, bin_idx: np.ndarray, bin_ms: int) -> tuple[list, list, list]:
+    """(user, day, row count) of each (user, day) run of rows sorted by (user, bin)."""
+    day = (bin_idx * bin_ms) // DAY_MS
+    starts = _run_starts(user, day)
+    counts = np.diff(np.append(starts, user.size))
+    return user[starts].tolist(), day[starts].tolist(), counts.tolist()
 
 
 def daily_population_mean(series: CoverageSeries, day: int) -> Optional[float]:

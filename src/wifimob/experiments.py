@@ -34,6 +34,7 @@ import numpy as np
 
 from .ap_locator import ApDatabase, LocatorConfig, build_database, in_segments
 from .coverage_metrics import DAY_MS, DEFAULT_BIN_MS, CoverageSeries, coverage_histogram
+from .coverage_metrics import _day_runs, _run_starts
 from .pairing import (  # PairedEvents is re-exported from here
     PairedEvents,
     PairedObservation,
@@ -351,21 +352,6 @@ def _coverage_from_first_ts(
     for u, day, n_data in zip(*_day_runs(t.data_user, t.data_bin, t.bin_ms)):
         series.add(t.user_ids[u], day, n_data, covered.get((u, day), 0))
     return series
-
-
-def _run_starts(user: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Where each run of equal (user, key) neighbours starts."""
-    new = np.ones(user.size, dtype=bool)
-    new[1:] = (user[1:] != user[:-1]) | (key[1:] != key[:-1])
-    return np.flatnonzero(new)
-
-
-def _day_runs(user: np.ndarray, bin_idx: np.ndarray, bin_ms: int) -> tuple[list, list, list]:
-    """(user, day, row count) of each (user, day) run of rows sorted by (user, bin)."""
-    day = (bin_idx * bin_ms) // DAY_MS
-    starts = _run_starts(user, day)
-    counts = np.diff(np.append(starts, user.size))
-    return user[starts].tolist(), day[starts].tolist(), counts.tolist()
 
 
 def _selection_mask(data: ExperimentData, strategy: SamplingStrategy) -> tuple[np.ndarray, bool]:

@@ -6,20 +6,23 @@ the geometric median of the access-point positions, which keeps one badly
 placed router from dragging the estimate far off.
 
 Timelines bin estimates into fixed-width time bins (ten minutes by default);
-the first resolvable scan in a bin provides the bin's estimate.
+the first resolvable scan in a bin provides the bin's estimate. A timeline is
+a set of columns, built for all scans at once; ``resolve_scan`` places one
+scan and is the per-scan reference.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .ap_locator import ApDatabase, geometric_median, geometric_medians, in_segments
-from .coverage_metrics import DAY_MS, DEFAULT_BIN_MS, CoverageSeries
+from .ap_locator import ApDatabase, geometric_median, geometric_medians
+from .coverage_metrics import DEFAULT_BIN_MS, CoverageSeries, _day_runs, _run_starts
+from .pairing import _string_rank
 from .trace_model import (
     BssidId,
     GeoPoint,
@@ -27,6 +30,7 @@ from .trace_model import (
     TimestampMs,
     UserId,
     WifiScan,
+    user_bounds,
 )
 
 
@@ -40,15 +44,20 @@ class PositionEstimate:
 
 @dataclass(slots=True)
 class BinnedTimeline:
-    user: UserId
-    bin_ms: int = DEFAULT_BIN_MS
-    # bin index -> estimate, only for bins that resolved
-    bins: dict[int, PositionEstimate] = field(default_factory=dict)
-    # every bin that saw any scan at all, resolved or not
-    bins_with_data: set[int] = field(default_factory=set)
+    """One user's binned timeline as columns: ``bins_with_data`` holds every
+    bin that saw any scan at all, ``bins`` those that resolved (both sorted).
+    Parallel to ``bins``: the bin's chosen scan time, its position estimate,
+    the number of usable hits behind it and the smallest BSSID among them."""
 
-    def coverage_counts(self) -> tuple[int, int]:
-        return len(self.bins_with_data), len(self.bins)
+    user: UserId
+    bins_with_data: np.ndarray
+    bins: np.ndarray
+    ts: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    support_count: np.ndarray
+    first_support: np.ndarray
+    bin_ms: int = DEFAULT_BIN_MS
 
 
 def resolve_scan(scan: WifiScan, db: ApDatabase) -> Optional[PositionEstimate]:
@@ -85,80 +94,92 @@ def build_timeline(
 ) -> dict[UserId, BinnedTimeline]:
     """Per-user binned timelines of a columnar log.
 
-    Each bin's first resolvable scan is found with array operations; only
-    those scans get a position estimate. Each user's scans are in time
-    order, as :class:`SensorArrays` guarantees, so the first resolvable scan
-    of a bin is the earliest.
+    Each (user, bin) run's first resolvable scan is chosen, and its usable
+    hits are gathered in BSSID order and placed, all with array operations;
+    one ``geometric_medians`` call then estimates every chosen scan. Each
+    user's scans are in time order, as :class:`SensorArrays` guarantees, so
+    the first resolvable scan of a bin is the earliest.
     """
-    u, t = arrays.scan_user, arrays.scan_ts
-    same_user = u[1:] == u[:-1]
+    u, t, off, ap = arrays.scan_user, arrays.scan_ts, arrays.scan_off, arrays.scan_ap
     bins = t // bin_ms
-    new_bin = np.ones(t.size, dtype=bool)
-    new_bin[1:] = ~same_user | (bins[1:] != bins[:-1])
 
-    usable = _usable_sightings(arrays, *db.beacons(arrays.bssids))
-    hits_before = np.concatenate([[0], np.cumsum(usable, dtype=np.int64)])
-    n_hits = hits_before[arrays.scan_off[1:]] - hits_before[arrays.scan_off[:-1]]
-
-    # the first resolvable scan of each (user, bin) run
-    res_pos = np.nonzero(n_hits > 0)[0]
-    run = np.cumsum(new_bin)[res_pos]
-    first_in_run = np.ones(res_pos.size, dtype=bool)
-    first_in_run[1:] = run[1:] != run[:-1]
-    first = res_pos[first_in_run]
-
-    timelines: dict[UserId, BinnedTimeline] = {}
-    for k in np.nonzero(new_bin)[0].tolist():
-        user = arrays.user_ids[u[k]]
-        tl = timelines.get(user)
-        if tl is None:
-            tl = timelines[user] = BinnedTimeline(user=user, bin_ms=bin_ms)
-        tl.bins_with_data.add(int(bins[k]))
-
-    # every chosen scan's hits in BSSID order, then one median per scan
-    supports, hit_lat, hit_lon = [], [], []
-    for k in first.tolist():
-        scan_ts = int(t[k])
-        lo, hi = int(arrays.scan_off[k]), int(arrays.scan_off[k + 1])
-        bssids = sorted(arrays.bssids[a] for a in arrays.scan_ap[lo:hi][usable[lo:hi]].tolist())
-        positions = [db.records[b].position_at(scan_ts) for b in bssids]
-        supports.append(bssids)
-        hit_lat.extend(p.lat_deg for p in positions)
-        hit_lon.extend(p.lon_deg for p in positions)
-    if not supports:
-        return timelines
-    sizes = np.array([len(s) for s in supports])
-    lat, lon = geometric_medians(np.array(hit_lat), np.array(hit_lon), np.cumsum(sizes) - sizes)
-    for k, support, a, b in zip(first.tolist(), supports, lat.tolist(), lon.tolist()):
-        user = arrays.user_ids[u[k]]
-        timelines[user].bins[int(bins[k])] = PositionEstimate(
-            user=user, ts=int(t[k]), pos=GeoPoint(a, b), support=support
-        )
-    return timelines
-
-
-def _usable_sightings(
-    arrays: SensorArrays, static: np.ndarray, relocated: dict[int, list]
-) -> np.ndarray:
-    """Per sighting: does its router have a position at the scan's time?
-
-    ``static`` and ``relocated`` are ``ApDatabase.beacons`` over
-    ``arrays.bssids``: a static router always places a scan, a relocated
-    one only inside one of its segment intervals.
-    """
-    ap = arrays.scan_ap
+    # per sighting: does its router have a position at the scan's time? A
+    # static router always does, a relocated one only inside a segment
+    static, relocated = db.beacons(arrays.bssids)
     usable = static[ap]
-    is_relocated = np.zeros(static.size, dtype=bool)
-    is_relocated[list(relocated)] = True
-    rel = np.nonzero(is_relocated[ap])[0]
-    if rel.size:
-        scan_of = np.repeat(np.arange(arrays.n_scans), arrays.scan_counts())
-        rel_ts = arrays.scan_ts[scan_of[rel]]
-        rel_ap = ap[rel]
-        for a in np.unique(rel_ap).tolist():
-            sel = rel_ap == a
-            usable[rel[sel]] = in_segments(rel_ts[sel], relocated[a])
-    return usable
+    rel = np.flatnonzero(np.isin(ap, list(relocated)))
+    rel_ts = t[np.searchsorted(off, rel, side="right") - 1]
+    usable[rel] = ~np.isnan(_segment_positions(db, arrays.bssids, ap[rel], rel_ts)[0])
+
+    # does each scan hold a usable sighting? empty scans hold none
+    nonempty = np.flatnonzero(off[1:] > off[:-1])
+    resolvable = np.zeros(t.size, dtype=bool)
+    if nonempty.size:
+        resolvable[nonempty] = np.logical_or.reduceat(usable, off[nonempty])
+    res = np.flatnonzero(resolvable)
+    first = res[_run_starts(u[res], bins[res])]
+
+    # the chosen scans' usable hits in (scan, BSSID) order; a BSSID listed
+    # twice in a scan counts twice
+    flat, counts = arrays.sighting_index(first)
+    keep = usable[flat]
+    hit_ap = ap[flat[keep]]
+    hit_scan = np.repeat(np.arange(first.size), counts)[keep]
+    order = np.lexsort((_string_rank(arrays.bssids)[hit_ap], hit_scan))
+    hit_ap, hit_scan = hit_ap[order], hit_scan[order]
+
+    # their positions: static routers' from one per-router table, relocated
+    # ones' from the segment holding the chosen scan's time
+    router_lat, router_lon = np.zeros(static.size), np.zeros(static.size)
+    for i in np.flatnonzero(static).tolist():
+        pos = db.records[arrays.bssids[i]].pos
+        router_lat[i], router_lon[i] = pos.lat_deg, pos.lon_deg
+    lat, lon = router_lat[hit_ap], router_lon[hit_ap]
+    rel = np.flatnonzero(np.isin(hit_ap, list(relocated)))
+    hit_ts = t[first[hit_scan[rel]]]
+    lat[rel], lon[rel] = _segment_positions(db, arrays.bssids, hit_ap[rel], hit_ts)
+
+    n_hits = np.bincount(hit_scan, minlength=first.size)
+    starts = np.cumsum(n_hits) - n_hits
+    if first.size:
+        lat, lon = geometric_medians(lat, lon, starts)
+    columns = {
+        "bins": bins[first],
+        "ts": t[first],
+        "lat": lat,
+        "lon": lon,
+        "support_count": n_hits,
+        "first_support": np.array(arrays.bssids, dtype=object)[hit_ap[starts]],
+    }
+
+    data = _run_starts(u, bins)
+    data_bounds = user_bounds(u[data], len(arrays.user_ids))
+    res_bounds = user_bounds(u[first], len(arrays.user_ids))
+    return {
+        arrays.user_ids[k]: BinnedTimeline(
+            user=arrays.user_ids[k],
+            bins_with_data=bins[data[data_bounds[k] : data_bounds[k + 1]]],
+            bin_ms=bin_ms,
+            **{name: col[res_bounds[k] : res_bounds[k + 1]] for name, col in columns.items()},
+        )
+        for k in np.flatnonzero(np.diff(data_bounds)).tolist()
+    }
+
+
+def _segment_positions(
+    db: ApDatabase, bssids: list[BssidId], ap: np.ndarray, ts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Degree positions of relocated routers' sightings, as
+    ``ApRecord.position_at`` gives them: the first of the router's segments
+    that holds the sighting's time, or NaN when none does."""
+    lat, lon = np.full(ap.size, np.nan), np.full(ap.size, np.nan)
+    for a in np.unique(ap).tolist():
+        rows = np.flatnonzero(ap == a)
+        # later segments first, so that the first one holding a time wins
+        for seg in reversed(db.records[bssids[a]].segments):
+            inside = rows[(ts[rows] >= seg.interval.start) & (ts[rows] <= seg.interval.end)]
+            lat[inside], lon[inside] = seg.pos.lat_deg, seg.pos.lon_deg
+    return lat, lon
 
 
 def timeline_coverage(timelines: dict[UserId, BinnedTimeline]) -> CoverageSeries:
@@ -167,14 +188,11 @@ def timeline_coverage(timelines: dict[UserId, BinnedTimeline]) -> CoverageSeries
     series = CoverageSeries()
     for user in sorted(timelines):
         tl = timelines[user]
-        with_data: dict[int, int] = {}
-        covered: dict[int, int] = {}
-        for counts, bins in ((with_data, tl.bins_with_data), (covered, tl.bins)):
-            for b in bins:
-                day = (b * tl.bin_ms) // DAY_MS
-                counts[day] = counts.get(day, 0) + 1
-        for day in sorted(with_data):
-            series.add(user, day, with_data[day], covered.get(day, 0))
+        _, days, n_cov = _day_runs(np.zeros_like(tl.bins), tl.bins, tl.bin_ms)
+        covered = dict(zip(days, n_cov))
+        one_user = np.zeros_like(tl.bins_with_data)
+        for _, day, n in zip(*_day_runs(one_user, tl.bins_with_data, tl.bin_ms)):
+            series.add(user, day, n, covered.get(day, 0))
     return series
 
 
@@ -185,37 +203,32 @@ def write_timeline_csv(timelines: dict[UserId, BinnedTimeline], path) -> None:
         writer.writerow(["user", "bin_index", "bin_start_ms", "lat", "lon", "support_count"])
         for user in sorted(timelines):
             tl = timelines[user]
-            for bin_idx in sorted(tl.bins_with_data):
-                est = tl.bins.get(bin_idx)
-                if est is None:
-                    writer.writerow([user, bin_idx, bin_idx * tl.bin_ms, "", "", 0])
-                else:
-                    writer.writerow(
-                        [
-                            user,
-                            bin_idx,
-                            bin_idx * tl.bin_ms,
-                            repr(est.pos.lat_deg),
-                            repr(est.pos.lon_deg),
-                            len(est.support),
-                        ]
-                    )
+            cells = zip(map(repr, tl.lat.tolist()), map(repr, tl.lon.tolist()), tl.support_count.tolist())
+            has_estimate = np.isin(tl.bins_with_data, tl.bins).tolist()
+            for b, hit in zip(tl.bins_with_data.tolist(), has_estimate):
+                writer.writerow([user, b, b * tl.bin_ms, *(next(cells) if hit else ("", "", 0))])
 
 
 def read_timeline_csv(path) -> dict[UserId, BinnedTimeline]:
-    timelines: dict[UserId, BinnedTimeline] = {}
+    """Timelines as ``write_timeline_csv`` wrote them. The file does not
+    hold each estimate's first support BSSID, so it reads back empty."""
+    rows: dict[UserId, list[dict]] = {}
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            user = row["user"]
-            tl = timelines.setdefault(user, BinnedTimeline(user=user))
-            bin_idx = int(row["bin_index"])
-            tl.bins_with_data.add(bin_idx)
-            if row["lat"]:
-                tl.bins[bin_idx] = PositionEstimate(
-                    user=user,
-                    ts=int(row["bin_start_ms"]),
-                    pos=GeoPoint(float(row["lat"]), float(row["lon"])),
-                    support=[],
-                )
+        for row in csv.DictReader(handle):
+            rows.setdefault(row["user"], []).append(row)
+    timelines: dict[UserId, BinnedTimeline] = {}
+    for user, user_rows in rows.items():
+        est = [r for r in user_rows if r["lat"]]
+        ints = lambda key, rows=est: np.array([int(r[key]) for r in rows], dtype=np.int64)
+        floats = lambda key: np.array([float(r[key]) for r in est], dtype=np.float64)
+        timelines[user] = BinnedTimeline(
+            user=user,
+            bins_with_data=ints("bin_index", user_rows),
+            bins=ints("bin_index"),
+            ts=ints("bin_start_ms"),
+            lat=floats("lat"),
+            lon=floats("lon"),
+            support_count=ints("support_count"),
+            first_support=np.full(len(est), "", dtype=object),
+        )
     return timelines

@@ -50,10 +50,6 @@ def _xy_to_latlon(x_m, y_m):
     return CITY_LAT0 + np.asarray(y_m) / M_PER_DEG_LAT, CITY_LON0 + np.asarray(x_m) / M_PER_DEG_LON
 
 
-def _latlon_to_xy(lat, lon):
-    return (np.asarray(lon) - CITY_LON0) * M_PER_DEG_LON, (np.asarray(lat) - CITY_LAT0) * M_PER_DEG_LAT
-
-
 def _rng(seed: int, *stream) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed,) + stream)))
 
@@ -352,9 +348,6 @@ class GroundTruth:
             self.bssid(i): GeoPoint(float(lat[i]), float(lon[i]))
             for i in range(self.n_static)
         }
-
-    def truth_class(self, ap_id: int) -> str:
-        return "static" if ap_id < self.n_static else "mobile"
 
     def mobile_ssid_labels(self) -> dict[str, str]:
         return {self.bssid(m.ap_id): m.ssid for m in self.mobile_aps}

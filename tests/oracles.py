@@ -43,7 +43,7 @@ from wifimob.pairing import (
     PairingConfig,
     pair_time_indices,
 )
-from wifimob.reconstructor import BinnedTimeline, resolve_scan, timeline_coverage
+from wifimob.reconstructor import BinnedTimeline, PositionEstimate, resolve_scan, timeline_coverage
 from wifimob.synthgen import _rng
 from wifimob.trace_model import (
     ApSighting,
@@ -391,13 +391,16 @@ def timeline_from_records(
     scans: Iterable[WifiScan], db: ApDatabase, bin_ms: int = DEFAULT_BIN_MS
 ) -> dict[UserId, BinnedTimeline]:
     """Record-level timelines: resolve scans one at a time until each bin
-    has an estimate. Per-user out-of-order scans raise TraceError."""
-    timelines: dict[UserId, BinnedTimeline] = {}
+    has an estimate, then lay each user's bins out as timeline columns.
+    Per-user out-of-order scans raise TraceError."""
+    estimates: dict[UserId, dict[int, PositionEstimate]] = {}
+    with_data: dict[UserId, set[int]] = {}
     last_ts: dict[UserId, TimestampMs] = {}
     for scan in scans:
-        tl = timelines.get(scan.user)
-        if tl is None:
-            tl = timelines[scan.user] = BinnedTimeline(user=scan.user, bin_ms=bin_ms)
+        bins = estimates.get(scan.user)
+        if bins is None:
+            bins = estimates[scan.user] = {}
+            with_data[scan.user] = set()
         elif scan.ts < last_ts[scan.user]:
             raise TraceError(
                 f"scans of user {scan.user} out of time order: "
@@ -405,13 +408,41 @@ def timeline_from_records(
             )
         last_ts[scan.user] = scan.ts
         bin_idx = scan.ts // bin_ms
-        tl.bins_with_data.add(bin_idx)
-        if bin_idx in tl.bins:
+        with_data[scan.user].add(bin_idx)
+        if bin_idx in bins:
             continue  # first resolvable scan already owns this bin
         est = resolve_scan(scan, db)
         if est is not None:
-            tl.bins[bin_idx] = est
+            bins[bin_idx] = est
+    timelines = {}
+    for user, bins in estimates.items():
+        est = [bins[b] for b in sorted(bins)]
+        timelines[user] = BinnedTimeline(
+            user=user,
+            bins_with_data=np.array(sorted(with_data[user]), dtype=np.int64),
+            bins=np.array(sorted(bins), dtype=np.int64),
+            ts=np.array([e.ts for e in est], dtype=np.int64),
+            lat=np.array([e.pos.lat_deg for e in est], dtype=np.float64),
+            lon=np.array([e.pos.lon_deg for e in est], dtype=np.float64),
+            support_count=np.array([len(e.support) for e in est], dtype=np.int64),
+            first_support=np.array([e.support[0] for e in est], dtype=object),
+            bin_ms=bin_ms,
+        )
     return timelines
+
+
+_TIMELINE_COLUMNS = ("bins_with_data", "bins", "ts", "lat", "lon", "support_count", "first_support")
+
+
+def assert_timelines_equal(got: dict, want: dict) -> None:
+    """The same users, and every timeline column equal, dtypes included."""
+    assert sorted(got) == sorted(want)
+    for user, tl in want.items():
+        assert (got[user].user, got[user].bin_ms) == (tl.user, tl.bin_ms)
+        for name in _TIMELINE_COLUMNS:
+            a, b = getattr(got[user], name), getattr(tl, name)
+            assert a.dtype == b.dtype, (user, name)
+            assert np.array_equal(a, b), (user, name)
 
 
 def table_from_traces(traces: TraceSet, bin_ms: int) -> ScanTable:

@@ -24,7 +24,9 @@ from wifimob.experiments import (
     RandomFraction,
     Scenario,
     TopRouters,
+    _NEVER,
     _check_key_range,
+    _coverage_from_first_ts,
     _greedy_picks,
     _selection_mask,
     _table_from_arrays,
@@ -33,6 +35,7 @@ from wifimob.experiments import (
     stability_decline,
 )
 from wifimob.pairing import PairedObservation
+from wifimob.reconstructor import build_timeline, timeline_coverage
 from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays
 from wifimob.trace_model import (
     ApSighting,
@@ -437,12 +440,13 @@ def test_relocated_guard_is_per_viewer():
     assert personal.per_user_day == {("a", 0): 1.0, ("a", 1): 1.0, ("b", 5): 1.0}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="defect 4(b): the relocated guard tests only a bin's latest sighting "
-    "of the router against its segments; the timeline tests each scan",
+_DEFECT_4B = (
+    "defect 4(b): the relocated guard tests only a bin's latest sighting "
+    "of the router against its segments; the timeline tests each scan"
 )
-def test_relocated_bin_seen_inside_and_after_a_segment():
+
+
+def _seen_inside_and_after_a_segment():
     """``a`` sees X at two sites on days 0 and 1, so X is relocated, and once
     more, unpaired, a minute after the first segment's last fix: bin 5 of day
     0 holds a scan inside that segment and a later one outside every segment.
@@ -456,7 +460,12 @@ def test_relocated_bin_seen_inside_and_after_a_segment():
             scans.append(WifiScan(user="a", ts=ts, sightings=x))
             fixes.append(GpsFix(user="a", ts=ts, pos=pos))
     scans.insert(6, WifiScan(user="a", ts=5 * DEFAULT_BIN_MS + 60_000, sightings=x))
-    arrays = records_to_arrays(fixes, scans)
+    return records_to_arrays(fixes, scans)
+
+
+@pytest.mark.xfail(strict=True, reason=_DEFECT_4B)
+def test_relocated_bin_seen_inside_and_after_a_segment():
+    arrays = _seen_inside_and_after_a_segment()
     cfg = ExperimentConfig(known_rule="classified")
     data = prepare_experiment_data(arrays, cfg)
     _, relocated = data.full_database().beacons(data.table.bssids)
@@ -469,6 +478,56 @@ def test_relocated_bin_seen_inside_and_after_a_segment():
         engine = run_experiment(data, strategy, scenario, cfg).coverage
         reference = coverage_via_record_pipeline(traces, strategy, scenario, cfg)
         assert engine.per_user_day == reference.per_user_day, scenario
+
+
+def _assert_one_coverage(arrays, data):
+    """The CLI's coverage (binned timelines under the full database) equals
+    the engine's when every router that database places is known from time
+    0, relocated ones inside their segments. Returns the shared series."""
+    t = data.table
+    db = data.full_database()
+    placed, relocated = db.beacons(t.bssids)
+    placed[list(relocated)] = True
+    viewer_first = np.broadcast_to(np.where(placed, 0, _NEVER), (t.n_users, t.n_aps))
+    engine = _coverage_from_first_ts(data, viewer_first, [relocated] * t.n_users)
+    timeline = timeline_coverage(build_timeline(arrays, db))
+    assert timeline.per_user_day == engine.per_user_day
+    return timeline.per_user_day
+
+
+def test_one_coverage_definition_on_default_world(default_world, default_data):
+    per_user_day = _assert_one_coverage(default_world[2], default_data)
+    assert len(per_user_day) == 900
+
+
+def test_one_coverage_definition_on_hand_built_static_routers():
+    x, y = ApSighting("02:00:00:00:00:0a"), ApSighting("02:00:00:00:00:0b")
+    scans, fixes = [], []
+    for k in range(6):
+        scans.append(WifiScan(user="a", ts=k * DEFAULT_BIN_MS, sightings=[x]))
+        fixes.append(GpsFix(user="a", ts=k * DEFAULT_BIN_MS, pos=P))
+    scans += [
+        WifiScan(user="a", ts=6 * DEFAULT_BIN_MS, sightings=[y]),  # y is never placed
+        WifiScan(user="a", ts=DAY_MS, sightings=[]),  # an empty scan is data too
+        WifiScan(user="a", ts=DAY_MS + 60_000, sightings=[y, x]),
+        WifiScan(user="b", ts=DAY_MS, sightings=[y]),
+        WifiScan(user="b", ts=2 * DAY_MS, sightings=[x]),
+    ]
+    arrays = records_to_arrays(fixes, scans)
+    data = prepare_experiment_data(arrays)
+    assert data.full_database().beacons(data.table.bssids)[0].tolist() == [True, False]
+    assert _assert_one_coverage(arrays, data) == {
+        ("a", 0): 6 / 7,
+        ("a", 1): 1.0,
+        ("b", 1): 0.0,
+        ("b", 2): 1.0,
+    }
+
+
+@pytest.mark.xfail(strict=True, reason=_DEFECT_4B)
+def test_one_coverage_definition_on_relocated_bin():
+    arrays = _seen_inside_and_after_a_segment()
+    _assert_one_coverage(arrays, prepare_experiment_data(arrays))
 
 
 _TABLE_FIELDS = ("data_user", "data_bin", "pres_user", "pres_bin", "pres_last_ts")

@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import records_to_arrays, timeline_from_records
+from oracles import assert_timelines_equal, records_to_arrays, timeline_from_records
 from wifimob.ap_locator import (
     ApClass,
     ApDatabase,
@@ -51,6 +52,12 @@ def _scan(bssids, ts=0, user="u"):
 def _timeline(scans, db):
     """build_timeline on hand-built record scans, as columns in the given order."""
     return build_timeline(records_to_arrays(scans=scans), db)
+
+
+def _pos(tl, b):
+    """The position estimate of resolved bin ``b``."""
+    i = tl.bins.tolist().index(b)
+    return GeoPoint(float(tl.lat[i]), float(tl.lon[i]))
 
 
 def test_single_known_ap_pins_position():
@@ -134,18 +141,18 @@ def test_timeline_first_scan_in_bin_wins():
     ]
     timelines = _timeline(scans, db)
     tl = timelines["u"]
-    assert tl.bins_with_data == {0, 1}
-    assert tl.bins[0].pos == _offset(0, 0)
-    assert tl.bins[0].ts == 60_000
-    assert tl.bins[1].pos == _offset(800, 0)
+    assert tl.bins_with_data.tolist() == [0, 1]
+    assert _pos(tl, 0) == _offset(0, 0)
+    assert tl.ts[0] == 60_000
+    assert _pos(tl, 1) == _offset(800, 0)
 
 
 def test_single_resolvable_scan_fills_one_bin():
     db = ApDatabase(records={"a": _static("a", _offset(0, 0))})
     timelines = _timeline([_scan(["a"], ts=0)], db)
     tl = timelines["u"]
-    assert set(tl.bins) == {0}
-    assert tl.bins_with_data == {0}
+    assert tl.bins.tolist() == [0]
+    assert tl.bins_with_data.tolist() == [0]
 
 
 def test_shrinking_database_never_adds_estimates():
@@ -169,9 +176,9 @@ def test_timeline_csv_roundtrip(tmp_path):
     path = tmp_path / "timeline.csv"
     write_timeline_csv(timelines, path)
     loaded = read_timeline_csv(path)
-    assert loaded["u"].bins_with_data == {0, 1}
-    assert set(loaded["u"].bins) == {0}
-    assert haversine_m(loaded["u"].bins[0].pos, _offset(0, 0)) < 1e-6
+    assert loaded["u"].bins_with_data.tolist() == [0, 1]
+    assert loaded["u"].bins.tolist() == [0]
+    assert haversine_m(_pos(loaded["u"], 0), _offset(0, 0)) < 1e-6
 
 
 def test_two_day_single_user_reconstruction_accuracy():
@@ -185,11 +192,11 @@ def test_two_day_single_user_reconstruction_accuracy():
     db = data.full_database()
     timelines = build_timeline(arrays, db)
     tl = timelines[gt.user_ids[0]]
-    assert tl.bins, "nothing reconstructed"
+    assert tl.bins.size, "nothing reconstructed"
     errors = []
-    for est in tl.bins.values():
-        lat, lon = gt.position_at(0, np.array([est.ts]))
-        errors.append(haversine_m(est.pos, GeoPoint(float(lat[0]), float(lon[0]))))
+    for ts, a, b in zip(tl.ts.tolist(), tl.lat.tolist(), tl.lon.tolist()):
+        lat, lon = gt.position_at(0, np.array([ts]))
+        errors.append(haversine_m(GeoPoint(a, b), GeoPoint(float(lat[0]), float(lon[0]))))
     frac_close = np.mean([e <= 150 for e in errors])
     coverage = len(tl.bins) / len(tl.bins_with_data)
     assert frac_close >= 0.95
@@ -215,7 +222,7 @@ def test_timeline_rejects_out_of_order_scans():
         with pytest.raises(TraceError, match="scans of user u after those of user v"):
             _timeline(rows, db)
         in_order = sorted(rows, key=lambda s: s.user)  # stable: ties keep their order
-        assert _timeline(in_order, db) == timeline_from_records(rows, db)
+        assert_timelines_equal(_timeline(in_order, db), timeline_from_records(rows, db))
 
 
 def _write_jsonl(path, rows):
@@ -265,19 +272,48 @@ def test_columnar_timeline_matches_records_on_hand_built_routers(tmp_path):
     )
     columnar = build_timeline(ingest_arrays(gps, wifi)[0], db)
     records = timeline_from_records(ingest_traces(gps, wifi).scans, db)
-    assert columnar == records
+    assert_timelines_equal(columnar, records)
     u = columnar["u"]
-    assert u.bins_with_data == {0, 2, 4, 5} and set(u.bins) == {0, 4, 5}
-    assert u.bins[0].pos == _offset(900, 0) and u.bins[0].ts == 60_000
-    assert len(u.bins[4].support) == 4 and u.bins[5].pos == _offset(0, 900)
-    assert columnar["v"].bins_with_data == {0, 1} and set(columnar["v"].bins) == {0}
+    assert u.bins_with_data.tolist() == [0, 2, 4, 5] and u.bins.tolist() == [0, 4, 5]
+    assert _pos(u, 0) == _offset(900, 0) and u.ts[0] == 60_000
+    assert u.support_count[1] == 4 and _pos(u, 5) == _offset(0, 900)
+    assert columnar["v"].bins_with_data.tolist() == [0, 1] and columnar["v"].bins.tolist() == [0]
+
+    # hand-built columns may list a BSSID twice in one scan, which counts
+    # twice, and may index the routers out of BSSID order
+    bssid = lambda i: f"02:00:00:00:00:0{i}"
+    scans = [
+        _scan([bssid(i) for i in ids], ts=ts, user="w")
+        for ts, ids in (
+            (0, [5, 5]),  # the relocated router twice, at its first segment's start
+            (1_000_000, [5]),  # at that segment's end
+            (2_000_000, [5, 3, 5, 1]),  # the second segment's start, mixed with static
+            (2_400_000, [2, 5, 4]),
+        )
+    ]
+    arrays = records_to_arrays(scans=scans)
+    n = len(arrays.bssids)
+    reversed_table = replace(
+        arrays,
+        bssids=arrays.bssids[::-1],
+        ssids=arrays.ssids[::-1],
+        scan_ap=(n - 1 - arrays.scan_ap).astype(np.int32),
+    )
+    records = timeline_from_records(scans, db)
+    for cols in (arrays, reversed_table):
+        assert_timelines_equal(build_timeline(cols, db), records)
+    w = records["w"]
+    assert w.bins.tolist() == [0, 1, 3, 4]
+    assert w.support_count.tolist() == [2, 1, 4, 2]
+    assert w.first_support.tolist() == [bssid(5), bssid(5), bssid(1), bssid(2)]
+    assert _pos(w, 0) == _pos(w, 1) == _offset(900, 0)
 
 
 def test_columnar_timeline_matches_records_on_small_world(small_world, tmp_path):
     _, gt, arrays, traces = small_world
     db = prepare_experiment_data(arrays).full_database()
     records = timeline_from_records(traces.scans, db)
-    assert build_timeline(arrays, db) == records
+    assert_timelines_equal(build_timeline(arrays, db), records)
     write_dataset(gt, arrays, tmp_path)
     loaded = ingest_arrays(tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl")[0]
-    assert build_timeline(loaded, db) == records
+    assert_timelines_equal(build_timeline(loaded, db), records)
