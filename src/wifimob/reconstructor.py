@@ -143,14 +143,8 @@ def build_timeline(
     starts = np.cumsum(n_hits) - n_hits
     if first.size:
         lat, lon = geometric_medians(lat, lon, starts)
-    columns = {
-        "bins": bins[first],
-        "ts": t[first],
-        "lat": lat,
-        "lon": lon,
-        "support_count": n_hits,
-        "first_support": np.array(arrays.bssids, dtype=object)[hit_ap[starts]],
-    }
+    columns = dict(bins=bins[first], ts=t[first], lat=lat, lon=lon, support_count=n_hits)
+    columns["first_support"] = np.array(arrays.bssids, dtype=object)[hit_ap[starts]]
 
     data = _run_starts(u, bins)
     data_bounds = user_bounds(u[data], len(arrays.user_ids))
@@ -197,27 +191,33 @@ def timeline_coverage(timelines: dict[UserId, BinnedTimeline]) -> CoverageSeries
 
 
 def write_timeline_csv(timelines: dict[UserId, BinnedTimeline], path) -> None:
-    """One row per bin with WiFi data; unresolved bins have empty lat/lon."""
+    """One row per bin with WiFi data; unresolved bins have empty lat, lon
+    and ts_ms, the time of the scan that placed the bin."""
     with Path(path).open("w", encoding="utf-8", newline="") as out:
         writer = csv.writer(out)
-        writer.writerow(["user", "bin_index", "bin_start_ms", "lat", "lon", "support_count"])
+        writer.writerow(["user", "bin_index", "bin_start_ms", "lat", "lon", "support_count", "ts_ms"])
         for user in sorted(timelines):
             tl = timelines[user]
-            cells = zip(map(repr, tl.lat.tolist()), map(repr, tl.lon.tolist()), tl.support_count.tolist())
+            cells = zip(map(repr, tl.lat.tolist()), map(repr, tl.lon.tolist()),
+                        tl.support_count.tolist(), tl.ts.tolist())
             has_estimate = np.isin(tl.bins_with_data, tl.bins).tolist()
             for b, hit in zip(tl.bins_with_data.tolist(), has_estimate):
-                writer.writerow([user, b, b * tl.bin_ms, *(next(cells) if hit else ("", "", 0))])
+                row = next(cells) if hit else ("", "", 0, "")
+                writer.writerow([user, b, b * tl.bin_ms, *row])
 
 
 def read_timeline_csv(path) -> dict[UserId, BinnedTimeline]:
     """Timelines as ``write_timeline_csv`` wrote them. The file does not
     hold each estimate's first support BSSID, so it reads back empty."""
-    rows: dict[UserId, list[dict]] = {}
+    by_user: dict[UserId, list[dict]] = {}
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            rows.setdefault(row["user"], []).append(row)
+        reader = csv.DictReader(handle)
+        if "ts_ms" not in (reader.fieldnames or ()):
+            raise ValueError(f"{path}: timeline has no ts_ms column")
+        for row in reader:
+            by_user.setdefault(row["user"], []).append(row)
     timelines: dict[UserId, BinnedTimeline] = {}
-    for user, user_rows in rows.items():
+    for user, user_rows in by_user.items():
         est = [r for r in user_rows if r["lat"]]
         ints = lambda key, rows=est: np.array([int(r[key]) for r in rows], dtype=np.int64)
         floats = lambda key: np.array([float(r[key]) for r in est], dtype=np.float64)
@@ -225,7 +225,7 @@ def read_timeline_csv(path) -> dict[UserId, BinnedTimeline]:
             user=user,
             bins_with_data=ints("bin_index", user_rows),
             bins=ints("bin_index"),
-            ts=ints("bin_start_ms"),
+            ts=ints("ts_ms"),
             lat=floats("lat"),
             lon=floats("lon"),
             support_count=ints("support_count"),

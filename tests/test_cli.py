@@ -104,7 +104,7 @@ def test_full_pipeline_and_evaluate(tmp_path, capsys):
         "--apdb", apdb, "--out", timeline,
     ) == 0
     header = timeline.read_text().splitlines()[0]
-    assert header == "user,bin_index,bin_start_ms,lat,lon,support_count"
+    assert header == "user,bin_index,bin_start_ms,lat,lon,support_count,ts_ms"
 
     assert _run(
         "coverage", "--gps", data / "gps.jsonl", "--wifi", data / "wifi.jsonl",
@@ -138,6 +138,36 @@ def test_evaluate_insensitive_to_truth_row_order(tmp_path, capsys):
     assert _run("evaluate", "--dataset", data, "--apdb", apdb) == 0
     after = capsys.readouterr().out
     assert before == after
+
+
+def test_evaluate_scores_each_bin_at_its_chosen_scan(tmp_path, capsys):
+    """The truth track moves 0.01 degrees north between minutes 0 and 5 of
+    bin 0; the bin's estimate came from a scan at minute 5 and sits on the
+    truth there, so its error is 0, not the 1.1 km to the bin start's truth."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "truth_aps.csv").write_text("bssid,class,lat,lon,ssid\n")
+    track = [f"u,{m * 60_000},{55.7 + (m >= 5) * 0.01!r},12.5\n" for m in range(10)]
+    (data / "truth_positions.csv").write_text("user,ts_ms,lat,lon\n" + "".join(track))
+    apdb = tmp_path / "apdb.csv"
+    apdb.write_text("bssid,class,lat,lon,n_sightings,segments_json,contributors_count\n")
+    timeline = tmp_path / "timeline.csv"
+    timeline.write_text(
+        "user,bin_index,bin_start_ms,lat,lon,support_count,ts_ms\n"
+        f"u,0,0,{55.7 + 0.01!r},12.5,1,300000\n"
+        "u,1,600000,,,0,\n"
+    )
+    capsys.readouterr()
+    assert _run("evaluate", "--dataset", data, "--apdb", apdb, "--timeline", timeline) == 0
+    report = capsys.readouterr().out
+    assert "estimated bins: 1\n" in report
+    assert "bin position error m: p50=0.0, p90=0.0, p95=0.0 (n=1)" in report
+
+    # a timeline written before the scan time was stored cannot be scored
+    lines = timeline.read_text().splitlines()
+    timeline.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+    assert _run("evaluate", "--dataset", data, "--apdb", apdb, "--timeline", timeline) == 1
+    assert "timeline has no ts_ms column" in capsys.readouterr().err
 
 
 def test_evaluate_missing_truth(tmp_path, capsys):

@@ -171,13 +171,14 @@ def test_shrinking_database_never_adds_estimates():
 
 def test_timeline_csv_roundtrip(tmp_path):
     db = ApDatabase(records={"a": _static("a", _offset(0, 0))})
-    scans = [_scan(["a"], ts=0), _scan([], ts=700_000)]
+    scans = [_scan([], ts=0), _scan(["a"], ts=120_000), _scan([], ts=700_000)]
     timelines = _timeline(scans, db)
     path = tmp_path / "timeline.csv"
     write_timeline_csv(timelines, path)
     loaded = read_timeline_csv(path)
     assert loaded["u"].bins_with_data.tolist() == [0, 1]
     assert loaded["u"].bins.tolist() == [0]
+    assert loaded["u"].ts.tolist() == [120_000]
     assert haversine_m(_pos(loaded["u"], 0), _offset(0, 0)) < 1e-6
 
 
