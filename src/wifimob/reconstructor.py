@@ -106,8 +106,10 @@ def build_timeline(
     # per sighting: does its router have a position at the scan's time? A
     # static router always does, a relocated one only inside a segment
     static, relocated = db.beacons(arrays.bssids)
+    is_relocated = np.zeros(static.size, dtype=bool)
+    is_relocated[list(relocated)] = True
     usable = static[ap]
-    rel = np.flatnonzero(np.isin(ap, list(relocated)))
+    rel = np.flatnonzero(is_relocated[ap])
     rel_ts = t[np.searchsorted(off, rel, side="right") - 1]
     usable[rel] = ~np.isnan(_segment_positions(db, arrays.bssids, ap[rel], rel_ts)[0])
 
@@ -135,9 +137,9 @@ def build_timeline(
         pos = db.records[arrays.bssids[i]].pos
         router_lat[i], router_lon[i] = pos.lat_deg, pos.lon_deg
     lat, lon = router_lat[hit_ap], router_lon[hit_ap]
-    rel = np.flatnonzero(np.isin(hit_ap, list(relocated)))
-    hit_ts = t[first[hit_scan[rel]]]
-    lat[rel], lon[rel] = _segment_positions(db, arrays.bssids, hit_ap[rel], hit_ts)
+    rel_hits = np.flatnonzero(is_relocated[hit_ap])
+    hit_ts = t[first[hit_scan[rel_hits]]]
+    lat[rel_hits], lon[rel_hits] = _segment_positions(db, arrays.bssids, hit_ap[rel_hits], hit_ts)
 
     n_hits = np.bincount(hit_scan, minlength=first.size)
     starts = np.cumsum(n_hits) - n_hits
@@ -184,8 +186,8 @@ def timeline_coverage(timelines: dict[UserId, BinnedTimeline]) -> CoverageSeries
         tl = timelines[user]
         _, days, n_cov = _day_runs(np.zeros_like(tl.bins), tl.bins, tl.bin_ms)
         covered = dict(zip(days, n_cov))
-        one_user = np.zeros_like(tl.bins_with_data)
-        for _, day, n in zip(*_day_runs(one_user, tl.bins_with_data, tl.bin_ms)):
+        _, days, n_data = _day_runs(np.zeros_like(tl.bins_with_data), tl.bins_with_data, tl.bin_ms)
+        for day, n in zip(days, n_data):
             series.add(user, day, n, covered.get(day, 0))
     return series
 
