@@ -126,24 +126,26 @@ class ApDatabase:
     def get(self, bssid: BssidId) -> Optional[ApRecord]:
         return self.records.get(bssid)
 
-    def beacons(
-        self, bssids: list[BssidId]
-    ) -> tuple[np.ndarray, dict[int, list[tuple[TimestampMs, TimestampMs]]]]:
-        """Which routers of a BSSID table place a scan, and when: a mask of
-        the static routers with a position, and the (start, end) segment
-        intervals of each relocated router by its index in ``bssids``, for
-        ``in_segments``. Mirrors ``ApRecord.position_at``."""
-        static = np.zeros(len(bssids), dtype=bool)
-        relocated = {}
+    def router_table(self, bssids: list[BssidId]) -> RouterTable:
+        """The records as a :class:`RouterTable` indexed like ``bssids``."""
+        lat, lon = np.full(len(bssids), np.nan), np.full(len(bssids), np.nan)
+        seg_count = np.zeros(len(bssids), dtype=np.int64)
+        segments: list[ApSegment] = []
         for i, bssid in enumerate(bssids):
             rec = self.records.get(bssid)
             if rec is None:
                 continue
-            if rec.ap_class is ApClass.STATIC:
-                static[i] = rec.pos is not None
+            if rec.ap_class is ApClass.STATIC and rec.pos is not None:
+                lat[i], lon[i] = rec.pos.lat_deg, rec.pos.lon_deg
             elif rec.ap_class is ApClass.RELOCATED:
-                relocated[i] = [(s.interval.start, s.interval.end) for s in rec.segments]
-        return static, relocated
+                seg_count[i] = len(rec.segments)
+                segments += rec.segments
+        start = np.array([s.interval.start for s in segments], dtype=np.int64)
+        end = np.array([s.interval.end for s in segments], dtype=np.int64)
+        seg_lat = np.array([s.pos.lat_deg for s in segments], dtype=np.float64)
+        seg_lon = np.array([s.pos.lon_deg for s in segments], dtype=np.float64)
+        seg_off = np.cumsum(seg_count) - seg_count
+        return RouterTable(lat, lon, seg_off, seg_count, start, end, seg_lat, seg_lon)
 
     def census(self) -> dict[str, int]:
         counts = {c.value: 0 for c in ApClass}
@@ -153,14 +155,43 @@ class ApDatabase:
         return counts
 
 
-def in_segments(ts: np.ndarray, intervals: list[tuple[TimestampMs, TimestampMs]]) -> np.ndarray:
-    """Per timestamp: does it fall in one of a relocated router's closed
-    (start, end) segment intervals, as ``ApDatabase.beacons`` lists them?
-    The array form of ``ApRecord.position_at``."""
-    inside = np.zeros(ts.shape, dtype=bool)
-    for start, end in intervals:
-        inside |= (ts >= start) & (ts <= end)
-    return inside
+@dataclass(frozen=True, slots=True)
+class RouterTable:
+    """Where the routers of a BSSID table place a scan, as columns indexed
+    like that table: each static router's ``lat``/``lon`` (NaN for all
+    others), and each relocated router's segments as its ``seg_count`` rows
+    from ``seg_off`` of ``start``, ``end``, ``seg_lat`` and ``seg_lon``, in
+    its record's listed order."""
+
+    lat: np.ndarray
+    lon: np.ndarray
+    seg_off: np.ndarray
+    seg_count: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    seg_lat: np.ndarray
+    seg_lon: np.ndarray
+
+    @property
+    def placed(self) -> np.ndarray:
+        """Mask of the routers that place a scan at some time."""
+        return ~np.isnan(self.lat) | (self.seg_count > 0)
+
+    def place(self, router: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Degree positions of ``router`` (indices into the BSSID table) at
+        the times ``ts``, as ``ApRecord.position_at`` gives them: NaN where it
+        gives None, and a relocated router's first listed segment holding ``ts`` wins."""
+        lat, lon = self.lat[router], self.lon[router]
+        rows = np.flatnonzero(self.seg_count[router] > 0)
+        n = self.seg_count[router[rows]]
+        # one candidate per (row, segment), each row's in listed order
+        row = np.repeat(rows, n)
+        seg = np.repeat(self.seg_off[router[rows]] - np.cumsum(n) + n, n) + np.arange(n.sum())
+        inside = (self.start[seg] <= ts[row]) & (ts[row] <= self.end[seg])
+        row, seg = row[inside], seg[inside]
+        first = np.flatnonzero(np.diff(row, prepend=-1) != 0)
+        lat[row[first]], lon[row[first]] = self.seg_lat[seg[first]], self.seg_lon[seg[first]]
+        return lat, lon
 
 
 def haversine_m(a: GeoPoint, b: GeoPoint, radius_m: float = EARTH_RADIUS_M) -> float:

@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .ap_locator import ApDatabase, LocatorConfig, build_database, in_segments
+from .ap_locator import ApDatabase, LocatorConfig, RouterTable, build_database
 from .coverage_metrics import DAY_MS, DEFAULT_BIN_MS, CoverageSeries, coverage_histogram
 from .coverage_metrics import _day_runs, _run_starts
 from .pairing import (  # PairedEvents is re-exported from here
@@ -325,22 +325,20 @@ def _viewer_first_ts(mat: np.ndarray, scenario: Scenario) -> np.ndarray:
 def _coverage_from_first_ts(
     data: ExperimentData,
     viewer_first_ts: np.ndarray,
-    relocated_guard: Optional[list[dict]] = None,
+    tables: Optional[list[RouterTable]] = None,
 ) -> CoverageSeries:
-    """``relocated_guard`` holds one dict per viewer: AP id -> the segment
-    intervals outside which that viewer cannot place the AP."""
+    """``tables`` holds one router table per viewer: a relocated router is
+    known to that viewer only inside one of its segments there."""
     t = data.table
     # one flat gather; ravel copies GLOBAL's broadcast row into a full matrix
     flat = np.multiply(t.pres_user, t.n_aps, dtype=np.int64)
     flat += t.pres_ap
     known = viewer_first_ts.ravel()[flat] <= t.pres_last_ts
-    if relocated_guard:
+    if tables:
         bounds = user_bounds(t.pres_user, t.n_users)
-        for u, guard in enumerate(relocated_guard):
-            lo, hi = bounds[u], bounds[u + 1]
-            for ap, intervals in guard.items():
-                rows = lo + np.flatnonzero(t.pres_ap[lo:hi] == ap)
-                known[rows] &= in_segments(t.pres_last_ts[rows], intervals)
+        for table, lo, hi in zip(tables, bounds[:-1], bounds[1:]):
+            rows = lo + np.flatnonzero((table.seg_count > 0)[t.pres_ap[lo:hi]])
+            known[rows] &= ~np.isnan(table.place(t.pres_ap[rows], t.pres_last_ts[rows])[0])
 
     # presence rows are sorted by (user, bin, ap), so the covered (user, bin)
     # pairs and both day counts come out as runs in (user, day) order
@@ -378,16 +376,14 @@ def run_experiment(
     data = source if isinstance(source, ExperimentData) else prepare_experiment_data(source, cfg)
     t = data.table
     n_users, n_aps = t.n_users, t.n_aps
-    relocated_guard: Optional[list[dict]] = None
+    tables: Optional[list[RouterTable]] = None
 
     if isinstance(strategy, TopRouters):
-        res_mask, relocated = data.full_database().beacons(t.bssids)
-        res_mask[list(relocated)] = True
-        relocated_guard = [relocated] * n_users
+        table = data.full_database().router_table(t.bssids)
+        tables = [table] * n_users
         picked = np.zeros((n_users, n_aps), dtype=bool)
         for u, sel in enumerate(data.top_router_selections(strategy.k)):
-            usable = sel[res_mask[sel]]
-            picked[u, usable] = True
+            picked[u, sel[table.placed[sel]]] = True
         mat = np.where(picked, np.int64(0), _NEVER)
         viewer_first = _viewer_first_ts(mat, scenario)
     elif cfg.known_rule == "any_sighting":
@@ -395,9 +391,9 @@ def run_experiment(
         mat = _first_ts_matrix(data, sel_mask, sequential)
         viewer_first = _viewer_first_ts(mat, scenario)
     else:
-        viewer_first, relocated_guard = _classified_viewer_first(data, strategy, scenario, cfg)
+        viewer_first, tables = _classified_viewer_first(data, strategy, scenario, cfg)
 
-    coverage = _coverage_from_first_ts(data, viewer_first, relocated_guard)
+    coverage = _coverage_from_first_ts(data, viewer_first, tables)
 
     histograms: dict[int, list[int]] = {}
     for day in cfg.histogram_days:
@@ -429,27 +425,26 @@ def _classified_viewer_first(
     """Per-viewer knowledge under the quality-filtered classifier.
 
     Builds one database per viewer from their scenario-filtered training
-    subset (one shared database under GLOBAL); intended for modest datasets.
+    subset, and its router table (one shared under GLOBAL); intended for
+    modest datasets.
     """
     t = data.table
     sel_mask, _ = _selection_mask(data, strategy)
     mat = np.full((t.n_users, t.n_aps), _NEVER, dtype=np.int64)
-    # each viewer's relocated APs, guarded by that viewer's own database
-    guards: list[dict[int, list[tuple[int, int]]]] = []
+    # each viewer's relocated APs are guarded by that viewer's own table
+    tables: list[RouterTable] = []
     shared = None
     if scenario is Scenario.GLOBAL:
-        shared = _training_database(data, sel_mask, cfg).beacons(t.bssids)
+        shared = _training_database(data, sel_mask, cfg).router_table(t.bssids)
     for u in range(t.n_users):
-        if shared is not None:
-            static, relocated = shared
-        else:
+        table = shared
+        if table is None:
             own = data.pairs.user == u
             keep = sel_mask & (own if scenario is Scenario.PERSONAL else ~own)
-            static, relocated = _training_database(data, keep, cfg).beacons(t.bssids)
-        mat[u, static] = 0
-        mat[u, list(relocated)] = 0
-        guards.append(relocated)
-    return mat, guards
+            table = _training_database(data, keep, cfg).router_table(t.bssids)
+        mat[u, table.placed] = 0
+        tables.append(table)
+    return mat, tables
 
 
 def _training_database(

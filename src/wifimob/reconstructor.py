@@ -105,13 +105,11 @@ def build_timeline(
 
     # per sighting: does its router have a position at the scan's time? A
     # static router always does, a relocated one only inside a segment
-    static, relocated = db.beacons(arrays.bssids)
-    is_relocated = np.zeros(static.size, dtype=bool)
-    is_relocated[list(relocated)] = True
-    usable = static[ap]
-    rel = np.flatnonzero(is_relocated[ap])
+    table = db.router_table(arrays.bssids)
+    usable = (~np.isnan(table.lat))[ap]
+    rel = np.flatnonzero((table.seg_count > 0)[ap])
     rel_ts = t[np.searchsorted(off, rel, side="right") - 1]
-    usable[rel] = ~np.isnan(_segment_positions(db, arrays.bssids, ap[rel], rel_ts)[0])
+    usable[rel] = ~np.isnan(table.place(ap[rel], rel_ts)[0])
 
     # does each scan hold a usable sighting? empty scans hold none
     nonempty = np.flatnonzero(off[1:] > off[:-1])
@@ -130,17 +128,7 @@ def build_timeline(
     order = np.lexsort((_string_rank(arrays.bssids)[hit_ap], hit_scan))
     hit_ap, hit_scan = hit_ap[order], hit_scan[order]
 
-    # their positions: static routers' from one per-router table, relocated
-    # ones' from the segment holding the chosen scan's time
-    router_lat, router_lon = np.zeros(static.size), np.zeros(static.size)
-    for i in np.flatnonzero(static).tolist():
-        pos = db.records[arrays.bssids[i]].pos
-        router_lat[i], router_lon[i] = pos.lat_deg, pos.lon_deg
-    lat, lon = router_lat[hit_ap], router_lon[hit_ap]
-    rel_hits = np.flatnonzero(is_relocated[hit_ap])
-    hit_ts = t[first[hit_scan[rel_hits]]]
-    lat[rel_hits], lon[rel_hits] = _segment_positions(db, arrays.bssids, hit_ap[rel_hits], hit_ts)
-
+    lat, lon = table.place(hit_ap, t[first[hit_scan]])
     n_hits = np.bincount(hit_scan, minlength=first.size)
     starts = np.cumsum(n_hits) - n_hits
     if first.size:
@@ -160,22 +148,6 @@ def build_timeline(
         )
         for k in np.flatnonzero(np.diff(data_bounds)).tolist()
     }
-
-
-def _segment_positions(
-    db: ApDatabase, bssids: list[BssidId], ap: np.ndarray, ts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Degree positions of relocated routers' sightings, as
-    ``ApRecord.position_at`` gives them: the first of the router's segments
-    that holds the sighting's time, or NaN when none does."""
-    lat, lon = np.full(ap.size, np.nan), np.full(ap.size, np.nan)
-    for a in np.unique(ap).tolist():
-        rows = np.flatnonzero(ap == a)
-        # later segments first, so that the first one holding a time wins
-        for seg in reversed(db.records[bssids[a]].segments):
-            inside = rows[(ts[rows] >= seg.interval.start) & (ts[rows] <= seg.interval.end)]
-            lat[inside], lon[inside] = seg.pos.lat_deg, seg.pos.lon_deg
-    return lat, lon
 
 
 def timeline_coverage(timelines: dict[UserId, BinnedTimeline]) -> CoverageSeries:

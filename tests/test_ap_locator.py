@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -578,6 +579,50 @@ class TestRecordLookup:
         assert rec.position_at(250) == _offset(1000, 0)
         assert rec.position_at(150) is None
         assert rec.label_at(50) != rec.label_at(250)
+
+    def test_router_table_places_as_position_at(self, tmp_path):
+        """``RouterTable.place`` equals ``ApRecord.position_at`` at every
+        probe time of every router: a relocated router's first listed
+        segment holding the time wins, also when its segments overlap or
+        are listed out of time order."""
+        seg = lambda lat, start, end: {"lat": lat, "lon": 12.5, "start_ms": start, "end_ms": end}
+        rows = {
+            "static": ("static", "55.7", "12.5", ""),
+            "static_unplaced": ("static", "", "", ""),
+            "mobile": ("mobile", "", "", ""),
+            "insufficient": ("insufficient", "", "", ""),
+            "three": ("relocated", "", "", [seg(55.71, 0, 100), seg(55.72, 200, 300),
+                                              seg(55.73, 400, 500)]),
+            "overlapping": ("relocated", "", "", [seg(55.74, 0, 300), seg(55.75, 200, 500)]),
+            "unordered": ("relocated", "", "", [seg(55.76, 400, 500), seg(55.77, 0, 100),
+                                                seg(55.78, 300, 600)]),
+        }
+        path = tmp_path / "apdb.csv"
+        lines = ["bssid,class,lat,lon,n_sightings,segments_json,contributors_count"]
+        for bssid, (cls, lat, lon, segs) in rows.items():
+            cell = json.dumps(segs).replace('"', '""') if segs else ""
+            lines.append(f'{bssid},{cls},{lat},{lon},9,"{cell}",1')
+        path.write_text("\n".join(lines) + "\n")
+        db = read_apdb_csv(path)
+
+        bssids = ["absent"] + sorted(rows, reverse=True)
+        table = db.router_table(bssids)
+        bounds = [t for s in (0, 100, 200, 300, 400, 500, 600) for t in (s - 1, s, s + 1)]
+        probes = bounds + [50, 150, 250, 350, 450, 550, 10_000]
+        router = np.repeat(np.arange(len(bssids)), len(probes))
+        ts = np.tile(np.array(probes, dtype=np.int64), len(bssids))
+        lat, lon = table.place(router, ts)
+        for i, t, got_lat, got_lon in zip(router.tolist(), ts.tolist(), lat.tolist(), lon.tolist()):
+            rec = db.get(bssids[i])
+            want = rec.position_at(t) if rec else None
+            if want is None:
+                assert math.isnan(got_lat) and math.isnan(got_lon), (bssids[i], t)
+            else:
+                assert (got_lat, got_lon) == (want.lat_deg, want.lon_deg), (bssids[i], t)
+        placed = {b for b, p in zip(bssids, table.placed.tolist()) if p}
+        assert placed == {"static", "three", "overlapping", "unordered"}
+        at = lambda bssid, t: table.place(np.array([bssids.index(bssid)]), np.array([t]))[0][0]
+        assert at("overlapping", 250) == 55.74 and at("unordered", 450) == 55.76
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):

@@ -468,8 +468,10 @@ def test_relocated_bin_seen_inside_and_after_a_segment():
     arrays = _seen_inside_and_after_a_segment()
     cfg = ExperimentConfig(known_rule="classified")
     data = prepare_experiment_data(arrays, cfg)
-    _, relocated = data.full_database().beacons(data.table.bssids)
-    assert relocated == {0: [(0, 5 * DEFAULT_BIN_MS), (DAY_MS, DAY_MS + 5 * DEFAULT_BIN_MS)]}
+    table = data.full_database().router_table(data.table.bssids)
+    assert table.seg_count.tolist() == [2]
+    assert table.start.tolist() == [0, DAY_MS]
+    assert table.end.tolist() == [5 * DEFAULT_BIN_MS, DAY_MS + 5 * DEFAULT_BIN_MS]
     traces = arrays_to_traceset(arrays)
     strategy = InitialPeriod(days=30)
     reference = coverage_via_record_pipeline(traces, strategy, Scenario.PERSONAL, cfg)
@@ -486,10 +488,9 @@ def _assert_one_coverage(arrays, data):
     0, relocated ones inside their segments. Returns the shared series."""
     t = data.table
     db = data.full_database()
-    placed, relocated = db.beacons(t.bssids)
-    placed[list(relocated)] = True
-    viewer_first = np.broadcast_to(np.where(placed, 0, _NEVER), (t.n_users, t.n_aps))
-    engine = _coverage_from_first_ts(data, viewer_first, [relocated] * t.n_users)
+    table = db.router_table(t.bssids)
+    viewer_first = np.broadcast_to(np.where(table.placed, 0, _NEVER), (t.n_users, t.n_aps))
+    engine = _coverage_from_first_ts(data, viewer_first, [table] * t.n_users)
     timeline = timeline_coverage(build_timeline(arrays, db))
     assert timeline.per_user_day == engine.per_user_day
     return timeline.per_user_day
@@ -515,7 +516,8 @@ def test_one_coverage_definition_on_hand_built_static_routers():
     ]
     arrays = records_to_arrays(fixes, scans)
     data = prepare_experiment_data(arrays)
-    assert data.full_database().beacons(data.table.bssids)[0].tolist() == [True, False]
+    table = data.full_database().router_table(data.table.bssids)
+    assert (~np.isnan(table.lat)).tolist() == [True, False]
     assert _assert_one_coverage(arrays, data) == {
         ("a", 0): 6 / 7,
         ("a", 1): 1.0,
