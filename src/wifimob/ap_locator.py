@@ -784,6 +784,9 @@ def read_apdb_csv(path) -> ApDatabase:
     records: dict[BssidId, ApRecord] = {}
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
+        missing = [c for c in _APDB_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: AP database lacks columns {', '.join(missing)}")
         for row in reader:
             ap_class = ApClass(row["class"])
             pos = None
@@ -791,13 +794,10 @@ def read_apdb_csv(path) -> ApDatabase:
             if ap_class is ApClass.STATIC and row["lat"]:
                 pos = GeoPoint(float(row["lat"]), float(row["lon"]))
             elif ap_class is ApClass.RELOCATED and row["segments_json"]:
-                for seg in json.loads(row["segments_json"]):
-                    segments.append(
-                        ApSegment(
-                            pos=GeoPoint(seg["lat"], seg["lon"]),
-                            interval=TimeInterval(seg["start_ms"], seg["end_ms"]),
-                        )
-                    )
+                segments = [
+                    ApSegment(GeoPoint(s["lat"], s["lon"]), TimeInterval(s["start_ms"], s["end_ms"]))
+                    for s in json.loads(row["segments_json"])
+                ]
             records[row["bssid"]] = ApRecord(
                 bssid=row["bssid"],
                 ap_class=ap_class,

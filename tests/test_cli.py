@@ -170,6 +170,18 @@ def test_evaluate_scores_each_bin_at_its_chosen_scan(tmp_path, capsys):
     assert "timeline has no ts_ms column" in capsys.readouterr().err
 
 
+def test_apdb_with_a_missing_column_is_an_error(tmp_path, capsys):
+    data = _dataset(tmp_path, users=2, days=1, seed=3)
+    apdb = tmp_path / "apdb.csv"
+    apdb.write_text("bssid,class,lat,lon\n02:00:00:00:00:01,static,55.7,12.5\n")
+    capsys.readouterr()
+    src = ("--gps", data / "gps.jsonl", "--wifi", data / "wifi.jsonl")
+    rc = _run("reconstruct", *src, "--apdb", apdb, "--out", tmp_path / "timeline.csv")
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error:") and "n_sightings, segments_json, contributors_count" in err
+
+
 def test_evaluate_missing_truth(tmp_path, capsys):
     rc = _run("evaluate", "--dataset", tmp_path, "--apdb", tmp_path / "nope.csv")
     assert rc != 0
