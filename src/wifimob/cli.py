@@ -342,19 +342,21 @@ def cmd_evaluate(args, cfg_values) -> int:
         )
 
     if args.timeline:
-        truth_track: dict[tuple[str, int], GeoPoint] = {}
+        truth_track: dict[tuple[str, int], tuple[float, float]] = {}
         with truth_pos_path.open("r", encoding="utf-8", newline="") as handle:
             for row in csv.DictReader(handle):
-                truth_track[(row["user"], int(row["ts_ms"]))] = GeoPoint(
-                    float(row["lat"]), float(row["lon"])
-                )
+                truth_track[(row["user"], int(row["ts_ms"]))] = (float(row["lat"]), float(row["lon"]))
         timelines = read_timeline_csv(args.timeline)
         bin_errors = []
-        for user in sorted(timelines):
-            tl = timelines[user]
+        for user, tl in sorted(timelines.items()):
             for ts, lat, lon in zip(tl.ts.tolist(), tl.lat.tolist(), tl.lon.tolist()):
-                truth = truth_track.get((user, (ts // 60_000) * 60_000))
-                if truth is not None:
+                # truth between the minutes either side of ts; the earlier's if the later has none
+                floor = ts - ts % 60_000
+                before = truth_track.get((user, floor))
+                if before is not None:
+                    after = truth_track.get((user, floor + 60_000), before)
+                    w = (ts - floor) / 60_000
+                    truth = GeoPoint(*(a + w * (b - a) for a, b in zip(before, after)))
                     bin_errors.append(haversine_m(truth, GeoPoint(lat, lon)))
         pct = _percentiles(bin_errors)
         print(f"estimated bins: {sum(tl.bins.size for tl in timelines.values())}")

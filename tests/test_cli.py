@@ -182,6 +182,26 @@ def test_apdb_with_a_missing_column_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "n_sightings, segments_json, contributors_count" in err
 
 
+def test_evaluate_interpolates_the_truth_track(tmp_path, capsys):
+    """The truth track moves 0.001 degrees north per minute; an estimate at
+    5:30 on that track is off by 0, not by the 56 m to the 5:00 row. An
+    estimate at 9:30, past the track's last row, is scored against it."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "truth_aps.csv").write_text("bssid,class,lat,lon,ssid\n")
+    track = [f"u,{m * 60_000},{55.7 + m * 0.001!r},12.5\n" for m in range(10)]
+    (data / "truth_positions.csv").write_text("user,ts_ms,lat,lon\n" + "".join(track))
+    apdb = tmp_path / "apdb.csv"
+    apdb.write_text("bssid,class,lat,lon,n_sightings,segments_json,contributors_count\n")
+    timeline = tmp_path / "timeline.csv"
+    header = "user,bin_index,bin_start_ms,lat,lon,support_count,ts_ms\n"
+    capsys.readouterr()
+    for ts, lat in ((330_000, 55.7055), (570_000, 55.709)):
+        timeline.write_text(header + f"u,0,0,{lat!r},12.5,1,{ts}\n")
+        assert _run("evaluate", "--dataset", data, "--apdb", apdb, "--timeline", timeline) == 0
+        assert "bin position error m: p50=0.0, p90=0.0, p95=0.0 (n=1)" in capsys.readouterr().out
+
+
 def test_evaluate_missing_truth(tmp_path, capsys):
     rc = _run("evaluate", "--dataset", tmp_path, "--apdb", tmp_path / "nope.csv")
     assert rc != 0
