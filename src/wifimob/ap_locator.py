@@ -131,8 +131,7 @@ class ApDatabase:
         lat, lon = np.full(len(bssids), np.nan), np.full(len(bssids), np.nan)
         seg_count = np.zeros(len(bssids), dtype=np.int64)
         segments: list[ApSegment] = []
-        for i, bssid in enumerate(bssids):
-            rec = self.records.get(bssid)
+        for i, rec in enumerate(map(self.records.get, bssids)):
             if rec is None:
                 continue
             if rec.ap_class is ApClass.STATIC and rec.pos is not None:
@@ -182,7 +181,7 @@ class RouterTable:
         the times ``ts``, as ``ApRecord.position_at`` gives them: NaN where it
         gives None, and a relocated router's first listed segment holding ``ts`` wins."""
         lat, lon = self.lat[router], self.lon[router]
-        rows = np.flatnonzero(self.seg_count[router] > 0)
+        rows = np.flatnonzero((self.seg_count > 0)[router])
         n = self.seg_count[router[rows]]
         # one candidate per (row, segment), each row's in listed order
         row = np.repeat(rows, n)

@@ -123,12 +123,13 @@ def build_timeline(
     # twice in a scan counts twice
     flat, counts = arrays.sighting_index(first)
     keep = usable[flat]
+    del nonempty, resolvable, res, usable  # scan- and sighting-long; freed before the medians
     hit_ap = ap[flat[keep]]
     hit_scan = np.repeat(np.arange(first.size), counts)[keep]
     order = np.lexsort((_string_rank(arrays.bssids)[hit_ap], hit_scan))
     hit_ap, hit_scan = hit_ap[order], hit_scan[order]
 
-    lat, lon = table.place(hit_ap, t[first[hit_scan]])
+    lat, lon = table.place(hit_ap, t[first][hit_scan])
     n_hits = np.bincount(hit_scan, minlength=first.size)
     starts = np.cumsum(n_hits) - n_hits
     if first.size:
