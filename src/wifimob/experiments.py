@@ -337,8 +337,9 @@ def _coverage_from_first_ts(
     if tables:
         bounds = user_bounds(t.pres_user, t.n_users)
         for table, lo, hi in zip(tables, bounds[:-1], bounds[1:]):
-            rows = lo + np.flatnonzero((table.seg_count > 0)[t.pres_ap[lo:hi]])
-            known[rows] &= ~np.isnan(table.place(t.pres_ap[rows], t.pres_last_ts[rows])[0])
+            if table.seg_count.any():
+                rows = lo + np.flatnonzero((table.seg_count > 0)[t.pres_ap[lo:hi]])
+                known[rows] &= ~np.isnan(table.place(t.pres_ap[rows], t.pres_last_ts[rows])[0])
 
     # presence rows are sorted by (user, bin, ap), so the covered (user, bin)
     # pairs and both day counts come out as runs in (user, day) order
@@ -431,7 +432,6 @@ def _classified_viewer_first(
     t = data.table
     sel_mask, _ = _selection_mask(data, strategy)
     mat = np.full((t.n_users, t.n_aps), _NEVER, dtype=np.int64)
-    # each viewer's relocated APs are guarded by that viewer's own table
     tables: list[RouterTable] = []
     shared = None
     if scenario is Scenario.GLOBAL:
