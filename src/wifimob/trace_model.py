@@ -320,14 +320,21 @@ def _line_ids(obj) -> tuple[UserId, TimestampMs]:
     return user, ts
 
 
+def _number(value, name: str) -> float:
+    # a JSON number, not a string or a boolean that float() would also take
+    if type(value) is not float and type(value) is not int:
+        raise TraceError(f"{name} must be a number")
+    return float(value)
+
+
 def _fix_fields(obj) -> tuple[UserId, TimestampMs, float, float, Optional[float]]:
     """Validate one parsed ``gps.jsonl`` line; both ingest routes use this."""
     user, ts = _line_ids(obj)
-    lat, lon = float(obj["lat"]), float(obj["lon"])
+    lat, lon = _number(obj["lat"], "lat"), _number(obj["lon"], "lon")
     _check_coordinate(lat, lon)
     acc = obj.get("acc_m")
     if acc is not None:
-        acc = float(acc)
+        acc = _number(acc, "acc_m")
     _check_timestamp(ts)
     if acc is not None:
         _check_accuracy(acc)
@@ -362,17 +369,25 @@ def _scan_fields(obj, keys: _BssidKeys) -> tuple[UserId, TimestampMs, list[Sight
     return user, ts, sightings
 
 
+# what rejecting a line may raise; OverflowError: an integer literal too
+# large for a float; RecursionError: a line nested too deeply for the parser
+_LINE_ERRORS = (TraceError, KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
+
+def _open_log(path: Path):
+    try:
+        return path.open("rb")
+    except OSError as exc:
+        raise TraceError(f"cannot read {path}: {exc}") from exc
+
+
 def _ingest_file(path: Path, accept: Callable[[object, int], None], stats: FileIngestStats) -> None:
     """Feed each non-blank line's JSON value and line number to ``accept``.
 
     ``accept`` validates before it stores anything, so a line it rejects
     leaves no trace beyond its entry in ``stats``.
     """
-    try:
-        handle = path.open("rb")
-    except OSError as exc:
-        raise TraceError(f"cannot read {path}: {exc}") from exc
-    with handle:
+    with _open_log(path) as handle:
         # lines split on b"\n", so "\r\n" files number their lines as "\n" files do
         for line_no, raw in enumerate(handle, start=1):
             try:
@@ -383,12 +398,46 @@ def _ingest_file(path: Path, accept: Callable[[object, int], None], stats: FileI
                     continue
                 accept(json.loads(line), line_no)
                 stats.parsed += 1
-            # OverflowError: an integer literal too large for a float;
-            # RecursionError: a line nested too deeply for the JSON parser
-            except (
-                TraceError, KeyError, TypeError, ValueError, OverflowError, RecursionError
-            ) as exc:
+            except _LINE_ERRORS as exc:
                 stats.note_error(line_no, str(exc) or type(exc).__name__)
+    _check_malformed_share(path, stats)
+
+
+# what may follow a JSON value on its line for json.loads to return it as is
+_LINE_ENDS = frozenset(("", "\n", "\r\n"))
+
+
+def _json_lines(handle, stats: FileIngestStats):
+    """Yield ``(line_no, line, value)`` for each non-blank line of ``handle``
+    that ``json.loads`` accepts, ``value`` being its result; note the other
+    non-blank lines in ``stats``, as :func:`_ingest_file` does.
+
+    The C scanner runs on each line directly. Where its value does not end
+    the line (leading whitespace, a BOM, any other trailing text, a failed
+    scan), ``json.loads`` decides the line instead.
+    """
+    scan_once = json.JSONDecoder().scan_once
+    line_ends = _LINE_ENDS
+    note_error = stats.note_error
+    for line_no, raw in enumerate(handle, start=1):
+        try:
+            line = raw.decode("utf-8")
+            try:
+                value, end = scan_once(line, 0)
+                exact = line[end:] in line_ends
+            except (StopIteration, ValueError, RecursionError):
+                exact = False
+            if not exact:
+                if not line.strip():
+                    continue
+                value = json.loads(line)
+        except _LINE_ERRORS as exc:
+            note_error(line_no, str(exc) or type(exc).__name__)
+            continue
+        yield line_no, line, value
+
+
+def _check_malformed_share(path: Path, stats: FileIngestStats) -> None:
     if stats.total_lines:
         frac = stats.malformed / stats.total_lines
         if frac > _MALFORMED_FRACTION_LIMIT and stats.malformed > _MALFORMED_COUNT_FLOOR:
@@ -444,6 +493,11 @@ def ingest_arrays(gps_path, wifi_path) -> tuple[SensorArrays, IngestReport]:
     and BSSID tables are the sorted unions of what the accepted lines hold,
     and rows come out in the canonical order, so the result matches the
     record route row for row.
+
+    Lines are decoded by :func:`_json_lines`. A scan line whose BSSIDs are
+    all known from earlier lines and distinct, and whose other fields are
+    plainly valid, is taken on a fast check; every other line goes to
+    :func:`_scan_fields`, which alone rejects lines and merges duplicates.
     """
     gps_path, wifi_path = Path(gps_path), Path(wifi_path)
     report = _new_report(gps_path, wifi_path)
@@ -454,32 +508,81 @@ def ingest_arrays(gps_path, wifi_path) -> tuple[SensorArrays, IngestReport]:
     fix_lon: list[float] = []
     fix_acc: list[float] = []
 
-    def accept_fix(obj, line_no):
-        user, ts, lat, lon, acc = _fix_fields(obj)
-        fix_user.append(users.setdefault(user, len(users)))
-        fix_ts.append(ts)
-        fix_lat.append(lat)
-        fix_lon.append(lon)
-        fix_acc.append(math.nan if acc is None else acc)
+    with _open_log(gps_path) as handle:
+        for line_no, _, obj in _json_lines(handle, report.gps):
+            try:
+                user, ts, lat, lon, acc = _fix_fields(obj)
+            except _LINE_ERRORS as exc:
+                report.gps.note_error(line_no, str(exc) or type(exc).__name__)
+                continue
+            fix_user.append(users.setdefault(user, len(users)))
+            fix_ts.append(ts)
+            fix_lat.append(lat)
+            fix_lon.append(lon)
+            fix_acc.append(math.nan if acc is None else acc)
+    report.gps.parsed = len(fix_ts)
+    _check_malformed_share(gps_path, report.gps)
 
     bssid_ids: dict[BssidId, int] = {}
     ap_keys = _BssidKeys(lambda b: bssid_ids.setdefault(b, len(bssid_ids)))
+    # ap_keys' entries for the lines accepted so far, as a plain dict: its
+    # subscript is the fast one, and a new token leaves the line to ap_keys
+    token_ids: dict[str, int] = {}
     scan_user: list[int] = []
     scan_ts: list[int] = []
     scan_len: list[int] = []
     scan_ap: list[int] = []
     scan_line: list[int] = []
+    add_user, add_ts, add_len = scan_user.append, scan_ts.append, scan_len.append
+    add_aps, add_line = scan_ap.extend, scan_line.append
+    note_error = report.wifi.note_error
+    int_only = {int}
+    user, uid = None, -1
 
-    def accept_scan(obj, line_no):
-        user, ts, sightings = _scan_fields(obj, ap_keys)
-        scan_user.append(users.setdefault(user, len(users)))
-        scan_ts.append(ts)
-        scan_len.append(len(sightings))
-        scan_ap.extend([s[0] for s in sightings])
-        scan_line.append(line_no)
-
-    _ingest_file(gps_path, accept_fix, report.gps)
-    _ingest_file(wifi_path, accept_scan, report.wifi)
+    with _open_log(wifi_path) as handle:
+        for line_no, line, obj in _json_lines(handle, report.wifi):
+            # a fast check of the usual line; _scan_fields, the reference
+            # validator, decides every line it does not clear: one that
+            # raises, or one with a duplicate BSSID to merge
+            try:
+                name, ts, aps = obj["user"], obj["ts_ms"], obj["aps"]
+                clear = (
+                    type(name) is str
+                    and name != ""
+                    and type(ts) is int
+                    and 0 <= ts <= _MAX_TS_MS
+                    and type(aps) is list
+                )
+                if clear:
+                    ids = [token_ids[ap["bssid"]] for ap in aps]
+                    clear = len(set(ids)) == len(ids)
+                # only a line holding '"rssi"' or an escape can hold an rssi key
+                if clear and ('"rssi"' in line or "\\" in line):
+                    rssi = [r for ap in aps if (r := ap.get("rssi")) is not None]
+                    clear = not rssi or (
+                        set(map(type, rssi)) == int_only and min(rssi) >= -120 and max(rssi) <= 0
+                    )
+            except (KeyError, TypeError):
+                clear = False
+            if not clear:
+                try:
+                    name, ts, sightings = _scan_fields(obj, ap_keys)
+                except _LINE_ERRORS as exc:
+                    note_error(line_no, str(exc) or type(exc).__name__)
+                    continue
+                ids = [s[0] for s in sightings]
+                for ap in obj.get("aps", ()):
+                    token_ids[ap["bssid"]] = ap_keys[ap["bssid"]]
+            if name != user:  # lines come in runs of one user
+                user = name
+                uid = users.setdefault(user, len(users))
+            add_user(uid)
+            add_ts(ts)
+            add_len(len(ids))
+            add_aps(ids)
+            add_line(line_no)
+    report.wifi.parsed = len(scan_ts)
+    _check_malformed_share(wifi_path, report.wifi)
 
     user_ids, user_map = _sorted_table(list(users), np.arange(len(users)))
     ap_raw = np.array(scan_ap, dtype=np.int64)

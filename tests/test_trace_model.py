@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wifimob.trace_model import (
@@ -456,3 +456,172 @@ def test_tied_lines_reread_by_line_number_in_crlf_files(tmp_path):
     wifi.write_bytes(b"\r\n".join(lines) + b"\r\n")
     traces, arrays = _assert_routes_agree(gps, wifi)
     assert [s.sightings[0].bssid for s in traces.scans] == ["aa:bb:cc:dd:ee:01", "aa:bb:cc:dd:ee:02"]
+
+
+def test_coordinates_must_be_json_numbers(tmp_path):
+    gps, wifi = tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl"
+    fix = lambda **kw: json.dumps({"user": "u", "ts_ms": 1, "lat": 55.5, "lon": 12.5, **kw})
+    lines = [
+        fix(),
+        fix(lat="55.5"),
+        fix(lon=True),
+        fix(acc_m="7"),
+        fix(acc_m=False),
+        fix(lat=None),
+        fix(acc_m=None, ts_ms=2),  # null accuracy: none given
+        fix(lat=55, acc_m=7),  # integers are JSON numbers too
+    ]
+    _write_lines(gps, lines)
+    wifi.write_text("")
+    for ingest in (ingest_traces_verbose, ingest_arrays):
+        _, report = ingest(gps, wifi)
+        assert (report.gps.parsed, report.gps.malformed) == (3, 5)
+        assert [e.split(": ", 1)[1] for e in report.gps.first_errors] == [
+            "lat must be a number",
+            "lon must be a number",
+            "acc_m must be a number",
+            "acc_m must be a number",
+            "lat must be a number",
+        ]
+    arrays, _ = ingest_arrays(gps, wifi)
+    assert arrays.fix_lat.tolist() == [55.0, 55.5, 55.5]
+    assert [None if math.isnan(a) else a for a in arrays.fix_acc.tolist()] == [7.0, None, None]
+
+
+# lines of every kind the columnar route's fast path must hand to the
+# reference validator, or decode as json.loads would; valid values are the
+# common draw, so that most lines hold one fault at most
+_ORACLE_BSSIDS = ["02:00:00:00:00:01", "02:00:00:00:00:02", "02-00-00-00-00-01", "020000000003"]
+# every token form on one accepted line, so later lines meet known tokens
+_ORACLE_FIRST_SCAN = json.dumps(
+    {"user": "u1", "ts_ms": 0, "aps": [{"bssid": b} for b in _ORACLE_BSSIDS]}
+).encode()
+
+
+@st.composite
+def _oracle_ap(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["02:00:00:00:00:01", 5, None, ["02:00:00:00:00:01"], {"ssid": "x"}]))
+    ap = {"bssid": draw(st.sampled_from(_ORACLE_BSSIDS * 3 + ["not-a-mac", 7]))}
+    if draw(st.booleans()):
+        ap["ssid"] = draw(st.sampled_from(["net", "", None, 3]))
+    if draw(st.booleans()):
+        # a duplicate's bad rssi is ignored, another sighting's is not
+        ap["rssi"] = draw(st.sampled_from([-50, -120, 0, -70, None, 5, -121, True, False, -50.0, "x"]))
+    return ap
+
+
+@st.composite
+def _oracle_scan(draw):
+    scan = {
+        "user": draw(st.sampled_from(["u1", "u2", "\u00e9"] * 2 + ["", 3])),
+        "ts_ms": draw(st.sampled_from([0, 5, 9] * 3 + [-1, True, 2**63, 1.5])),
+    }
+    kind = draw(st.integers(0, 9))
+    if kind == 1:
+        scan["aps"] = draw(st.sampled_from(["", {}, None]))
+    elif kind > 1:  # kind 0: no aps, an empty scan
+        scan["aps"] = draw(st.lists(_oracle_ap(), max_size=5))
+    return scan
+
+
+_oracle_fix = st.fixed_dictionaries(
+    {
+        "user": st.sampled_from(["u1", "u2"]),
+        "ts_ms": st.sampled_from([0, 5, 5]),
+        "lat": st.sampled_from([1.0, 55, "1.0", True, 91.0]),
+        "lon": st.sampled_from([2.0, -3, "2", False]),
+    },
+    optional={"acc_m": st.sampled_from([5.0, 0, None, "5", -1.0])},
+)
+# around a value: JSON whitespace, which json.loads skips, and \x0c, \u00a0
+# and other text, which it rejects
+_oracle_lead = st.sampled_from(["", " ", "\t", " \t", "\x0c", "\u00a0", "\ufeff"])
+_oracle_trail = st.sampled_from(["", " ", "\t", "\r", " \r", "\x0c", "\u00a0", " x", "{}"])
+_oracle_odd = st.sampled_from(
+    [b"", b"   ", b"\x0c", b"\xff", b"\xef\xbb\xbf{}", b"NaN", b"[1]", b"{ not json",
+     b'{"user":"u1","ts_ms":NaN,"aps":[]}', b'{"user":"u1","ts_ms":3,"aps":[]}{}']
+)
+
+
+@st.composite
+def _oracle_line(draw, value_st):
+    """One line's bytes, without its newline."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(_oracle_odd)
+    text = json.dumps(
+        draw(value_st),
+        separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])),
+        ensure_ascii=draw(st.booleans()),
+    )
+    if draw(st.booleans()):
+        text = text.replace('"rssi"', '"rs\\u0073i"')
+    if draw(st.integers(0, 2)) == 0:
+        text = draw(_oracle_lead) + text + draw(_oracle_trail)
+    return text.encode("utf-8")
+
+
+@st.composite
+def _oracle_file(draw, value_st, first=None):
+    lines = draw(st.lists(_oracle_line(value_st), max_size=12))
+    if first is not None:
+        lines.insert(0, first)
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n"]), min_size=len(lines), max_size=len(lines)))
+    body = b"".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        body = body[: -len(ends[-1])]  # no newline after the last line
+    return body
+
+
+def _oracle_known_token_lines():
+    """Lines whose every token ``_ORACLE_FIRST_SCAN`` makes known, each with
+    one fault the fast check must see, or one quirk it must pass on."""
+    scan = lambda aps, **kw: json.dumps({"user": "u1", "ts_ms": 5, "aps": aps, **kw})
+    ap = lambda b="02:00:00:00:00:02", **kw: {"bssid": b, **kw}
+    lines = [
+        scan([ap(), ap()]),
+        scan([ap("02:00:00:00:00:01"), ap("02-00-00-00-00-01", rssi=5)]),  # a duplicate's bad rssi
+        scan([ap(rssi=-50), ap(rssi=-120), ap("020000000003", rssi=0)]),
+        scan([ap(rssi=5)]).replace('"rssi"', '"rs\\u0073i"'),
+        scan([ap(rssi=-50)]).replace('"rssi"', '"rs\\u0073i"'),
+    ]
+    lines += [scan([ap(rssi=r)]) for r in (1, -121, True, False, -50.0, "-50")]
+    lines += [scan([ap()], ts_ms=t) for t in (True, -1, 2**63, 2**63 - 1, 5.0)]
+    lines += [scan([ap()], user=u) for u in ("", 3, None)]
+    lines += [scan(a) for a in ("", {}, None, [None], ["02:00:00:00:00:02"])]
+    lines += [scan([ap()]) + end for end in ("\x0c", "\u00a0", " ", "\r")]
+    return lines
+
+
+def _oracle_known_token_file(lines):
+    # ten lines at most: eleven malformed lines would refuse the whole file
+    return b"\r\n".join([_ORACLE_FIRST_SCAN] + [line.encode() for line in lines])
+
+
+def _ingest_outcome(ingest, gps, wifi):
+    try:
+        return ingest(gps, wifi)
+    except TraceError as exc:
+        return str(exc)
+
+
+@given(gps_bytes=_oracle_file(_oracle_fix), wifi_bytes=_oracle_file(_oracle_scan(), _ORACLE_FIRST_SCAN))
+@example(gps_bytes=b"", wifi_bytes=_oracle_known_token_file(_oracle_known_token_lines()[:10]))
+@example(gps_bytes=b"", wifi_bytes=_oracle_known_token_file(_oracle_known_token_lines()[10:20]))
+@example(gps_bytes=b"", wifi_bytes=_oracle_known_token_file(_oracle_known_token_lines()[20:]))
+@settings(max_examples=150, deadline=None)
+def test_columnar_fast_path_matches_record_route(tmp_path_factory, gps_bytes, wifi_bytes):
+    tmp = tmp_path_factory.mktemp("oracle")
+    gps, wifi = tmp / "gps.jsonl", tmp / "wifi.jsonl"
+    gps.write_bytes(gps_bytes)
+    wifi.write_bytes(wifi_bytes)
+    records = _ingest_outcome(ingest_traces_verbose, gps, wifi)
+    arrays = _ingest_outcome(ingest_arrays, gps, wifi)
+    if isinstance(records, str):
+        assert arrays == records  # both refuse the file, with the same message
+        return
+    traces, report = records
+    arrays, array_report = arrays
+    assert array_report == report  # counts and first_errors, text and line numbers
+    assert _array_rows(arrays) == _record_rows(traces)
+    assert arrays.user_ids == traces.users()
