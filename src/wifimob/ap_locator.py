@@ -787,16 +787,20 @@ def read_apdb_csv(path) -> ApDatabase:
         if missing:
             raise ValueError(f"{path}: AP database lacks columns {', '.join(missing)}")
         for row in reader:
+            # DictReader fills a short row with None and keys a long row's
+            # extra cells by None
+            if None in row or None in row.values():
+                raise ValueError(
+                    f"{path}:{reader.line_num}: the row of {row['bssid']} does not have "
+                    f"one cell per column of the header"
+                )
             ap_class = ApClass(row["class"])
             pos = None
             segments: list[ApSegment] = []
             if ap_class is ApClass.STATIC and row["lat"]:
                 pos = GeoPoint(float(row["lat"]), float(row["lon"]))
             elif ap_class is ApClass.RELOCATED and row["segments_json"]:
-                segments = [
-                    ApSegment(GeoPoint(s["lat"], s["lon"]), TimeInterval(s["start_ms"], s["end_ms"]))
-                    for s in json.loads(row["segments_json"])
-                ]
+                segments = _read_segments(path, row["bssid"], json.loads(row["segments_json"]))
             records[row["bssid"]] = ApRecord(
                 bssid=row["bssid"],
                 ap_class=ap_class,
@@ -805,3 +809,20 @@ def read_apdb_csv(path) -> ApDatabase:
                 segments=segments,
             )
     return ApDatabase(records=records, built_from=str(path))
+
+
+_SEGMENT_KEYS = ("lat", "lon", "start_ms", "end_ms")
+
+
+def _read_segments(path, bssid: BssidId, segments) -> list[ApSegment]:
+    """The segments of one relocated router's ``segments_json`` cell."""
+    if not isinstance(segments, list):
+        raise ValueError(f"{path}: segments of {bssid} are not a JSON list")
+    out = []
+    for seg in segments:
+        if not isinstance(seg, dict) or any(k not in seg for k in _SEGMENT_KEYS):
+            raise ValueError(f"{path}: a segment of {bssid} lacks one of {', '.join(_SEGMENT_KEYS)}")
+        if any(type(seg[k]) not in (int, float) for k in _SEGMENT_KEYS):
+            raise ValueError(f"{path}: a segment of {bssid} holds a value that is not a number")
+        out.append(ApSegment(GeoPoint(seg["lat"], seg["lon"]), TimeInterval(seg["start_ms"], seg["end_ms"])))
+    return out

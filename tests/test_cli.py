@@ -182,6 +182,40 @@ def test_apdb_with_a_missing_column_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "n_sightings, segments_json, contributors_count" in err
 
 
+_APDB_HEADER = "bssid,class,lat,lon,n_sightings,segments_json,contributors_count\n"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        # a relocated row whose segment lacks a key
+        (
+            '02:00:00:00:00:01,relocated,,,4,"[{""lat"":55.7,""start_ms"":0,""end_ms"":9}]",2',
+            "a segment of 02:00:00:00:00:01 lacks one of lat, lon, start_ms, end_ms",
+        ),
+        (
+            '02:00:00:00:00:01,relocated,,,4,"[{""lat"":55.7,""lon"":""12"",""start_ms"":0,""end_ms"":9}]",2',
+            "a segment of 02:00:00:00:00:01 holds a value that is not a number",
+        ),
+        ("02:00:00:00:00:01,relocated,,,4,7,2", "segments of 02:00:00:00:00:01 are not a JSON list"),
+        # a row shorter, or longer, than the header
+        ("02:00:00:00:00:01,static,55.7", "the row of 02:00:00:00:00:01 does not have one cell per column"),
+        ("02:00:00:00:00:01,static,55.7,12.5,4,,2,x", "the row of 02:00:00:00:00:01 does not have"),
+    ],
+)
+def test_apdb_malformed_row_is_an_error(tmp_path, capsys, row, message):
+    data = _dataset(tmp_path, users=2, days=1, seed=3)
+    apdb = tmp_path / "apdb.csv"
+    apdb.write_text(_APDB_HEADER + "02:00:00:00:00:02,static,55.7,12.5,4,,2\n" + row + "\n")
+    capsys.readouterr()
+    src = ("--gps", data / "gps.jsonl", "--wifi", data / "wifi.jsonl")
+    rc = _run("reconstruct", *src, "--apdb", apdb, "--out", tmp_path / "timeline.csv")
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"error: {apdb}") and message in err[-1]
+    assert not any("Traceback" in line for line in err)
+
+
 def test_evaluate_interpolates_the_truth_track(tmp_path, capsys):
     """The truth track moves 0.001 degrees north per minute; an estimate at
     5:30 on that track is off by 0, not by the 56 m to the 5:00 row. An
