@@ -5,8 +5,11 @@ Builds the seed-7 world, its experiment data, full router database and each
 user's greedy top 5 and top 20 routers, runs the 18 cells of the benchmark's
 ``grid_30d`` workload (initial period 7/28 days, random fraction f_daily/4
 f_daily, top routers 5/20, x 3 sharing scenarios), then the binned timeline
-of every scan. Prints one JSON line: per stage, its wall time in seconds and
-the process's ``ru_maxrss`` high-water mark in MiB once it ended.
+of every scan. Last, it times the file route on the benchmark's ``cli_3d``
+world (seed 7, 2 users x 3 days, whatever --users/--days say): writing its
+JSONL files to a temporary directory and ingesting them. Prints one JSON
+line: per stage, its wall time in seconds and the process's ``ru_maxrss``
+high-water mark in MiB once it ended.
 
 Usage: python scripts/probe_stages.py [--users 30] [--days 30]
 """
@@ -15,6 +18,7 @@ import argparse
 import json
 import resource
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -29,7 +33,8 @@ from wifimob.experiments import (
     run_experiment,
 )
 from wifimob.reconstructor import build_timeline
-from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays
+from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays, write_dataset
+from wifimob.trace_model import ingest_arrays
 
 
 def main() -> int:
@@ -72,6 +77,13 @@ def main() -> int:
         for scenario in Scenario:
             timed(f"{name}({param})x{scenario.value}", run_experiment, data, strategy, scenario)
     timed("build_timeline", build_timeline, arrays, db)
+
+    file_spec = WorldSpec(seed=7, n_users=2, n_days=3)
+    file_gt = generate_world(file_spec)
+    file_arrays = simulate_sensor_arrays(file_gt, file_spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        timed("write_dataset(2x3)", write_dataset, file_gt, file_arrays, tmp)
+        timed("ingest_arrays(2x3)", ingest_arrays, f"{tmp}/gps.jsonl", f"{tmp}/wifi.jsonl")
 
     print(json.dumps({"users": args.users, "days": args.days, "stages": stages}))
     return 0
