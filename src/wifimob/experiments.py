@@ -17,9 +17,14 @@ Three sharing scenarios decide whose knowledge a user may consult: their own
 Coverage counting defaults to the simple reading of "known": a router
 counts once any training observation places it (``any_sighting``).
 The alternative ``classified`` rule runs the full quality-filtered
-classifier per viewer; it is strictly slower and, because added evidence can
-flip a router to mobile, it does not guarantee that more shared data never
-hurts.
+classifier per viewer and counts only the routers that viewer's database
+places; it is strictly slower and, because added evidence can flip a router
+to mobile, it does not guarantee that more shared data never hurts.
+
+Under both rules a router is known to a viewer from the first training
+observation the viewer may use (from time 0 outside ``InitialPeriod``), so
+``classified`` never covers more than ``any_sighting``. ``TopRouters`` knows
+each pick from time 0 wherever the full database places it.
 """
 
 from __future__ import annotations
@@ -380,19 +385,20 @@ def run_experiment(
     tables: Optional[list[RouterTable]] = None
 
     if isinstance(strategy, TopRouters):
-        table = data.full_database().router_table(t.bssids)
-        tables = [table] * n_users
-        picked = np.zeros((n_users, n_aps), dtype=bool)
+        tables = [data.full_database().router_table(t.bssids)] * n_users
+        mat = np.full((n_users, n_aps), _NEVER, dtype=np.int64)
         for u, sel in enumerate(data.top_router_selections(strategy.k)):
-            picked[u, sel[table.placed[sel]]] = True
-        mat = np.where(picked, np.int64(0), _NEVER)
-        viewer_first = _viewer_first_ts(mat, scenario)
-    elif cfg.known_rule == "any_sighting":
+            mat[u, sel] = 0
+    else:
         sel_mask, sequential = _selection_mask(data, strategy)
         mat = _first_ts_matrix(data, sel_mask, sequential)
-        viewer_first = _viewer_first_ts(mat, scenario)
-    else:
-        viewer_first, tables = _classified_viewer_first(data, strategy, scenario, cfg)
+        if cfg.known_rule == "classified":
+            tables = _classified_tables(data, sel_mask, scenario, cfg)
+    viewer_first = _viewer_first_ts(mat, scenario)
+    if tables:
+        # a router is known to a viewer only where the viewer's table places it
+        placed = np.array([table.placed for table in tables])
+        viewer_first = np.where(placed, viewer_first, _NEVER)
 
     coverage = _coverage_from_first_ts(data, viewer_first, tables)
 
@@ -417,34 +423,26 @@ def run_experiment(
     )
 
 
-def _classified_viewer_first(
+def _classified_tables(
     data: ExperimentData,
-    strategy: SamplingStrategy,
+    sel_mask: np.ndarray,
     scenario: Scenario,
     cfg: ExperimentConfig,
-):
-    """Per-viewer knowledge under the quality-filtered classifier.
+) -> list[RouterTable]:
+    """One router table per viewer under the quality-filtered classifier.
 
-    Builds one database per viewer from their scenario-filtered training
-    subset, and its router table (one shared under GLOBAL); intended for
-    modest datasets.
+    Each is classified from the viewer's scenario-filtered training subset
+    (one shared under GLOBAL); intended for modest datasets.
     """
     t = data.table
-    sel_mask, _ = _selection_mask(data, strategy)
-    mat = np.full((t.n_users, t.n_aps), _NEVER, dtype=np.int64)
-    tables: list[RouterTable] = []
-    shared = None
     if scenario is Scenario.GLOBAL:
-        shared = _training_database(data, sel_mask, cfg).router_table(t.bssids)
+        return [_training_database(data, sel_mask, cfg).router_table(t.bssids)] * t.n_users
+    tables = []
     for u in range(t.n_users):
-        table = shared
-        if table is None:
-            own = data.pairs.user == u
-            keep = sel_mask & (own if scenario is Scenario.PERSONAL else ~own)
-            table = _training_database(data, keep, cfg).router_table(t.bssids)
-        mat[u, table.placed] = 0
-        tables.append(table)
-    return mat, tables
+        own = data.pairs.user == u
+        keep = sel_mask & (own if scenario is Scenario.PERSONAL else ~own)
+        tables.append(_training_database(data, keep, cfg).router_table(t.bssids))
+    return tables
 
 
 def _training_database(

@@ -664,14 +664,13 @@ def coverage_via_record_pipeline(
     """One grid cell on records: a database per viewer, then binned timelines.
 
     Under ``any_sighting`` a viewer's database places every router of the
-    training subset, so sequential learning (``InitialPeriod``) is not
-    expressible; under ``classified`` it is the quality-filtered
-    classification of the subset, known over the whole period.
+    training subset; under ``classified`` it is the quality-filtered
+    classification of the subset. Under ``InitialPeriod`` (sequential
+    learning) a router becomes known to the viewer at the earliest instant
+    of the subset that holds it: each scan keeps only the sightings known
+    by its time before the timeline resolves it.
     """
     classified = cfg.known_rule == "classified"
-    if isinstance(strategy, InitialPeriod) and not classified:
-        raise ValueError("sequential learning is not expressible in this reference route")
-
     obs = pair_records(traces, cfg.pairing)
     t0 = traces.span_ms()[0]
     users = traces.users()
@@ -684,6 +683,7 @@ def coverage_via_record_pipeline(
 
     timelines: dict[UserId, BinnedTimeline] = {}
     for viewer in users:
+        scans = scans_by_user.get(viewer, [])
         if isinstance(strategy, TopRouters):
             if scenario is Scenario.PERSONAL:
                 contributors = [viewer]
@@ -707,5 +707,20 @@ def coverage_via_record_pipeline(
                 db = build_database_from_records(subset, cfg.locator)
             else:
                 db = build_simple_database(subset)
-        timelines.update(timeline_from_records(scans_by_user.get(viewer, []), db, cfg.bin_ms))
+            if isinstance(strategy, InitialPeriod):
+                known_from: dict[BssidId, TimestampMs] = {}
+                for o in subset:
+                    known_from[o.bssid] = min(o.ts, known_from.get(o.bssid, o.ts))
+                scans = [
+                    WifiScan(
+                        user=scan.user,
+                        ts=scan.ts,
+                        sightings=[
+                            s for s in scan.sightings
+                            if known_from.get(s.bssid, math.inf) <= scan.ts
+                        ],
+                    )
+                    for scan in scans
+                ]
+        timelines.update(timeline_from_records(scans, db, cfg.bin_ms))
     return timeline_coverage(timelines)

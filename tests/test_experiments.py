@@ -280,7 +280,7 @@ class TestEngine:
         _, _, arrays, traces = small_world
         cfg = ExperimentConfig()
         data = prepare_experiment_data(arrays, cfg)
-        for strategy in (RandomFraction(f=0.3, seed=5), TopRouters(k=4)):
+        for strategy in (RandomFraction(f=0.3, seed=5), TopRouters(k=4), InitialPeriod(days=2)):
             for scenario in Scenario:
                 engine = run_experiment(data, strategy, scenario, cfg).coverage
                 reference = coverage_via_record_pipeline(traces, strategy, scenario, cfg)
@@ -327,14 +327,19 @@ class TestEngine:
                     assert g[key] >= cov
 
     def test_classified_rule_runs(self, small_world):
+        """The quality filter can only shrink the known set, and a router is
+        known no earlier than under ``any_sighting``: on every user-day,
+        ``classified`` covers no more."""
         _, _, arrays, _ = small_world
         cfg = ExperimentConfig(known_rule="classified")
         data = prepare_experiment_data(arrays, cfg)
-        res = run_experiment(data, RandomFraction(f=0.5, seed=1), Scenario.GLOBAL, cfg)
-        # the quality filter can only shrink the known set
-        loose = run_experiment(data, RandomFraction(f=0.5, seed=1), Scenario.GLOBAL)
-        for key, cov in res.coverage.per_user_day.items():
-            assert cov <= loose.coverage.per_user_day[key] + 1e-12
+        for strategy in (InitialPeriod(days=2), RandomFraction(f=0.5, seed=1)):
+            for scenario in Scenario:
+                res = run_experiment(data, strategy, scenario, cfg).coverage.per_user_day
+                loose = run_experiment(data, strategy, scenario).coverage.per_user_day
+                assert set(res) == set(loose)
+                for key, cov in res.items():
+                    assert cov <= loose[key], (strategy, scenario, key)
 
     def test_histograms_bin_on_tenths(self, small_world):
         _, _, arrays, _ = small_world
