@@ -32,7 +32,8 @@ TimestampMs = int
 UserId = str
 BssidId = str
 
-_HEX_DIGITS = frozenset("0123456789abcdef")
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_ASCII_SPACE = " \t\n\r\x0b\x0c"
 # timestamps must fit the int64 columns of SensorArrays
 _MAX_TS_MS = 2**63 - 1
 
@@ -48,15 +49,19 @@ class BssidParseError(TraceError):
 def normalize_bssid(raw: str) -> BssidId:
     """Canonicalize a MAC address to lowercase, colon-separated octets.
 
-    Accepts upper or lower case hex digits separated by ``:`` or ``-``, or a
-    bare 12-digit hex string. Idempotent on canonical input.
+    Accepts six octets of two upper or lower case hex digits, separated
+    throughout by ``:`` or throughout by ``-``, or a bare 12-digit hex
+    string, with optional ASCII whitespace around it. Idempotent on
+    canonical input.
     """
     if not isinstance(raw, str):
         raise BssidParseError(f"not a MAC address: {raw!r}")
-    token = raw.strip().lower().replace("-", "").replace(":", "")
+    token = raw.strip(_ASCII_SPACE)
+    if len(token) == 17 and token[2::3] in (":::::", "-----"):
+        token = "".join(token[i : i + 2] for i in range(0, 17, 3))
     if len(token) != 12 or not _HEX_DIGITS.issuperset(token):
         raise BssidParseError(f"not a MAC address: {raw!r}")
-    return ":".join(token[i : i + 2] for i in range(0, 12, 2))
+    return ":".join(token[i : i + 2] for i in range(0, 12, 2)).lower()
 
 
 def _check_coordinate(lat_deg: float, lon_deg: float) -> None:

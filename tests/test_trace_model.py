@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,57 @@ def test_normalize_bssid_idempotent(value, sep, upper):
     canon = normalize_bssid(raw)
     assert normalize_bssid(canon) == canon
     assert len(canon) == 17
+
+
+# the documented forms: six octets with one separator throughout, or 12 bare
+# digits, with optional ASCII whitespace around them
+_HEX = "[0-9a-fA-F]"
+_BSSID_FORM = re.compile(rf"{_HEX}{{2}}(?:([:-]){_HEX}{{2}}(?:\1{_HEX}{{2}}){{4}}|{_HEX}{{10}})")
+# hex digits and separators, beside look-alikes: Unicode whitespace, a
+# fullwidth digit and a capital I with a dot
+_token_chars = st.sampled_from("0aAfF9g:- \t\u00a0\u2003\x1c\x85\u0130\uff11")
+
+
+def _edited_token(value, sep, upper, at, edit, pad):
+    """A valid token with the character at ``at`` replaced by ``edit``
+    (deleted when it is empty, kept when it is None), then padded."""
+    token = sep.join(f"{(value >> s) & 0xFF:02x}" for s in range(40, -8, -8))
+    token = token.upper() if upper else token
+    if edit is not None:
+        token = token[:at] + edit + token[at + 1 :]
+    return pad + token + pad
+
+
+@given(
+    st.one_of(
+        st.text(_token_chars, max_size=20),
+        st.builds(
+            _edited_token,
+            st.integers(0, 2**48 - 1),
+            st.sampled_from([":", "-", ""]),
+            st.booleans(),
+            st.integers(0, 16),
+            st.sampled_from([None, "", ":", "-", "a", " ", "aa"]),
+            st.sampled_from(["", " ", "\t\n", "\x0b", "\u00a0", "\u2003", "\x85", "\x1c"]),
+        ),
+    )
+)
+@example("aabb:ccdd:eeff")
+@example("a:ab:bc:cd:de:ef:f")
+@example("0-2:00:00:00:00:01")
+@example("aa:bb-cc:dd:ee:ff")
+@example("\u00a0aa:bb:cc:dd:ee:ff")
+@example(" aa:bb:cc:dd:ee:ff\t")
+@example("AABBCCDDEEFF\r\n")
+def test_normalize_bssid_accepts_only_documented_forms(raw):
+    stripped = raw.strip(" \t\n\r\x0b\x0c")
+    if _BSSID_FORM.fullmatch(stripped):
+        digits = re.sub("[:-]", "", stripped).lower()
+        want = ":".join(digits[i : i + 2] for i in range(0, 12, 2))
+        assert normalize_bssid(raw) == want
+    else:
+        with pytest.raises(BssidParseError):
+            normalize_bssid(raw)
 
 
 @pytest.mark.parametrize(
