@@ -17,7 +17,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wifimob.ap_locator import ApClass, ApDatabase, build_database, haversine_m
+from wifimob.ap_locator import ApDatabase, build_database, haversine_m
 from wifimob.experiments import prepare_experiment_data
 from wifimob.reconstructor import build_timeline
 from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays
@@ -50,9 +50,7 @@ def main() -> int:
           f"{arrays.nonempty_scan_fraction():.0%} scans non-empty")
 
     data = prepare_experiment_data(arrays)
-    db = build_database(
-        data.pairs, data.table.user_ids, data.table.bssids, built_from="own paired fixes"
-    )
+    db = build_database(data.pairs, data.table.user_ids, data.table.bssids)
     census = db.census()
     print(f"router database: {census['total']} candidates, {census['static']} static, "
           f"{census['mobile']} mobile, {census['insufficient']} insufficient")
@@ -62,15 +60,10 @@ def main() -> int:
     print(f"full database: {coverage:.0%} of WiFi-bearing bins estimated; "
           f"median error {np.median(errors):.0f} m, p95 {np.percentile(errors, 95):.0f} m")
 
-    # the single user's greedy top-k routers over their own timebins
+    # the single user's greedy top-k routers over their own timebins; the
+    # timeline places only the static and relocated ones among them
     top = {data.table.bssids[i] for i in data.top_router_selections(args.top_k)[0]}
-    top_db = ApDatabase(
-        records={
-            b: r
-            for b, r in db.records.items()
-            if b in top and r.ap_class in (ApClass.STATIC, ApClass.RELOCATED)
-        }
-    )
+    top_db = ApDatabase(records={b: r for b, r in db.records.items() if b in top})
     top_tl = build_timeline(arrays, top_db)
     coverage, errors = _timeline_stats(gt, top_tl, 0, user)
     share = args.top_k / max(1, distinct)

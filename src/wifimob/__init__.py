@@ -11,10 +11,8 @@ from .trace_model import (
     UserId,
     WifiScan,
     ingest_arrays,
-    ingest_traces,
     ingest_traces_verbose,
     normalize_bssid,
-    write_traces,
 )
 from .pairing import (
     PairedEvents,
@@ -34,7 +32,6 @@ from .ap_locator import (
     dbscan,
     geometric_median,
     haversine_m,
-    validate_against_named_ssids,
 )
 from .reconstructor import BinnedTimeline, PositionEstimate, build_timeline, resolve_scan
 from .coverage_metrics import (

@@ -27,18 +27,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .pairing import PairedEvents, _string_rank
-from .trace_model import (
-    BssidId,
-    GeoPoint,
-    TimestampMs,
-    UserId,
-    WifiScan,
-)
+from .trace_model import BssidId, GeoPoint, TimestampMs, UserId
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -49,7 +43,6 @@ class LocatorConfig:
     min_sightings: int = 5
     min_cluster_pts: int = 5
     clustered_fraction_min: float = 0.95
-    earth_radius_m: float = EARTH_RADIUS_M
 
     def __post_init__(self) -> None:
         if self.eps_m <= 0:
@@ -107,21 +100,10 @@ class ApRecord:
                     return seg.pos
         return None
 
-    def label_at(self, ts: TimestampMs) -> Optional[str]:
-        """Stable location-label for entropy accounting."""
-        if self.ap_class is ApClass.STATIC:
-            return self.bssid
-        if self.ap_class is ApClass.RELOCATED:
-            for i, seg in enumerate(self.segments):
-                if seg.interval.contains(ts):
-                    return f"{self.bssid}#{i}"
-        return None
-
 
 @dataclass(slots=True)
 class ApDatabase:
     records: dict[BssidId, ApRecord]
-    built_from: str = ""
 
     def get(self, bssid: BssidId) -> Optional[ApRecord]:
         return self.records.get(bssid)
@@ -176,11 +158,11 @@ class RouterTable:
         """Mask of the routers that place a scan at some time."""
         return ~np.isnan(self.lat) | (self.seg_count > 0)
 
-    def place(self, router: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Degree positions of ``router`` (indices into the BSSID table) at
-        the times ``ts``, as ``ApRecord.position_at`` gives them: NaN where it
-        gives None, and a relocated router's first listed segment holding ``ts`` wins."""
-        lat, lon = self.lat[router], self.lon[router]
+    def segment_at(self, router: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Segment row of ``router`` (indices into the BSSID table) at the
+        times ``ts``: the router's first listed segment holding ``ts``, or -1
+        where none does (every static, mobile or unknown router)."""
+        out = np.full(router.size, -1, dtype=np.int64)
         rows = np.flatnonzero((self.seg_count > 0)[router])
         n = self.seg_count[router[rows]]
         # one candidate per (row, segment), each row's in listed order
@@ -189,11 +171,34 @@ class RouterTable:
         inside = (self.start[seg] <= ts[row]) & (ts[row] <= self.end[seg])
         row, seg = row[inside], seg[inside]
         first = np.flatnonzero(np.diff(row, prepend=-1) != 0)
-        lat[row[first]], lon[row[first]] = self.seg_lat[seg[first]], self.seg_lon[seg[first]]
+        out[row[first]] = seg[first]
+        return out
+
+    def place(self, router: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Degree positions of ``router`` at the times ``ts``, as
+        ``ApRecord.position_at`` gives them: NaN where it gives None."""
+        lat, lon = self.lat[router], self.lon[router]
+        seg = self.segment_at(router, ts)
+        hit = seg >= 0
+        lat[hit], lon[hit] = self.seg_lat[seg[hit]], self.seg_lon[seg[hit]]
         return lat, lon
 
+    def labels(
+        self, router: np.ndarray, ts: np.ndarray, bssids: list[BssidId]
+    ) -> list[Optional[str]]:
+        """Entropy location labels of ``router`` at the times ``ts``: the
+        BSSID of a static router, ``BSSID#i`` inside the i-th listed segment
+        of a relocated one, and None where the router places nothing."""
+        seg = self.segment_at(router, ts)
+        nth = np.where(seg >= 0, seg - self.seg_off[router], -1).tolist()
+        static = (~np.isnan(self.lat[router])).tolist()
+        return [
+            bssids[r] if is_static else (f"{bssids[r]}#{i}" if i >= 0 else None)
+            for r, is_static, i in zip(router.tolist(), static, nth)
+        ]
 
-def haversine_m(a: GeoPoint, b: GeoPoint, radius_m: float = EARTH_RADIUS_M) -> float:
+
+def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in meters between two points."""
     return float(
         _haversine_rad(
@@ -201,30 +206,26 @@ def haversine_m(a: GeoPoint, b: GeoPoint, radius_m: float = EARTH_RADIUS_M) -> f
             math.radians(a.lon_deg),
             math.radians(b.lat_deg),
             math.radians(b.lon_deg),
-            radius_m,
         )
     )
 
 
-def _haversine_rad(lat1, lon1, lat2, lon2, radius_m):
+def _haversine_rad(lat1, lon1, lat2, lon2):
     """Vectorized haversine on radian inputs. Shared by every distance check
     in this package so boundary comparisons are bit-identical everywhere."""
     sdlat = np.sin((lat2 - lat1) * 0.5)
     sdlon = np.sin((lon2 - lon1) * 0.5)
     h = sdlat * sdlat + np.cos(lat1) * np.cos(lat2) * sdlon * sdlon
-    return 2.0 * radius_m * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 
-def haversine_m_arrays(
-    lat1_deg, lon1_deg, lat2_deg, lon2_deg, radius_m: float = EARTH_RADIUS_M
-):
+def haversine_m_arrays(lat1_deg, lon1_deg, lat2_deg, lon2_deg):
     """Elementwise great-circle distance over degree arrays."""
     return _haversine_rad(
         np.radians(lat1_deg),
         np.radians(lon1_deg),
         np.radians(lat2_deg),
         np.radians(lon2_deg),
-        radius_m,
     )
 
 
@@ -256,7 +257,6 @@ def dbscan(
     lon_deg: np.ndarray,
     eps_m: float,
     min_pts: int,
-    radius_m: float = EARTH_RADIUS_M,
 ) -> tuple[list[set[int]], set[int]]:
     """Cluster points given as degree arrays; returns (clusters, noise) as
     index sets, clusters ordered by their smallest member index."""
@@ -273,7 +273,7 @@ def dbscan(
     # mutually reachable. Tight single-building point clouds hit this almost
     # always.
     if n >= min_pts:
-        diag = _haversine_rad(lat.min(), lon.min(), lat.max(), lon.max(), radius_m)
+        diag = _haversine_rad(lat.min(), lon.min(), lat.max(), lon.max())
         if diag <= eps_m:
             return [set(range(n))], set()
 
@@ -285,9 +285,9 @@ def dbscan(
     gridable = cos_min > 0.05 and cos_max / cos_min < 1.2 and lon_span < math.pi / 2
 
     if gridable and n > 64:
-        assignment = _dbscan_grid(lat, lon, eps_m, min_pts, radius_m, cos_max)
+        assignment = _dbscan_grid(lat, lon, eps_m, min_pts, cos_max)
     else:
-        assignment = _dbscan_brute(lat, lon, eps_m, min_pts, radius_m)
+        assignment = _dbscan_brute(lat, lon, eps_m, min_pts)
 
     clusters_by_root: dict[int, set[int]] = {}
     noise: set[int] = set()
@@ -300,12 +300,12 @@ def dbscan(
     return clusters, noise
 
 
-def _dbscan_brute(lat, lon, eps_m, min_pts, radius_m):
+def _dbscan_brute(lat, lon, eps_m, min_pts):
     """Exact quadratic path for small or oddly spread inputs; returns the
     cluster id per point (-1 noise)."""
     n = lat.shape[0]
     adj = [
-        np.nonzero(_haversine_rad(lat[i], lon[i], lat, lon, radius_m) <= eps_m)[0]
+        np.nonzero(_haversine_rad(lat[i], lon[i], lat, lon) <= eps_m)[0]
         for i in range(n)
     ]
     core = np.array([nb.size >= min_pts for nb in adj])
@@ -326,7 +326,7 @@ def _dbscan_brute(lat, lon, eps_m, min_pts, radius_m):
 _LINK_BLOCK = 16_384
 
 
-def _dbscan_grid(lat, lon, eps_m, min_pts, radius_m, cos_max):
+def _dbscan_grid(lat, lon, eps_m, min_pts, cos_max):
     """Exact grid path (Gunawan 2013; de Berg, Gunawan & Roeloffzen 2019).
 
     Cells a hair under eps/sqrt(2) put same-cell points within eps of each
@@ -339,7 +339,7 @@ def _dbscan_grid(lat, lon, eps_m, min_pts, radius_m, cos_max):
     id per point (-1 noise).
     """
     n = lat.shape[0]
-    cell_rad = eps_m / radius_m / math.sqrt(2.0) * (1.0 - 1e-6)
+    cell_rad = eps_m / EARTH_RADIUS_M / math.sqrt(2.0) * (1.0 - 1e-6)
     ci = np.floor(lat / cell_rad).astype(np.int64)
     cj = np.floor(lon * cos_max / cell_rad).astype(np.int64)
 
@@ -360,7 +360,7 @@ def _dbscan_grid(lat, lon, eps_m, min_pts, radius_m, cos_max):
 
     def within(a, b):
         return _haversine_rad(
-            lat[a][:, None], lon[a][:, None], lat[b][None, :], lon[b][None, :], radius_m
+            lat[a][:, None], lon[a][:, None], lat[b][None, :], lon[b][None, :]
         ) <= eps_m
 
     core = np.zeros(n, dtype=bool)
@@ -416,7 +416,6 @@ def geometric_medians(
     lat_deg: np.ndarray,
     lon_deg: np.ndarray,
     starts: np.ndarray,
-    radius_m: float = EARTH_RADIUS_M,
     tol_m: float = 1e-6,
     max_iter: int = 20000,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -459,8 +458,8 @@ def geometric_medians(
     lon0 = np.add.reduceat(lon, heads) / n
     coslat = np.array([math.cos(math.radians(v)) for v in lat0.tolist()])
     size = n + 1
-    x = np.radians(lon - np.repeat(lon0, size)) * radius_m * np.repeat(coslat, size)
-    y = np.radians(lat - np.repeat(lat0, size)) * radius_m
+    x = np.radians(lon - np.repeat(lon0, size)) * EARTH_RADIUS_M * np.repeat(coslat, size)
+    y = np.radians(lat - np.repeat(lat0, size)) * EARTH_RADIUS_M
     # zero heads keep every sum below per set; their distance is set to
     # infinity, so their weight is zero too
     x[heads] = 0.0
@@ -519,8 +518,8 @@ def geometric_medians(
             keep_sets(~done)
     rx[ids], ry[ids] = px, py
 
-    out_lat[multi] = lat0 + np.degrees(ry / radius_m)
-    out_lon[multi] = lon0 + np.degrees(rx / (radius_m * coslat))
+    out_lat[multi] = lat0 + np.degrees(ry / EARTH_RADIUS_M)
+    out_lon[multi] = lon0 + np.degrees(rx / (EARTH_RADIUS_M * coslat))
     return out_lat, out_lon
 
 
@@ -556,13 +555,12 @@ def _vertex_test(x, y, d, dmin, heads, size, near):
 def geometric_median(
     lat_deg: np.ndarray,
     lon_deg: np.ndarray,
-    radius_m: float = EARTH_RADIUS_M,
     tol_m: float = 1e-6,
     max_iter: int = 20000,
 ) -> GeoPoint:
     """Point minimizing the summed distance to the points of two degree
     arrays: ``geometric_medians`` of one set."""
-    lat, lon = geometric_medians(lat_deg, lon_deg, [0], radius_m, tol_m, max_iter)
+    lat, lon = geometric_medians(lat_deg, lon_deg, [0], tol_m, max_iter)
     return GeoPoint(float(lat[0]), float(lon[0]))
 
 
@@ -598,7 +596,7 @@ def _classify_unplaced(
     if n < cfg.min_sightings:
         return record, []
 
-    clusters, noise = dbscan(lat, lon, cfg.eps_m, cfg.min_cluster_pts, cfg.earth_radius_m)
+    clusters, noise = dbscan(lat, lon, cfg.eps_m, cfg.min_cluster_pts)
     record.ap_class = ApClass.MOBILE
     clustered = n - len(noise)
     if not clusters or clustered / n < cfg.clustered_fraction_min:
@@ -633,9 +631,7 @@ def _place(
         return
     sizes = np.array([m.size for m in clusters])
     rows = np.concatenate(clusters)
-    mlat, mlon = geometric_medians(
-        lat[rows], lon[rows], np.cumsum(sizes) - sizes, cfg.earth_radius_m
-    )
+    mlat, mlon = geometric_medians(lat[rows], lon[rows], np.cumsum(sizes) - sizes)
     positions = iter(zip(mlat.tolist(), mlon.tolist()))
     for record, members in pending:
         placed = [GeoPoint(*next(positions)) for _ in members]
@@ -653,7 +649,6 @@ def build_database(
     user_ids: list[UserId],
     bssids: list[BssidId],
     cfg: LocatorConfig = LocatorConfig(),
-    built_from: str = "",
 ) -> ApDatabase:
     """Classify every access point in ``pairs``, in BSSID order.
 
@@ -676,63 +671,7 @@ def build_database(
         )
         pending.append((record, [lo + m for m in members]))
     _place(pending, ts, lat, lon, cfg)
-    return ApDatabase(records={record.bssid: record for record, _ in pending},
-                      built_from=built_from)
-
-
-@dataclass(slots=True)
-class SsidValidationCounts:
-    """How labeled-SSID devices came out of classification."""
-
-    mobile: int = 0
-    static: int = 0
-    relocated: int = 0
-    insufficient: int = 0
-    unseen: int = 0
-
-    @property
-    def classified(self) -> int:
-        return self.mobile + self.static + self.relocated
-
-    @property
-    def recall(self) -> Optional[float]:
-        """Fraction of classified labeled devices that came out mobile."""
-        if self.classified == 0:
-            return None
-        return self.mobile / self.classified
-
-
-def validate_against_named_ssids(
-    db: ApDatabase,
-    scans: Iterable[WifiScan],
-    mobile_ssids: set[str],
-) -> SsidValidationCounts:
-    """Check classification against devices whose SSID marks them as mobile.
-
-    Devices with too few sightings to classify are tallied separately and
-    excluded from recall.
-    """
-    if not mobile_ssids:
-        raise ValueError("mobile_ssids must be non-empty")
-    flagged: set[BssidId] = set()
-    for scan in scans:
-        for s in scan.sightings:
-            if s.ssid is not None and s.ssid in mobile_ssids:
-                flagged.add(s.bssid)
-    counts = SsidValidationCounts()
-    for bssid in sorted(flagged):
-        rec = db.get(bssid)
-        if rec is None:
-            counts.unseen += 1
-        elif rec.ap_class is ApClass.MOBILE:
-            counts.mobile += 1
-        elif rec.ap_class is ApClass.STATIC:
-            counts.static += 1
-        elif rec.ap_class is ApClass.RELOCATED:
-            counts.relocated += 1
-        else:
-            counts.insufficient += 1
-    return counts
+    return ApDatabase(records={record.bssid: record for record, _ in pending})
 
 
 _APDB_COLUMNS = [
@@ -808,7 +747,7 @@ def read_apdb_csv(path) -> ApDatabase:
                 pos=pos,
                 segments=segments,
             )
-    return ApDatabase(records=records, built_from=str(path))
+    return ApDatabase(records=records)
 
 
 _SEGMENT_KEYS = ("lat", "lon", "start_ms", "end_ms")

@@ -178,10 +178,8 @@ def cmd_locate(args, cfg_values) -> int:
     locator_cfg = _locator_config(args, cfg_values)
     pairs = pair_arrays(arrays, pairing_cfg)
     if args.dump_pairs:
-        write_pairs_csv(pairs.to_records(arrays.user_ids, arrays.bssids), args.dump_pairs)
-    db = build_database(
-        pairs, arrays.user_ids, arrays.bssids, locator_cfg, built_from=f"{args.gps}+{args.wifi}"
-    )
+        write_pairs_csv(pairs, arrays.user_ids, arrays.bssids, args.dump_pairs)
+    db = build_database(pairs, arrays.user_ids, arrays.bssids, locator_cfg)
     write_apdb_csv(db, args.out)
     census = db.census()
     located = census["static"] + census["relocated"]
@@ -225,17 +223,16 @@ def cmd_coverage(args, cfg_values) -> int:
             for (user, day), cov in sorted(series.per_user_day.items()):
                 writer.writerow([user, day, repr(cov)])
     if args.entropy_out:
+        # each estimated bin is labeled by its first support router
+        table = db.router_table(arrays.bssids)
+        index = {bssid: i for i, bssid in enumerate(arrays.bssids)}
         with Path(args.entropy_out).open("w", encoding="utf-8", newline="") as out:
             writer = csv.writer(out)
             writer.writerow(["user", "entropy_bits", "labeled_bins"])
             for user in sorted(timelines):
                 tl = timelines[user]
-                labels = []
-                for bssid, ts in zip(tl.first_support.tolist(), tl.ts.tolist()):
-                    rec = db.get(bssid)
-                    label = rec.label_at(ts) if rec else None
-                    if label is not None:
-                        labels.append(label)
+                router = np.array([index[b] for b in tl.first_support.tolist()], dtype=np.int64)
+                labels = [x for x in table.labels(router, tl.ts, arrays.bssids) if x is not None]
                 h = entropy_bits(labels)
                 writer.writerow([user, "" if h is None else repr(h), len(labels)])
     return 0

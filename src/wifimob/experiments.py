@@ -157,11 +157,7 @@ class ExperimentData:
         """Classified database over all paired data; the external-lookup stand-in."""
         if self._full_db is None:
             self._full_db = build_database(
-                self.pairs,
-                self.table.user_ids,
-                self.table.bssids,
-                self.locator,
-                built_from="all paired observations",
+                self.pairs, self.table.user_ids, self.table.bssids, self.locator
             )
         return self._full_db
 
@@ -378,7 +374,11 @@ def run_experiment(
     scenario: Scenario,
     cfg: ExperimentConfig = ExperimentConfig(),
 ) -> ExperimentResult:
-    """Coverage series plus coverage histograms for one grid cell."""
+    """Coverage series plus coverage histograms for one grid cell.
+
+    Prepared data keeps the bin width, pairing and locator it was prepared
+    with; ``cfg`` gives them only when ``source`` is a log.
+    """
     data = source if isinstance(source, ExperimentData) else prepare_experiment_data(source, cfg)
     t = data.table
     n_users, n_aps = t.n_users, t.n_aps
@@ -393,7 +393,7 @@ def run_experiment(
         sel_mask, sequential = _selection_mask(data, strategy)
         mat = _first_ts_matrix(data, sel_mask, sequential)
         if cfg.known_rule == "classified":
-            tables = _classified_tables(data, sel_mask, scenario, cfg)
+            tables = _classified_tables(data, sel_mask, scenario)
     viewer_first = _viewer_first_ts(mat, scenario)
     if tables:
         # a router is known to a viewer only where the viewer's table places it
@@ -424,36 +424,32 @@ def run_experiment(
 
 
 def _classified_tables(
-    data: ExperimentData,
-    sel_mask: np.ndarray,
-    scenario: Scenario,
-    cfg: ExperimentConfig,
+    data: ExperimentData, sel_mask: np.ndarray, scenario: Scenario
 ) -> list[RouterTable]:
     """One router table per viewer under the quality-filtered classifier.
 
-    Each is classified from the viewer's scenario-filtered training subset
-    (one shared under GLOBAL); intended for modest datasets.
+    Each is classified with ``data.locator``, the locator of the full
+    database, from the viewer's scenario-filtered training subset (one
+    shared under GLOBAL); intended for modest datasets.
     """
     t = data.table
     if scenario is Scenario.GLOBAL:
-        return [_training_database(data, sel_mask, cfg).router_table(t.bssids)] * t.n_users
+        return [_training_database(data, sel_mask).router_table(t.bssids)] * t.n_users
     tables = []
     for u in range(t.n_users):
         own = data.pairs.user == u
         keep = sel_mask & (own if scenario is Scenario.PERSONAL else ~own)
-        tables.append(_training_database(data, keep, cfg).router_table(t.bssids))
+        tables.append(_training_database(data, keep).router_table(t.bssids))
     return tables
 
 
-def _training_database(
-    data: ExperimentData, mask: np.ndarray, cfg: ExperimentConfig
-) -> ApDatabase:
+def _training_database(data: ExperimentData, mask: np.ndarray) -> ApDatabase:
     """Classified database over the masked paired observations."""
     p = data.pairs
     subset = PairedEvents(
         ap=p.ap[mask], user=p.user[mask], ts=p.ts[mask], lat=p.lat[mask], lon=p.lon[mask]
     )
-    return build_database(subset, data.table.user_ids, data.table.bssids, cfg.locator)
+    return build_database(subset, data.table.user_ids, data.table.bssids, data.locator)
 
 
 @dataclass(slots=True)

@@ -11,7 +11,9 @@ window; that only duplicates consistent evidence.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -66,19 +68,29 @@ class PairedEvents:
         """Distinct paired GPS fix events, i.e. distinct ``(user, ts)`` rows."""
         return self.event_ids()[1]
 
-    def to_records(
+    def sorted_rows(
         self, user_ids: list[UserId], bssids: list[BssidId]
-    ) -> list[PairedObservation]:
-        """Record form, sorted by (bssid, ts, user); the sort is stable, so
-        tied rows keep their column order."""
+    ) -> tuple[list, list, list, list, list]:
+        """(bssid, user, ts, lat, lon) lists sorted by (bssid, ts, user); the
+        sort is stable, so tied rows keep their column order."""
         order = np.lexsort(
             (_string_rank(user_ids)[self.user], self.ts, _string_rank(bssids)[self.ap])
         )
-        ap, user, ts = self.ap[order].tolist(), self.user[order].tolist(), self.ts[order].tolist()
-        lat, lon = self.lat[order].tolist(), self.lon[order].tolist()
+        return (
+            [bssids[a] for a in self.ap[order].tolist()],
+            [user_ids[u] for u in self.user[order].tolist()],
+            self.ts[order].tolist(),
+            self.lat[order].tolist(),
+            self.lon[order].tolist(),
+        )
+
+    def to_records(
+        self, user_ids: list[UserId], bssids: list[BssidId]
+    ) -> list[PairedObservation]:
+        """Record form, in :meth:`sorted_rows` order."""
         return [
-            PairedObservation(bssid=bssids[a], pos=GeoPoint(la, lo), ts=t, user=user_ids[u])
-            for a, u, t, la, lo in zip(ap, user, ts, lat, lon)
+            PairedObservation(bssid=b, pos=GeoPoint(la, lo), ts=t, user=u)
+            for b, u, t, la, lo in zip(*self.sorted_rows(user_ids, bssids))
         ]
 
 
@@ -186,13 +198,13 @@ def pair_observations(
     return pair_arrays(arrays, cfg).to_records(arrays.user_ids, arrays.bssids)
 
 
-def write_pairs_csv(pairs: list[PairedObservation], path) -> None:
-    """Debugging dump, one row per paired observation."""
-    import csv
-    from pathlib import Path
-
+def write_pairs_csv(
+    pairs: PairedEvents, user_ids: list[UserId], bssids: list[BssidId], path
+) -> None:
+    """Debugging dump, one row per paired observation, in
+    :meth:`PairedEvents.sorted_rows` order."""
+    bssid, user, ts, lat, lon = pairs.sorted_rows(user_ids, bssids)
     with Path(path).open("w", encoding="utf-8", newline="") as out:
         writer = csv.writer(out)
         writer.writerow(["bssid", "lat", "lon", "ts_ms", "user"])
-        for p in pairs:
-            writer.writerow([p.bssid, repr(p.pos.lat_deg), repr(p.pos.lon_deg), p.ts, p.user])
+        writer.writerows(zip(bssid, map(repr, lat), map(repr, lon), ts, user))

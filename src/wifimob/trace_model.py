@@ -12,10 +12,21 @@ fixes and scans are put in canonical order: numerically by ``(user, ts)``,
 and, among lines tied on both, by their canonical JSON serialization, so
 that shuffled input files produce identical results.
 
-Two forms hold the same traces. :func:`ingest_arrays` fills the columnar
-:class:`SensorArrays` that every pipeline stage runs on;
-:func:`ingest_traces` builds record objects (:class:`TraceSet`), the
-slower reference form. Both accept and reject exactly the same lines.
+Every pipeline stage runs on the columnar :class:`SensorArrays` that
+:func:`ingest_arrays` fills. The record form (:class:`TraceSet` and its
+record types, built by :func:`ingest_traces_verbose`) is the slow reference;
+it accepts and rejects exactly the same lines. No product path reads it; it
+stays here only because the benchmark tracer binds these names:
+
+* ``trace_model``: ``ingest_traces_verbose``, ``TraceSet.from_records``;
+* ``pairing``: ``pair_observations``, with ``PairedEvents.to_records`` and
+  ``PairedObservation``;
+* ``experiments``: ``ExperimentData.paired_records``;
+* ``ap_locator``: ``classify_ap``, ``geometric_median``, ``ApDatabase.records``
+  and ``ApDatabase.get`` with ``ApRecord.ap_class`` and ``ApRecord.pos``;
+* ``reconstructor``: ``resolve_scan``, with ``ApRecord.position_at``.
+
+The rest of the record route lives in the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -160,17 +171,6 @@ class TraceSet:
         fx = sorted(fixes, key=lambda f: (f.user, f.ts, _fix_line(f)))
         sc = sorted(scans, key=lambda s: (s.user, s.ts, _scan_line(s)))
         return cls(fixes=fx, scans=sc)
-
-    def users(self) -> list[UserId]:
-        seen = {f.user for f in self.fixes} | {s.user for s in self.scans}
-        return sorted(seen)
-
-    def span_ms(self) -> tuple[TimestampMs, TimestampMs]:
-        """(min, max) timestamp over all records; (0, 0) when empty."""
-        ts = [f.ts for f in self.fixes] + [s.ts for s in self.scans]
-        if not ts:
-            return (0, 0)
-        return (min(ts), max(ts))
 
 
 @dataclass(slots=True)
@@ -483,12 +483,6 @@ def ingest_traces_verbose(gps_path, wifi_path) -> tuple[TraceSet, IngestReport]:
     return TraceSet.from_records(fixes, scans), report
 
 
-def ingest_traces(gps_path, wifi_path) -> TraceSet:
-    """Ingest both trace files; see :func:`ingest_traces_verbose` for the report."""
-    traces, _ = ingest_traces_verbose(gps_path, wifi_path)
-    return traces
-
-
 def ingest_arrays(gps_path, wifi_path) -> tuple[SensorArrays, IngestReport]:
     """Ingest both trace files straight into columns, plus the line report.
 
@@ -724,15 +718,3 @@ def _scan_line(scan: WifiScan) -> str:
     return _scan_json(
         scan.user, scan.ts, ((s.bssid, s.ssid, s.rssi_dbm) for s in scan.sightings)
     )
-
-
-def write_traces(traces: TraceSet, gps_path, wifi_path) -> None:
-    """Write a trace set back out in canonical JSONL form."""
-    with Path(gps_path).open("w", encoding="utf-8") as out:
-        for fix in traces.fixes:
-            out.write(_fix_line(fix))
-            out.write("\n")
-    with Path(wifi_path).open("w", encoding="utf-8") as out:
-        for scan in traces.scans:
-            out.write(_scan_line(scan))
-            out.write("\n")

@@ -2,16 +2,19 @@
 
 Besides the numeric oracles (brute-force DBSCAN, grid-search median,
 exhaustive max coverage), this holds the record route. The program runs
-every stage on columns (``SensorArrays``, ``PairedEvents``); the functions
-below redo pairing, router grouping, timelines, the presence table, training
-selection and the coverage of a grid cell on record objects (``TraceSet``,
-``PairedObservation``), one record at a time.
+every stage on columns (``SensorArrays``, ``PairedEvents``, ``RouterTable``);
+the functions below redo ingest, pairing, router grouping, timelines, entropy
+labels, the presence table, training selection and the coverage of a grid
+cell on record objects (``TraceSet``, ``PairedObservation``, ``ApRecord``),
+one record at a time.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
 import math
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -56,6 +59,9 @@ from wifimob.trace_model import (
     TraceSet,
     UserId,
     WifiScan,
+    _fix_line,
+    _scan_line,
+    ingest_traces_verbose,
 )
 
 M_PER_DEG_LAT = 111194.92664455873
@@ -261,6 +267,38 @@ def exhaustive_max_coverage(sets: dict, k: int) -> int:
     return best
 
 
+# -- record traces ------------------------------------------------------------
+
+
+def ingest_traces(gps_path, wifi_path) -> TraceSet:
+    """Ingest both trace files as records; ``ingest_traces_verbose`` also
+    returns the line report."""
+    traces, _ = ingest_traces_verbose(gps_path, wifi_path)
+    return traces
+
+
+def write_traces(traces: TraceSet, gps_path, wifi_path) -> None:
+    """Write a trace set back out in canonical JSONL form."""
+    with Path(gps_path).open("w", encoding="utf-8") as out:
+        for fix in traces.fixes:
+            out.write(_fix_line(fix))
+            out.write("\n")
+    with Path(wifi_path).open("w", encoding="utf-8") as out:
+        for scan in traces.scans:
+            out.write(_scan_line(scan))
+            out.write("\n")
+
+
+def trace_users(traces: TraceSet) -> list[UserId]:
+    """Sorted users holding a fix or a scan."""
+    return sorted({f.user for f in traces.fixes} | {s.user for s in traces.scans})
+
+
+def trace_start_ms(traces: TraceSet) -> TimestampMs:
+    """Earliest timestamp over all records; 0 when empty."""
+    return min([f.ts for f in traces.fixes] + [s.ts for s in traces.scans], default=0)
+
+
 # -- records <-> columns ------------------------------------------------------
 
 
@@ -446,7 +484,7 @@ def assert_timelines_equal(got: dict, want: dict) -> None:
 
 
 def table_from_traces(traces: TraceSet, bin_ms: int) -> ScanTable:
-    user_ids = traces.users()
+    user_ids = trace_users(traces)
     user_idx = {u: i for i, u in enumerate(user_ids)}
     bssids = sorted({s.bssid for scan in traces.scans for s in scan.sightings})
     ap_idx = {b: i for i, b in enumerate(bssids)}
@@ -484,7 +522,7 @@ def prepare_from_traces(
     """``prepare_experiment_data`` on records."""
     table = table_from_traces(traces, cfg.bin_ms)
     pairs, _, _ = pair_columns(pair_records(traces, cfg.pairing), table.user_ids, table.bssids)
-    return ExperimentData(table=table, pairs=pairs, t0_ms=traces.span_ms()[0], locator=cfg.locator)
+    return ExperimentData(table=table, pairs=pairs, t0_ms=trace_start_ms(traces), locator=cfg.locator)
 
 
 def select_training_pairs(
@@ -606,14 +644,36 @@ def classify_records(
 
 
 def build_database_from_records(
-    obs: Iterable[PairedObservation], cfg: LocatorConfig = LocatorConfig(), built_from: str = ""
+    obs: Iterable[PairedObservation], cfg: LocatorConfig = LocatorConfig()
 ) -> ApDatabase:
     """``build_database`` on records: Python grouping and sorting, then the
     product ``classify_ap`` per router."""
     records = {
         bssid: classify_records(bssid, group, cfg) for bssid, group in router_groups(obs)
     }
-    return ApDatabase(records=records, built_from=built_from)
+    return ApDatabase(records=records)
+
+
+def write_pair_records_csv(pairs: Iterable[PairedObservation], path) -> None:
+    """``cli locate --dump-pairs`` from records: one row per paired
+    observation, in the given order."""
+    with Path(path).open("w", encoding="utf-8", newline="") as out:
+        writer = csv.writer(out)
+        writer.writerow(["bssid", "lat", "lon", "ts_ms", "user"])
+        for p in pairs:
+            writer.writerow([p.bssid, repr(p.pos.lat_deg), repr(p.pos.lon_deg), p.ts, p.user])
+
+
+def label_at(rec: ApRecord, ts: TimestampMs) -> Optional[str]:
+    """A record's entropy location label at ``ts``: its BSSID when static,
+    ``BSSID#i`` inside its i-th listed segment when relocated, else None."""
+    if rec.ap_class is ApClass.STATIC:
+        return rec.bssid
+    if rec.ap_class is ApClass.RELOCATED:
+        for i, seg in enumerate(rec.segments):
+            if seg.interval.contains(ts):
+                return f"{rec.bssid}#{i}"
+    return None
 
 
 def pair_columns(
@@ -672,8 +732,8 @@ def coverage_via_record_pipeline(
     """
     classified = cfg.known_rule == "classified"
     obs = pair_records(traces, cfg.pairing)
-    t0 = traces.span_ms()[0]
-    users = traces.users()
+    t0 = trace_start_ms(traces)
+    users = trace_users(traces)
     scans_by_user: dict[UserId, list[WifiScan]] = {}
     for scan in traces.scans:
         scans_by_user.setdefault(scan.user, []).append(scan)

@@ -98,7 +98,7 @@ def localization(default_world):
     _, gt, arrays = default_world
     t0 = time.perf_counter()
     data = prepare_experiment_data(arrays)
-    db = build_database(data.pairs, data.table.user_ids, data.table.bssids, built_from="acceptance")
+    db = build_database(data.pairs, data.table.user_ids, data.table.bssids)
     elapsed = time.perf_counter() - t0
     counts = np.bincount(data.pairs.ap, minlength=data.table.n_aps).tolist()
     sightings = {b: n for b, n in zip(data.table.bssids, counts) if n}

@@ -13,6 +13,7 @@ from oracles import (
     classify_records,
     geometric_median_loop,
     grid_search_median,
+    label_at,
     latlon,
     pair_columns,
     router_groups,
@@ -20,7 +21,6 @@ from oracles import (
 from wifimob import ap_locator
 from wifimob.ap_locator import (
     ApClass,
-    ApDatabase,
     ApRecord,
     ApSegment,
     TimeInterval,
@@ -30,11 +30,10 @@ from wifimob.ap_locator import (
     geometric_medians,
     haversine_m,
     read_apdb_csv,
-    validate_against_named_ssids,
     write_apdb_csv,
 )
 from wifimob.pairing import PairedEvents, PairedObservation
-from wifimob.trace_model import ApSighting, GeoPoint, WifiScan
+from wifimob.trace_model import GeoPoint
 
 LAT0, LON0 = 55.7, 12.5
 M_PER_DEG_LAT = 111194.92664455873
@@ -578,13 +577,14 @@ class TestRecordLookup:
         assert rec.position_at(50) == _offset(0, 0)
         assert rec.position_at(250) == _offset(1000, 0)
         assert rec.position_at(150) is None
-        assert rec.label_at(50) != rec.label_at(250)
+        assert label_at(rec, 50) != label_at(rec, 250)
 
     def test_router_table_places_as_position_at(self, tmp_path):
-        """``RouterTable.place`` equals ``ApRecord.position_at`` at every
-        probe time of every router: a relocated router's first listed
-        segment holding the time wins, also when its segments overlap or
-        are listed out of time order."""
+        """``RouterTable.place`` equals ``ApRecord.position_at``, and
+        ``RouterTable.labels`` the record ``label_at``, at every probe time of
+        every router: a relocated router's first listed segment holding the
+        time wins, also when its segments overlap or are listed out of time
+        order."""
         seg = lambda lat, start, end: {"lat": lat, "lon": 12.5, "start_ms": start, "end_ms": end}
         rows = {
             "static": ("static", "55.7", "12.5", ""),
@@ -619,10 +619,22 @@ class TestRecordLookup:
                 assert math.isnan(got_lat) and math.isnan(got_lon), (bssids[i], t)
             else:
                 assert (got_lat, got_lon) == (want.lat_deg, want.lon_deg), (bssids[i], t)
+        labels = table.labels(router, ts, bssids)
+        for i, t, got in zip(router.tolist(), ts.tolist(), labels):
+            rec = db.get(bssids[i])
+            # only a router that places the time labels it; an unplaced
+            # static record still names itself, but never places a bin
+            want = label_at(rec, t) if rec and rec.position_at(t) is not None else None
+            assert got == want, (bssids[i], t)
         placed = {b for b, p in zip(bssids, table.placed.tolist()) if p}
         assert placed == {"static", "three", "overlapping", "unordered"}
-        at = lambda bssid, t: table.place(np.array([bssids.index(bssid)]), np.array([t]))[0][0]
+        one = lambda bssid, t: (np.array([bssids.index(bssid)]), np.array([t]))
+        at = lambda bssid, t: table.place(*one(bssid, t))[0][0]
         assert at("overlapping", 250) == 55.74 and at("unordered", 450) == 55.76
+        label = lambda bssid, t: table.labels(*one(bssid, t), bssids)[0]
+        assert label("overlapping", 250) == "overlapping#0"
+        assert [label("unordered", t) for t in (450, 50, 550)] == [f"unordered#{i}" for i in range(3)]
+        assert label("static", 50) == "static" and label("static_unplaced", 50) is None
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
@@ -631,36 +643,13 @@ class TestRecordLookup:
         assert not TimeInterval(0, 9).overlaps(TimeInterval(10, 20))
 
 
-def test_validate_against_named_ssids():
-    hotspot = ApSighting("0a:00:00:00:00:01", ssid="iPhone")
-    lamp = ApSighting("02:00:00:00:00:01", ssid="cafe")
-    scans = [WifiScan(user="u", ts=0, sightings=[hotspot, lamp])]
-
-    mobile_rec = ApRecord(bssid=hotspot.bssid, ap_class=ApClass.MOBILE, n_sightings=9)
-    db = ApDatabase(records={hotspot.bssid: mobile_rec})
-    counts = validate_against_named_ssids(db, scans, {"iPhone", "AndroidAP"})
-    assert counts.mobile == 1 and counts.static == 0
-    assert counts.recall == 1.0
-
-    with pytest.raises(ValueError):
-        validate_against_named_ssids(db, scans, set())
-
-    none_match = validate_against_named_ssids(db, scans, {"Bedrebustur"})
-    assert none_match.mobile == none_match.static == none_match.unseen == 0
-    assert none_match.recall is None
-
-
 def test_named_ssid_recall_on_synthetic_fixture():
     """Forty labeled hotspots, most moving between two sites, a few parked."""
     rng = np.random.default_rng(8)
     obs = []
-    scans = []
+    labeled = [f"0a:00:00:00:01:{i:02x}" for i in range(40)]
     moving = 36
-    for i in range(40):
-        bssid = f"0a:00:00:00:01:{i:02x}"
-        scans.append(
-            WifiScan(user="u", ts=0, sightings=[ApSighting(bssid, ssid="AndroidAP")])
-        )
+    for i, bssid in enumerate(labeled):
         if i < moving:
             pts = [_offset(rng.normal(0, 10), rng.normal(0, 10)) for _ in range(6)]
             pts += [_offset(1500 + rng.normal(0, 10), rng.normal(0, 10)) for _ in range(6)]
@@ -673,6 +662,6 @@ def test_named_ssid_recall_on_synthetic_fixture():
             pts = [_offset(5000 + i * 300 + rng.normal(0, 8), rng.normal(0, 8)) for _ in range(8)]
             obs.extend(_obs(bssid, pts))
     db = build_database(*pair_columns(obs))
-    counts = validate_against_named_ssids(db, scans, {"AndroidAP"})
-    assert counts.classified == 40
-    assert counts.recall >= 0.90
+    classes = [db.get(bssid).ap_class for bssid in labeled]
+    assert ApClass.INSUFFICIENT not in classes
+    assert classes.count(ApClass.MOBILE) / len(classes) >= 0.90

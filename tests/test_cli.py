@@ -9,6 +9,8 @@ from oracles import (
     pair_records,
     prepare_from_traces,
     timeline_from_records,
+    trace_users,
+    write_pair_records_csv,
 )
 from wifimob import cli
 from wifimob.cli import main
@@ -347,19 +349,11 @@ class _Traces(TraceSet):
 
     @property
     def user_ids(self):
-        return self.users()
+        return trace_users(self)
 
     @property
     def bssids(self):
         return sorted({s.bssid for scan in self.scans for s in scan.sightings})
-
-
-class _RecordPairs(list):
-    """Record pairs standing in for ``PairedEvents``; their record form is
-    themselves."""
-
-    def to_records(self, user_ids, bssids):
-        return list(self)
 
 
 def _record_ingest(gps, wifi):
@@ -369,16 +363,19 @@ def _record_ingest(gps, wifi):
 
 def _record_route(monkeypatch):
     """Point the CLI at the record route: TraceSet ingest, record pairing,
-    the record database builder, record timelines and record experiment
-    tables."""
+    the record pairs writer, the record database builder, record timelines
+    and record experiment tables."""
     monkeypatch.setattr(cli, "ingest_arrays", _record_ingest)
-    monkeypatch.setattr(cli, "pair_arrays", lambda traces, cfg: _RecordPairs(pair_records(traces, cfg)))
+    monkeypatch.setattr(cli, "pair_arrays", pair_records)
+    monkeypatch.setattr(
+        cli,
+        "write_pairs_csv",
+        lambda pairs, user_ids, bssids, path: write_pair_records_csv(pairs, path),
+    )
     monkeypatch.setattr(
         cli,
         "build_database",
-        lambda pairs, user_ids, bssids, cfg, built_from: build_database_from_records(
-            pairs, cfg, built_from
-        ),
+        lambda pairs, user_ids, bssids, cfg: build_database_from_records(pairs, cfg),
     )
     monkeypatch.setattr(cli, "build_timeline", lambda traces, db: timeline_from_records(traces.scans, db))
     monkeypatch.setattr(cli, "prepare_experiment_data", prepare_from_traces)
@@ -413,3 +410,30 @@ def test_cli_outputs_match_record_route(tmp_path, monkeypatch, capsys, config):
         random.Random(1).shuffle(lines)
         (shuffled / name).write_text("".join(lines))
     assert _all_commands(shuffled, tmp_path / "shuffled_out", cfg) == columnar
+
+
+def test_coverage_labels_relocated_router_by_segment(tmp_path):
+    """One relocated router with two segments, seen in two bins, one inside
+    each segment: each bin gets its segment's label, so one bit over two
+    labeled bins."""
+    bssid = "02:00:00:00:00:01"
+    segments = [
+        {"lat": 55.7, "lon": 12.5, "start_ms": 0, "end_ms": 1_000_000},
+        {"lat": 55.71, "lon": 12.5, "start_ms": 2_000_000, "end_ms": 3_000_000},
+    ]
+    cell = json.dumps(segments).replace('"', '""')
+    (tmp_path / "apdb.csv").write_text(
+        "bssid,class,lat,lon,n_sightings,segments_json,contributors_count\n"
+        f'{bssid},relocated,,,20,"{cell}",1\n'
+    )
+    (tmp_path / "gps.jsonl").write_text("")
+    # ten-minute bins 0 and 4
+    scans = [{"user": "u", "ts_ms": ts, "aps": [{"bssid": bssid}]} for ts in (500_000, 2_500_000)]
+    (tmp_path / "wifi.jsonl").write_text("".join(json.dumps(s) + "\n" for s in scans))
+    assert _run(
+        "coverage", "--gps", tmp_path / "gps.jsonl", "--wifi", tmp_path / "wifi.jsonl",
+        "--apdb", tmp_path / "apdb.csv", "--out", tmp_path / "coverage.csv",
+        "--entropy-out", tmp_path / "entropy.csv",
+    ) == 0
+    lines = (tmp_path / "entropy.csv").read_text().splitlines()
+    assert lines == ["user,entropy_bits,labeled_bins", "u,1.0,2"]

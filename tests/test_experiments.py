@@ -17,6 +17,7 @@ from oracles import (
     select_training_pairs,
     table_from_traces,
 )
+from wifimob.ap_locator import LocatorConfig
 from wifimob.coverage_metrics import DAY_MS, DEFAULT_BIN_MS
 from wifimob.experiments import (
     ExperimentConfig,
@@ -340,6 +341,24 @@ class TestEngine:
                 assert set(res) == set(loose)
                 for key, cov in res.items():
                     assert cov <= loose[key], (strategy, scenario, key)
+
+    def test_classified_rule_classifies_with_the_prepared_locator(self, small_world):
+        """Training databases are classified with the locator the data was
+        prepared with, as the full database is, whatever the run config
+        holds: prepared data has one locator."""
+        _, _, arrays, _ = small_world
+        strict = LocatorConfig(min_sightings=50)
+        data = prepare_experiment_data(arrays, ExperimentConfig(locator=strict))
+        census = data.full_database().census()
+        assert census["static"] + census["relocated"] == 7
+        cell = (RandomFraction(f=1.0), Scenario.GLOBAL)
+        got = run_experiment(data, *cell, ExperimentConfig(known_rule="classified"))
+        want = run_experiment(
+            arrays, *cell, ExperimentConfig(known_rule="classified", locator=strict)
+        )
+        default = run_experiment(arrays, *cell, ExperimentConfig(known_rule="classified"))
+        assert got.coverage.per_user_day == want.coverage.per_user_day
+        assert got.coverage.per_user_day != default.coverage.per_user_day
 
     def test_histograms_bin_on_tenths(self, small_world):
         _, _, arrays, _ = small_world

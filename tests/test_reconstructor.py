@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import assert_timelines_equal, records_to_arrays, timeline_from_records
+from oracles import assert_timelines_equal, ingest_traces, records_to_arrays, timeline_from_records
 from wifimob.ap_locator import (
     ApClass,
     ApDatabase,
@@ -28,7 +28,6 @@ from wifimob.trace_model import (
     TraceError,
     WifiScan,
     ingest_arrays,
-    ingest_traces,
 )
 
 M_PER_DEG_LAT = 111194.92664455873
