@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .pairing import PairedEvents, _string_rank
-from .trace_model import BssidId, GeoPoint, TimestampMs, UserId
+from .trace_model import BssidId, GeoPoint, TimestampMs, UserId, normalize_bssid
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -716,8 +716,10 @@ def write_apdb_csv(db: ApDatabase, path) -> None:
 def read_apdb_csv(path) -> ApDatabase:
     """Load a database written by :func:`write_apdb_csv`.
 
-    Contributor identities are not stored in the CSV, only their count, so
-    loaded records carry empty contributor sets.
+    Each BSSID is canonicalized as ingest canonicalizes it and may be listed
+    once; a row that breaks a rule raises ValueError naming the file, the
+    line and the row's BSSID. Contributor identities are not stored in the
+    CSV, only their count, so loaded records carry empty contributor sets.
     """
     records: dict[BssidId, ApRecord] = {}
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
@@ -726,42 +728,51 @@ def read_apdb_csv(path) -> ApDatabase:
         if missing:
             raise ValueError(f"{path}: AP database lacks columns {', '.join(missing)}")
         for row in reader:
-            # DictReader fills a short row with None and keys a long row's
-            # extra cells by None
-            if None in row or None in row.values():
-                raise ValueError(
-                    f"{path}:{reader.line_num}: the row of {row['bssid']} does not have "
-                    f"one cell per column of the header"
-                )
-            ap_class = ApClass(row["class"])
-            pos = None
-            segments: list[ApSegment] = []
-            if ap_class is ApClass.STATIC and row["lat"]:
-                pos = GeoPoint(float(row["lat"]), float(row["lon"]))
-            elif ap_class is ApClass.RELOCATED and row["segments_json"]:
-                segments = _read_segments(path, row["bssid"], json.loads(row["segments_json"]))
-            records[row["bssid"]] = ApRecord(
-                bssid=row["bssid"],
-                ap_class=ap_class,
-                n_sightings=int(row["n_sightings"]),
-                pos=pos,
-                segments=segments,
-            )
+            try:
+                record = _apdb_record(row)
+                if record.bssid in records:
+                    raise ValueError(f"{record.bssid} is listed on an earlier row")
+            # OverflowError: a JSON integer too large for a float coordinate;
+            # RecursionError: a segments cell nested too deeply for the parser
+            except (ValueError, OverflowError, RecursionError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: the row of {row['bssid']}: {exc}") from None
+            records[record.bssid] = record
     return ApDatabase(records=records)
 
 
 _SEGMENT_KEYS = ("lat", "lon", "start_ms", "end_ms")
 
 
-def _read_segments(path, bssid: BssidId, segments) -> list[ApSegment]:
+def _apdb_record(row: dict) -> ApRecord:
+    # DictReader fills a short row with None and keys a long row's extra
+    # cells by None
+    if None in row or None in row.values():
+        raise ValueError("expected one cell per column of the header")
+    ap_class = ApClass(row["class"])
+    pos = None
+    segments: list[ApSegment] = []
+    if ap_class is ApClass.STATIC and row["lat"]:
+        pos = GeoPoint(float(row["lat"]), float(row["lon"]))
+    elif ap_class is ApClass.RELOCATED and row["segments_json"]:
+        segments = _read_segments(json.loads(row["segments_json"]))
+    return ApRecord(
+        bssid=normalize_bssid(row["bssid"]),
+        ap_class=ap_class,
+        n_sightings=int(row["n_sightings"]),
+        pos=pos,
+        segments=segments,
+    )
+
+
+def _read_segments(segments) -> list[ApSegment]:
     """The segments of one relocated router's ``segments_json`` cell."""
     if not isinstance(segments, list):
-        raise ValueError(f"{path}: segments of {bssid} are not a JSON list")
+        raise ValueError("segments of a relocated router must be a JSON list")
     out = []
     for seg in segments:
         if not isinstance(seg, dict) or any(k not in seg for k in _SEGMENT_KEYS):
-            raise ValueError(f"{path}: a segment of {bssid} lacks one of {', '.join(_SEGMENT_KEYS)}")
+            raise ValueError(f"a segment lacks one of {', '.join(_SEGMENT_KEYS)}")
         if any(type(seg[k]) not in (int, float) for k in _SEGMENT_KEYS):
-            raise ValueError(f"{path}: a segment of {bssid} holds a value that is not a number")
+            raise ValueError("a segment holds a value that is not a number")
         out.append(ApSegment(GeoPoint(seg["lat"], seg["lon"]), TimeInterval(seg["start_ms"], seg["end_ms"])))
     return out

@@ -121,7 +121,7 @@ def _split_config(values: dict[str, str]):
 
 
 def _world_spec(args, cfg_values) -> synthgen.WorldSpec:
-    spec = synthgen.WorldSpec(**cfg_values.get(synthgen.WorldSpec, {}))
+    spec = synthgen.WorldSpec(**cfg_values[synthgen.WorldSpec])
     overrides = {}
     if getattr(args, "users", None) is not None:
         overrides["n_users"] = args.users
@@ -137,14 +137,6 @@ def _world_spec(args, cfg_values) -> synthgen.WorldSpec:
     if overrides:
         spec = replace(spec, **overrides)
     return spec
-
-
-def _locator_config(args, cfg_values) -> LocatorConfig:
-    return LocatorConfig(**cfg_values.get(LocatorConfig, {}))
-
-
-def _pairing_config(args, cfg_values) -> PairingConfig:
-    return PairingConfig(**cfg_values.get(PairingConfig, {}))
 
 
 def _ingest(gps: str, wifi: str):
@@ -174,12 +166,10 @@ def cmd_synth(args, cfg_values) -> int:
 
 def cmd_locate(args, cfg_values) -> int:
     arrays = _ingest(args.gps, args.wifi)
-    pairing_cfg = _pairing_config(args, cfg_values)
-    locator_cfg = _locator_config(args, cfg_values)
-    pairs = pair_arrays(arrays, pairing_cfg)
+    pairs = pair_arrays(arrays, PairingConfig(**cfg_values[PairingConfig]))
     if args.dump_pairs:
         write_pairs_csv(pairs, arrays.user_ids, arrays.bssids, args.dump_pairs)
-    db = build_database(pairs, arrays.user_ids, arrays.bssids, locator_cfg)
+    db = build_database(pairs, arrays.user_ids, arrays.bssids, LocatorConfig(**cfg_values[LocatorConfig]))
     write_apdb_csv(db, args.out)
     census = db.census()
     located = census["static"] + census["relocated"]
@@ -225,14 +215,12 @@ def cmd_coverage(args, cfg_values) -> int:
     if args.entropy_out:
         # each estimated bin is labeled by its first support router
         table = db.router_table(arrays.bssids)
-        index = {bssid: i for i, bssid in enumerate(arrays.bssids)}
         with Path(args.entropy_out).open("w", encoding="utf-8", newline="") as out:
             writer = csv.writer(out)
             writer.writerow(["user", "entropy_bits", "labeled_bins"])
             for user in sorted(timelines):
                 tl = timelines[user]
-                router = np.array([index[b] for b in tl.first_support.tolist()], dtype=np.int64)
-                labels = [x for x in table.labels(router, tl.ts, arrays.bssids) if x is not None]
+                labels = [x for x in table.labels(tl.first_support, tl.ts, arrays.bssids) if x is not None]
                 h = entropy_bits(labels)
                 writer.writerow([user, "" if h is None else repr(h), len(labels)])
     return 0
@@ -267,13 +255,10 @@ def _experiment_cells(args):
 
 def cmd_experiment(args, cfg_values) -> int:
     arrays = _ingest(args.gps, args.wifi)
-    cfg = ExperimentConfig(
-        histogram_days=tuple(args.hist_days),
-        known_rule=args.known_rule,
-        locator=_locator_config(args, cfg_values),
-        pairing=_pairing_config(args, cfg_values),
+    data = prepare_experiment_data(
+        arrays, PairingConfig(**cfg_values[PairingConfig]), LocatorConfig(**cfg_values[LocatorConfig])
     )
-    data = prepare_experiment_data(arrays, cfg)
+    cfg = ExperimentConfig(histogram_days=tuple(args.hist_days), known_rule=args.known_rule)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = []

@@ -101,17 +101,14 @@ class Scenario(Enum):
 
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
-    bin_ms: int = DEFAULT_BIN_MS
+    """What may differ between the grid cells of one prepared log."""
+
     histogram_days: tuple[int, ...] = (7, 80, 190)
     known_rule: str = "any_sighting"  # or "classified"
-    locator: LocatorConfig = LocatorConfig()
-    pairing: PairingConfig = PairingConfig()
 
     def __post_init__(self) -> None:
         if self.known_rule not in ("any_sighting", "classified"):
             raise ValueError(f"unknown known_rule: {self.known_rule!r}")
-        if not isinstance(self.bin_ms, int) or isinstance(self.bin_ms, bool) or self.bin_ms < 1:
-            raise ValueError(f"bin_ms must be an int >= 1, got {self.bin_ms!r}")
 
 
 @dataclass(slots=True)
@@ -270,13 +267,15 @@ def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
 
 
 def prepare_experiment_data(
-    arrays: SensorArrays, cfg: ExperimentConfig = ExperimentConfig()
+    arrays: SensorArrays,
+    pairing: PairingConfig = PairingConfig(),
+    locator: LocatorConfig = LocatorConfig(),
 ) -> ExperimentData:
-    table = _table_from_arrays(arrays, cfg.bin_ms)
-    pairs = pair_arrays(arrays, cfg.pairing)
+    table = _table_from_arrays(arrays, DEFAULT_BIN_MS)
+    pairs = pair_arrays(arrays, pairing)
     t0 = int(min(arrays.fix_ts.min() if arrays.fix_ts.size else 0,
                  arrays.scan_ts.min() if arrays.scan_ts.size else 0))
-    return ExperimentData(table=table, pairs=pairs, t0_ms=t0, locator=cfg.locator)
+    return ExperimentData(table=table, pairs=pairs, t0_ms=t0, locator=locator)
 
 
 @dataclass(slots=True)
@@ -369,17 +368,12 @@ def _selection_mask(data: ExperimentData, strategy: SamplingStrategy) -> tuple[n
 
 
 def run_experiment(
-    source: Union[SensorArrays, ExperimentData],
+    data: ExperimentData,
     strategy: SamplingStrategy,
     scenario: Scenario,
     cfg: ExperimentConfig = ExperimentConfig(),
 ) -> ExperimentResult:
-    """Coverage series plus coverage histograms for one grid cell.
-
-    Prepared data keeps the bin width, pairing and locator it was prepared
-    with; ``cfg`` gives them only when ``source`` is a log.
-    """
-    data = source if isinstance(source, ExperimentData) else prepare_experiment_data(source, cfg)
+    """Coverage series plus coverage histograms for one grid cell."""
     t = data.table
     n_users, n_aps = t.n_users, t.n_aps
     tables: Optional[list[RouterTable]] = None

@@ -5,7 +5,7 @@ usable position at the scan's timestamp. With several hits the estimate is
 the geometric median of the access-point positions, which keeps one badly
 placed router from dragging the estimate far off.
 
-Timelines bin estimates into fixed-width time bins (ten minutes by default);
+Timelines bin estimates into ten-minute time bins (``DEFAULT_BIN_MS``);
 the first resolvable scan in a bin provides the bin's estimate. A timeline is
 a set of columns, built for all scans at once; ``resolve_scan`` places one
 scan and is the per-scan reference.
@@ -47,7 +47,8 @@ class BinnedTimeline:
     """One user's binned timeline as columns: ``bins_with_data`` holds every
     bin that saw any scan at all, ``bins`` those that resolved (both sorted).
     Parallel to ``bins``: the bin's chosen scan time, its position estimate,
-    the number of usable hits behind it and the smallest BSSID among them."""
+    the number of usable hits behind it and the index, in the log's BSSID
+    table, of the smallest BSSID among them (-1 when read from a file)."""
 
     user: UserId
     bins_with_data: np.ndarray
@@ -57,7 +58,6 @@ class BinnedTimeline:
     lon: np.ndarray
     support_count: np.ndarray
     first_support: np.ndarray
-    bin_ms: int = DEFAULT_BIN_MS
 
 
 def resolve_scan(scan: WifiScan, db: ApDatabase) -> Optional[PositionEstimate]:
@@ -89,9 +89,7 @@ def _estimate(
     return PositionEstimate(user=user, ts=ts, pos=pos, support=support)
 
 
-def build_timeline(
-    arrays: SensorArrays, db: ApDatabase, bin_ms: int = DEFAULT_BIN_MS
-) -> dict[UserId, BinnedTimeline]:
+def build_timeline(arrays: SensorArrays, db: ApDatabase) -> dict[UserId, BinnedTimeline]:
     """Per-user binned timelines of a columnar log.
 
     Each (user, bin) run's first resolvable scan is chosen, and its usable
@@ -101,7 +99,7 @@ def build_timeline(
     the first resolvable scan of a bin is the earliest.
     """
     u, t, off, ap = arrays.scan_user, arrays.scan_ts, arrays.scan_off, arrays.scan_ap
-    bins = t // bin_ms
+    bins = t // DEFAULT_BIN_MS
 
     # per sighting: does its router have a position at the scan's time? A
     # static router always does, a relocated one only inside a segment
@@ -134,8 +132,8 @@ def build_timeline(
     starts = np.cumsum(n_hits) - n_hits
     if first.size:
         lat, lon = geometric_medians(lat, lon, starts)
-    columns = dict(bins=bins[first], ts=t[first], lat=lat, lon=lon, support_count=n_hits)
-    columns["first_support"] = np.array(arrays.bssids, dtype=object)[hit_ap[starts]]
+    columns = dict(bins=bins[first], ts=t[first], lat=lat, lon=lon, support_count=n_hits,
+                   first_support=hit_ap[starts].astype(np.int64))
 
     data = _run_starts(u, bins)
     data_bounds = user_bounds(u[data], len(arrays.user_ids))
@@ -144,7 +142,6 @@ def build_timeline(
         arrays.user_ids[k]: BinnedTimeline(
             user=arrays.user_ids[k],
             bins_with_data=bins[data[data_bounds[k] : data_bounds[k + 1]]],
-            bin_ms=bin_ms,
             **{name: col[res_bounds[k] : res_bounds[k + 1]] for name, col in columns.items()},
         )
         for k in np.flatnonzero(np.diff(data_bounds)).tolist()
@@ -157,9 +154,9 @@ def timeline_coverage(timelines: dict[UserId, BinnedTimeline]) -> CoverageSeries
     series = CoverageSeries()
     for user in sorted(timelines):
         tl = timelines[user]
-        _, days, n_cov = _day_runs(np.zeros_like(tl.bins), tl.bins, tl.bin_ms)
+        _, days, n_cov = _day_runs(np.zeros_like(tl.bins), tl.bins, DEFAULT_BIN_MS)
         covered = dict(zip(days, n_cov))
-        _, days, n_data = _day_runs(np.zeros_like(tl.bins_with_data), tl.bins_with_data, tl.bin_ms)
+        _, days, n_data = _day_runs(np.zeros_like(tl.bins_with_data), tl.bins_with_data, DEFAULT_BIN_MS)
         for day, n in zip(days, n_data):
             series.add(user, day, n, covered.get(day, 0))
     return series
@@ -178,12 +175,12 @@ def write_timeline_csv(timelines: dict[UserId, BinnedTimeline], path) -> None:
             has_estimate = np.isin(tl.bins_with_data, tl.bins).tolist()
             for b, hit in zip(tl.bins_with_data.tolist(), has_estimate):
                 row = next(cells) if hit else ("", "", 0, "")
-                writer.writerow([user, b, b * tl.bin_ms, *row])
+                writer.writerow([user, b, b * DEFAULT_BIN_MS, *row])
 
 
 def read_timeline_csv(path) -> dict[UserId, BinnedTimeline]:
     """Timelines as ``write_timeline_csv`` wrote them. The file does not
-    hold each estimate's first support BSSID, so it reads back empty."""
+    hold each estimate's first support, so it reads back as -1."""
     by_user: dict[UserId, list[dict]] = {}
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
@@ -204,6 +201,6 @@ def read_timeline_csv(path) -> dict[UserId, BinnedTimeline]:
             lat=floats("lat"),
             lon=floats("lon"),
             support_count=ints("support_count"),
-            first_support=np.full(len(est), "", dtype=object),
+            first_support=np.full(len(est), -1, dtype=np.int64),
         )
     return timelines

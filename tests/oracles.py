@@ -294,6 +294,11 @@ def trace_users(traces: TraceSet) -> list[UserId]:
     return sorted({f.user for f in traces.fixes} | {s.user for s in traces.scans})
 
 
+def trace_bssids(traces: TraceSet) -> list[BssidId]:
+    """Sorted BSSIDs sighted in any scan, the table ingest indexes them by."""
+    return sorted({s.bssid for scan in traces.scans for s in scan.sightings})
+
+
 def trace_start_ms(traces: TraceSet) -> TimestampMs:
     """Earliest timestamp over all records; 0 when empty."""
     return min([f.ts for f in traces.fixes] + [s.ts for s in traces.scans], default=0)
@@ -426,11 +431,12 @@ def pair_records(
 
 
 def timeline_from_records(
-    scans: Iterable[WifiScan], db: ApDatabase, bin_ms: int = DEFAULT_BIN_MS
+    scans: Iterable[WifiScan], db: ApDatabase, bssids: Sequence[BssidId]
 ) -> dict[UserId, BinnedTimeline]:
     """Record-level timelines: resolve scans one at a time until each bin
     has an estimate, then lay each user's bins out as timeline columns.
-    Per-user out-of-order scans raise TraceError."""
+    ``first_support`` indexes ``bssids``, the log's BSSID table. Per-user
+    out-of-order scans raise TraceError."""
     estimates: dict[UserId, dict[int, PositionEstimate]] = {}
     with_data: dict[UserId, set[int]] = {}
     last_ts: dict[UserId, TimestampMs] = {}
@@ -445,13 +451,14 @@ def timeline_from_records(
                 f"{scan.ts} after {last_ts[scan.user]}"
             )
         last_ts[scan.user] = scan.ts
-        bin_idx = scan.ts // bin_ms
+        bin_idx = scan.ts // DEFAULT_BIN_MS
         with_data[scan.user].add(bin_idx)
         if bin_idx in bins:
             continue  # first resolvable scan already owns this bin
         est = resolve_scan(scan, db)
         if est is not None:
             bins[bin_idx] = est
+    index = {bssid: i for i, bssid in enumerate(bssids)}
     timelines = {}
     for user, bins in estimates.items():
         est = [bins[b] for b in sorted(bins)]
@@ -463,8 +470,7 @@ def timeline_from_records(
             lat=np.array([e.pos.lat_deg for e in est], dtype=np.float64),
             lon=np.array([e.pos.lon_deg for e in est], dtype=np.float64),
             support_count=np.array([len(e.support) for e in est], dtype=np.int64),
-            first_support=np.array([e.support[0] for e in est], dtype=object),
-            bin_ms=bin_ms,
+            first_support=np.array([index[e.support[0]] for e in est], dtype=np.int64),
         )
     return timelines
 
@@ -476,7 +482,7 @@ def assert_timelines_equal(got: dict, want: dict) -> None:
     """The same users, and every timeline column equal, dtypes included."""
     assert sorted(got) == sorted(want)
     for user, tl in want.items():
-        assert (got[user].user, got[user].bin_ms) == (tl.user, tl.bin_ms)
+        assert got[user].user == tl.user
         for name in _TIMELINE_COLUMNS:
             a, b = getattr(got[user], name), getattr(tl, name)
             assert a.dtype == b.dtype, (user, name)
@@ -486,7 +492,7 @@ def assert_timelines_equal(got: dict, want: dict) -> None:
 def table_from_traces(traces: TraceSet, bin_ms: int) -> ScanTable:
     user_ids = trace_users(traces)
     user_idx = {u: i for i, u in enumerate(user_ids)}
-    bssids = sorted({s.bssid for scan in traces.scans for s in scan.sightings})
+    bssids = trace_bssids(traces)
     ap_idx = {b: i for i, b in enumerate(bssids)}
 
     data_pairs = set()
@@ -517,12 +523,14 @@ def table_from_traces(traces: TraceSet, bin_ms: int) -> ScanTable:
 
 
 def prepare_from_traces(
-    traces: TraceSet, cfg: ExperimentConfig = ExperimentConfig()
+    traces: TraceSet,
+    pairing: PairingConfig = PairingConfig(),
+    locator: LocatorConfig = LocatorConfig(),
 ) -> ExperimentData:
     """``prepare_experiment_data`` on records."""
-    table = table_from_traces(traces, cfg.bin_ms)
-    pairs, _, _ = pair_columns(pair_records(traces, cfg.pairing), table.user_ids, table.bssids)
-    return ExperimentData(table=table, pairs=pairs, t0_ms=trace_start_ms(traces), locator=cfg.locator)
+    table = table_from_traces(traces, DEFAULT_BIN_MS)
+    pairs, _, _ = pair_columns(pair_records(traces, pairing), table.user_ids, table.bssids)
+    return ExperimentData(table=table, pairs=pairs, t0_ms=trace_start_ms(traces), locator=locator)
 
 
 def select_training_pairs(
@@ -720,8 +728,13 @@ def coverage_via_record_pipeline(
     strategy: SamplingStrategy,
     scenario: Scenario,
     cfg: ExperimentConfig = ExperimentConfig(),
+    pairing: PairingConfig = PairingConfig(),
+    locator: LocatorConfig = LocatorConfig(),
 ) -> CoverageSeries:
     """One grid cell on records: a database per viewer, then binned timelines.
+
+    ``pairing`` and ``locator`` are what the engine's data is prepared with,
+    ``cfg`` what its cell runs with.
 
     Under ``any_sighting`` a viewer's database places every router of the
     training subset; under ``classified`` it is the quality-filtered
@@ -731,15 +744,15 @@ def coverage_via_record_pipeline(
     by its time before the timeline resolves it.
     """
     classified = cfg.known_rule == "classified"
-    obs = pair_records(traces, cfg.pairing)
+    obs = pair_records(traces, pairing)
     t0 = trace_start_ms(traces)
-    users = trace_users(traces)
+    users, bssids = trace_users(traces), trace_bssids(traces)
     scans_by_user: dict[UserId, list[WifiScan]] = {}
     for scan in traces.scans:
         scans_by_user.setdefault(scan.user, []).append(scan)
     full_db = None
     if isinstance(strategy, TopRouters):
-        full_db = build_database_from_records(obs, cfg.locator)
+        full_db = build_database_from_records(obs, locator)
 
     timelines: dict[UserId, BinnedTimeline] = {}
     for viewer in users:
@@ -764,7 +777,7 @@ def coverage_via_record_pipeline(
                 obs, strategy, viewer=viewer, scenario=scenario, dataset_start_ms=t0
             )
             if classified:
-                db = build_database_from_records(subset, cfg.locator)
+                db = build_database_from_records(subset, locator)
             else:
                 db = build_simple_database(subset)
             if isinstance(strategy, InitialPeriod):
@@ -782,5 +795,5 @@ def coverage_via_record_pipeline(
                     )
                     for scan in scans
                 ]
-        timelines.update(timeline_from_records(scans, db, cfg.bin_ms))
+        timelines.update(timeline_from_records(scans, db, bssids))
     return timeline_coverage(timelines)

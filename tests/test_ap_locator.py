@@ -543,11 +543,12 @@ class TestDatabase:
 
     def test_csv_roundtrip(self, tmp_path):
         day = 86_400_000
-        obs = _obs("a", [_offset(i, 0) for i in range(8)])
-        obs += _obs("b", [_offset(i, 0) for i in range(10)], ts0=0, step_ms=day)
-        obs += _obs("b", [_offset(3000 + i, 0) for i in range(10)], ts0=30 * day, step_ms=day)
-        obs += _obs("c", [_offset(i * 300, 0) for i in range(9)])
-        obs += _obs("d", [_offset(0, 0)] * 2)
+        a, b, c, d = (f"02:00:00:00:00:0{i}" for i in range(1, 5))
+        obs = _obs(a, [_offset(i, 0) for i in range(8)])
+        obs += _obs(b, [_offset(i, 0) for i in range(10)], ts0=0, step_ms=day)
+        obs += _obs(b, [_offset(3000 + i, 0) for i in range(10)], ts0=30 * day, step_ms=day)
+        obs += _obs(c, [_offset(i * 300, 0) for i in range(9)])
+        obs += _obs(d, [_offset(0, 0)] * 2)
         db = build_database(*pair_columns(obs))
         path = tmp_path / "apdb.csv"
         write_apdb_csv(db, path)
@@ -561,6 +562,10 @@ class TestDatabase:
                 assert haversine_m(got.pos, rec.pos) < 1e-6
             if rec.ap_class is ApClass.RELOCATED:
                 assert [s.interval for s in got.segments] == [s.interval for s in rec.segments]
+        # BSSIDs are read in any form ingest accepts and stored canonical
+        other_form = tmp_path / "dashed.csv"
+        other_form.write_text(path.read_text().replace("02:00:00:00:00:0", "02-00-00-00-00-0"))
+        assert read_apdb_csv(other_form).records.keys() == db.records.keys()
 
 
 class TestRecordLookup:
@@ -597,15 +602,17 @@ class TestRecordLookup:
             "unordered": ("relocated", "", "", [seg(55.76, 400, 500), seg(55.77, 0, 100),
                                                 seg(55.78, 300, 600)]),
         }
+        mac = {name: f"02:00:00:00:00:{i:02x}" for i, name in enumerate(rows, 1)}
         path = tmp_path / "apdb.csv"
         lines = ["bssid,class,lat,lon,n_sightings,segments_json,contributors_count"]
-        for bssid, (cls, lat, lon, segs) in rows.items():
+        for name, (cls, lat, lon, segs) in rows.items():
             cell = json.dumps(segs).replace('"', '""') if segs else ""
-            lines.append(f'{bssid},{cls},{lat},{lon},9,"{cell}",1')
+            lines.append(f'{mac[name]},{cls},{lat},{lon},9,"{cell}",1')
         path.write_text("\n".join(lines) + "\n")
         db = read_apdb_csv(path)
 
-        bssids = ["absent"] + sorted(rows, reverse=True)
+        # an absent router first, the rest out of BSSID order
+        bssids = ["02:00:00:00:00:ff"] + sorted(mac.values(), reverse=True)
         table = db.router_table(bssids)
         bounds = [t for s in (0, 100, 200, 300, 400, 500, 600) for t in (s - 1, s, s + 1)]
         probes = bounds + [50, 150, 250, 350, 450, 550, 10_000]
@@ -627,14 +634,14 @@ class TestRecordLookup:
             want = label_at(rec, t) if rec and rec.position_at(t) is not None else None
             assert got == want, (bssids[i], t)
         placed = {b for b, p in zip(bssids, table.placed.tolist()) if p}
-        assert placed == {"static", "three", "overlapping", "unordered"}
-        one = lambda bssid, t: (np.array([bssids.index(bssid)]), np.array([t]))
-        at = lambda bssid, t: table.place(*one(bssid, t))[0][0]
+        assert placed == {mac[name] for name in ("static", "three", "overlapping", "unordered")}
+        one = lambda name, t: (np.array([bssids.index(mac[name])]), np.array([t]))
+        at = lambda name, t: table.place(*one(name, t))[0][0]
         assert at("overlapping", 250) == 55.74 and at("unordered", 450) == 55.76
-        label = lambda bssid, t: table.labels(*one(bssid, t), bssids)[0]
-        assert label("overlapping", 250) == "overlapping#0"
-        assert [label("unordered", t) for t in (450, 50, 550)] == [f"unordered#{i}" for i in range(3)]
-        assert label("static", 50) == "static" and label("static_unplaced", 50) is None
+        label = lambda name, t: table.labels(*one(name, t), bssids)[0]
+        assert label("overlapping", 250) == f"{mac['overlapping']}#0"
+        assert [label("unordered", t) for t in (450, 50, 550)] == [f"{mac['unordered']}#{i}" for i in range(3)]
+        assert label("static", 50) == mac["static"] and label("static_unplaced", 50) is None
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from oracles import (
     pair_records,
     prepare_from_traces,
     timeline_from_records,
+    trace_bssids,
     trace_users,
     write_pair_records_csv,
 )
@@ -193,16 +194,36 @@ _APDB_HEADER = "bssid,class,lat,lon,n_sightings,segments_json,contributors_count
         # a relocated row whose segment lacks a key
         (
             '02:00:00:00:00:01,relocated,,,4,"[{""lat"":55.7,""start_ms"":0,""end_ms"":9}]",2',
-            "a segment of 02:00:00:00:00:01 lacks one of lat, lon, start_ms, end_ms",
+            "the row of 02:00:00:00:00:01: a segment lacks one of lat, lon, start_ms, end_ms",
         ),
         (
             '02:00:00:00:00:01,relocated,,,4,"[{""lat"":55.7,""lon"":""12"",""start_ms"":0,""end_ms"":9}]",2',
-            "a segment of 02:00:00:00:00:01 holds a value that is not a number",
+            "the row of 02:00:00:00:00:01: a segment holds a value that is not a number",
         ),
-        ("02:00:00:00:00:01,relocated,,,4,7,2", "segments of 02:00:00:00:00:01 are not a JSON list"),
+        ("02:00:00:00:00:01,relocated,,,4,7,2", "segments of a relocated router must be a JSON list"),
         # a row shorter, or longer, than the header
-        ("02:00:00:00:00:01,static,55.7", "the row of 02:00:00:00:00:01 does not have one cell per column"),
-        ("02:00:00:00:00:01,static,55.7,12.5,4,,2,x", "the row of 02:00:00:00:00:01 does not have"),
+        ("02:00:00:00:00:01,static,55.7", "the row of 02:00:00:00:00:01: expected one cell per column"),
+        ("02:00:00:00:00:01,static,55.7,12.5,4,,2,x", "the row of 02:00:00:00:00:01: expected one cell"),
+        # a router listed twice, as written or once canonicalized
+        ("02:00:00:00:00:02,static,55.8,12.5,4,,2", "02:00:00:00:00:02 is listed on an earlier row"),
+        ("02-00-00-00-00-02,static,55.8,12.5,4,,2", "the row of 02-00-00-00-00-02: 02:00:00:00:00:02 is listed"),
+        # a BSSID ingest rejects, a bad class, a missing lon, a latitude out of range
+        ("not-a-mac,static,55.7,12.5,4,,2", "the row of not-a-mac: not a MAC address: 'not-a-mac'"),
+        ("02:00:00:00:00:01,bogus,55.7,12.5,4,,2", "the row of 02:00:00:00:00:01: 'bogus' is not a valid"),
+        ("02:00:00:00:00:01,static,55.7,,4,,2", "the row of 02:00:00:00:00:01: could not convert"),
+        ("02:00:00:00:00:01,static,95.7,12.5,4,,2", "the row of 02:00:00:00:00:01: latitude out of range: 95.7"),
+        # a segment latitude too large for a float, a segments cell nested too deeply
+        pytest.param(
+            '02:00:00:00:00:01,relocated,,,4,"[{""lat"":1' + "0" * 400
+            + ',""lon"":12.5,""start_ms"":0,""end_ms"":9}]",2',
+            "the row of 02:00:00:00:00:01: int too large to convert to float",
+            id="huge-segment-latitude",
+        ),
+        pytest.param(
+            '02:00:00:00:00:01,relocated,,,4,"' + "[" * 100_000 + '",2',
+            "the row of 02:00:00:00:00:01: maximum recursion depth exceeded",
+            id="deeply-nested-segments",
+        ),
     ],
 )
 def test_apdb_malformed_row_is_an_error(tmp_path, capsys, row, message):
@@ -214,7 +235,7 @@ def test_apdb_malformed_row_is_an_error(tmp_path, capsys, row, message):
     rc = _run("reconstruct", *src, "--apdb", apdb, "--out", tmp_path / "timeline.csv")
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith(f"error: {apdb}") and message in err[-1]
+    assert err[-1].startswith(f"error: {apdb}:3: the row of ") and message in err[-1]
     assert not any("Traceback" in line for line in err)
 
 
@@ -353,7 +374,7 @@ class _Traces(TraceSet):
 
     @property
     def bssids(self):
-        return sorted({s.bssid for scan in self.scans for s in scan.sightings})
+        return trace_bssids(self)
 
 
 def _record_ingest(gps, wifi):
@@ -377,11 +398,15 @@ def _record_route(monkeypatch):
         "build_database",
         lambda pairs, user_ids, bssids, cfg: build_database_from_records(pairs, cfg),
     )
-    monkeypatch.setattr(cli, "build_timeline", lambda traces, db: timeline_from_records(traces.scans, db))
+    monkeypatch.setattr(
+        cli, "build_timeline", lambda traces, db: timeline_from_records(traces.scans, db, traces.bssids)
+    )
     monkeypatch.setattr(cli, "prepare_experiment_data", prepare_from_traces)
 
 
-@pytest.mark.parametrize("config", [None, "max_accuracy_m = 5\nwindow_ms = 3000\n"])
+@pytest.mark.parametrize(
+    "config", [None, "max_accuracy_m = 5\nwindow_ms = 3000\n", "min_sightings = 9\n"]
+)
 def test_cli_outputs_match_record_route(tmp_path, monkeypatch, capsys, config):
     data = _dataset(tmp_path, users=3, days=2, seed=6, extra=("--scan-period", "60"))
     cfg = None
@@ -400,7 +425,14 @@ def test_cli_outputs_match_record_route(tmp_path, monkeypatch, capsys, config):
         assert columnar[name] == records[name], name
     assert columnar_err == records_err
     pairs_rows = columnar["pairs.csv"].count(b"\n") - 1
-    assert (pairs_rows == 0) == bool(config)  # synthetic fixes report 10 m accuracy
+    # synthetic fixes report 10 m accuracy, so max_accuracy_m = 5 pairs none
+    assert (pairs_rows == 0) == ("max_accuracy_m" in (config or ""))
+    if config and "min_sightings" in config:
+        # the file's locator reaches locate and the grid's TopRouters cells
+        default = _all_commands(data, tmp_path / "default")
+        assert columnar["apdb.csv"] != default["apdb.csv"]
+        top = lambda grid: [row for row in grid.split(b"\n") if row.startswith(b"top,")]
+        assert top(columnar["grid/experiment_grid.csv"]) != top(default["grid/experiment_grid.csv"])
 
     # shuffled input lines change nothing
     shuffled = tmp_path / "shuffled"

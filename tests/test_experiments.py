@@ -253,22 +253,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="known_rule"):
             ExperimentConfig(known_rule="bogus")
 
-    @pytest.mark.parametrize("bin_ms", [0, -600_000, 600_000.0, "600000", True])
-    def test_bin_ms_must_be_a_positive_int(self, bin_ms):
-        with pytest.raises(ValueError, match="bin_ms"):
-            ExperimentConfig(bin_ms=bin_ms)
-
     def test_valid_fields_accepted(self):
-        cfg = ExperimentConfig(bin_ms=1, known_rule="classified")
-        assert (cfg.bin_ms, cfg.known_rule) == (1, "classified")
+        cfg = ExperimentConfig(histogram_days=(1,), known_rule="classified")
+        assert (cfg.histogram_days, cfg.known_rule) == ((1,), "classified")
 
 
 class TestEngine:
     def test_engines_agree_on_records_and_arrays(self, small_world):
         _, _, arrays, traces = small_world
         cfg = ExperimentConfig()
-        data_a = prepare_experiment_data(arrays, cfg)
-        data_r = prepare_from_traces(traces, cfg)
+        data_a = prepare_experiment_data(arrays)
+        data_r = prepare_from_traces(traces)
         for strategy in (RandomFraction(f=0.3, seed=5), TopRouters(k=5), InitialPeriod(days=2)):
             for scenario in Scenario:
                 res_a = run_experiment(data_a, strategy, scenario, cfg)
@@ -280,7 +275,7 @@ class TestEngine:
         per-viewer naive databases plus binned timelines."""
         _, _, arrays, traces = small_world
         cfg = ExperimentConfig()
-        data = prepare_experiment_data(arrays, cfg)
+        data = prepare_experiment_data(arrays)
         for strategy in (RandomFraction(f=0.3, seed=5), TopRouters(k=4), InitialPeriod(days=2)):
             for scenario in Scenario:
                 engine = run_experiment(data, strategy, scenario, cfg).coverage
@@ -292,7 +287,7 @@ class TestEngine:
         resolved through record timelines, give the engine's coverage."""
         _, _, arrays, traces = small_world
         cfg = ExperimentConfig(known_rule="classified")
-        data = prepare_experiment_data(arrays, cfg)
+        data = prepare_experiment_data(arrays)
         for strategy in (InitialPeriod(days=2), RandomFraction(f=0.3, seed=5)):
             means = []
             for scenario in Scenario:
@@ -333,7 +328,7 @@ class TestEngine:
         ``classified`` covers no more."""
         _, _, arrays, _ = small_world
         cfg = ExperimentConfig(known_rule="classified")
-        data = prepare_experiment_data(arrays, cfg)
+        data = prepare_experiment_data(arrays)
         for strategy in (InitialPeriod(days=2), RandomFraction(f=0.5, seed=1)):
             for scenario in Scenario:
                 res = run_experiment(data, strategy, scenario, cfg).coverage.per_user_day
@@ -344,26 +339,24 @@ class TestEngine:
 
     def test_classified_rule_classifies_with_the_prepared_locator(self, small_world):
         """Training databases are classified with the locator the data was
-        prepared with, as the full database is, whatever the run config
-        holds: prepared data has one locator."""
-        _, _, arrays, _ = small_world
+        prepared with, as the full database is: prepared data has one
+        locator, and the record pipeline given that locator agrees."""
+        _, _, arrays, traces = small_world
         strict = LocatorConfig(min_sightings=50)
-        data = prepare_experiment_data(arrays, ExperimentConfig(locator=strict))
+        data = prepare_experiment_data(arrays, locator=strict)
         census = data.full_database().census()
         assert census["static"] + census["relocated"] == 7
-        cell = (RandomFraction(f=1.0), Scenario.GLOBAL)
-        got = run_experiment(data, *cell, ExperimentConfig(known_rule="classified"))
-        want = run_experiment(
-            arrays, *cell, ExperimentConfig(known_rule="classified", locator=strict)
-        )
-        default = run_experiment(arrays, *cell, ExperimentConfig(known_rule="classified"))
-        assert got.coverage.per_user_day == want.coverage.per_user_day
-        assert got.coverage.per_user_day != default.coverage.per_user_day
+        cell, cfg = (RandomFraction(f=1.0), Scenario.GLOBAL), ExperimentConfig(known_rule="classified")
+        got = run_experiment(data, *cell, cfg).coverage.per_user_day
+        want = coverage_via_record_pipeline(traces, *cell, cfg, locator=strict).per_user_day
+        default = run_experiment(prepare_experiment_data(arrays), *cell, cfg).coverage.per_user_day
+        assert got == want
+        assert got != default
 
     def test_histograms_bin_on_tenths(self, small_world):
         _, _, arrays, _ = small_world
         cfg = ExperimentConfig(histogram_days=(0, 2))
-        data = prepare_experiment_data(arrays, cfg)
+        data = prepare_experiment_data(arrays)
         res = run_experiment(data, RandomFraction(f=0.5, seed=1), Scenario.GLOBAL, cfg)
         assert set(res.histograms) == {0, 2}
         for counts in res.histograms.values():
@@ -453,7 +446,7 @@ def test_relocated_guard_is_per_viewer():
             fixes.append(GpsFix(user=user, ts=ts, pos=pos))
     arrays = records_to_arrays(fixes, scans)
     cfg = ExperimentConfig(known_rule="classified")
-    data = prepare_experiment_data(arrays, cfg)
+    data = prepare_experiment_data(arrays)
     traces = arrays_to_traceset(arrays)
     strategy = InitialPeriod(days=30)
     for scenario in Scenario:
@@ -491,7 +484,7 @@ def _seen_inside_and_after_a_segment():
 def test_relocated_bin_seen_inside_and_after_a_segment():
     arrays = _seen_inside_and_after_a_segment()
     cfg = ExperimentConfig(known_rule="classified")
-    data = prepare_experiment_data(arrays, cfg)
+    data = prepare_experiment_data(arrays)
     table = data.full_database().router_table(data.table.bssids)
     assert table.seg_count.tolist() == [2]
     assert table.start.tolist() == [0, DAY_MS]

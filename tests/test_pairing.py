@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import arrays_to_traceset, pair_records, prepare_from_traces, records_to_arrays
-from wifimob.experiments import ExperimentConfig, prepare_experiment_data
+from wifimob.experiments import prepare_experiment_data
 from wifimob.pairing import PairingConfig, pair_arrays, pair_observations, pair_time_indices
 from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays
 from wifimob.trace_model import ApSighting, GeoPoint, GpsFix, TraceError, TraceSet, WifiScan
@@ -134,10 +134,9 @@ def test_columnar_pairing_applies_accuracy_filter():
         columnar = pair_observations(arrays, cfg)
         assert columnar == pair_records(traces, cfg)
         assert bool(columnar) == (max_acc != spec.gps_noise_m / 2)
-        exp_cfg = ExperimentConfig(pairing=cfg)
         assert (
-            prepare_experiment_data(arrays, exp_cfg).pairs.count()
-            == prepare_from_traces(traces, exp_cfg).pairs.count()
+            prepare_experiment_data(arrays, cfg).pairs.count()
+            == prepare_from_traces(traces, cfg).pairs.count()
             == len(columnar)
         )
 

@@ -178,6 +178,7 @@ def test_timeline_csv_roundtrip(tmp_path):
     assert loaded["u"].bins_with_data.tolist() == [0, 1]
     assert loaded["u"].bins.tolist() == [0]
     assert loaded["u"].ts.tolist() == [120_000]
+    assert timelines["u"].first_support.tolist() == [0] and loaded["u"].first_support.tolist() == [-1]
     assert haversine_m(_pos(loaded["u"], 0), _offset(0, 0)) < 1e-6
 
 
@@ -212,7 +213,7 @@ def test_timeline_rejects_out_of_order_scans():
     with pytest.raises(TraceError, match="scans of user u out of time order: 0 after 700000"):
         _timeline([scans[0], scans[2], scans[1]], db)
     with pytest.raises(TraceError, match="out of time order"):
-        timeline_from_records(scans, db)
+        timeline_from_records(scans, db, ["a"])
     # equal timestamps are fine; interleaved users are fine for the record
     # oracle, and the columns take the same rows in (user, ts) order
     for rows in (
@@ -222,7 +223,7 @@ def test_timeline_rejects_out_of_order_scans():
         with pytest.raises(TraceError, match="scans of user u after those of user v"):
             _timeline(rows, db)
         in_order = sorted(rows, key=lambda s: s.user)  # stable: ties keep their order
-        assert_timelines_equal(_timeline(in_order, db), timeline_from_records(rows, db))
+        assert_timelines_equal(_timeline(in_order, db), timeline_from_records(rows, db, ["a"]))
 
 
 def _write_jsonl(path, rows):
@@ -270,8 +271,9 @@ def test_columnar_timeline_matches_records_on_hand_built_routers(tmp_path):
             {"user": "v", "ts_ms": 600_000, "aps": [b(7)]},  # not in the database
         ],
     )
-    columnar = build_timeline(ingest_arrays(gps, wifi)[0], db)
-    records = timeline_from_records(ingest_traces(gps, wifi).scans, db)
+    arrays = ingest_arrays(gps, wifi)[0]
+    columnar = build_timeline(arrays, db)
+    records = timeline_from_records(ingest_traces(gps, wifi).scans, db, arrays.bssids)
     assert_timelines_equal(columnar, records)
     u = columnar["u"]
     assert u.bins_with_data.tolist() == [0, 2, 4, 5] and u.bins.tolist() == [0, 4, 5]
@@ -299,21 +301,25 @@ def test_columnar_timeline_matches_records_on_hand_built_routers(tmp_path):
         ssids=arrays.ssids[::-1],
         scan_ap=(n - 1 - arrays.scan_ap).astype(np.int32),
     )
-    records = timeline_from_records(scans, db)
     for cols in (arrays, reversed_table):
+        records = timeline_from_records(scans, db, cols.bssids)
         assert_timelines_equal(build_timeline(cols, db), records)
-    w = records["w"]
+        w = records["w"]
+        assert [cols.bssids[i] for i in w.first_support] == [bssid(5), bssid(5), bssid(1), bssid(2)]
     assert w.bins.tolist() == [0, 1, 3, 4]
     assert w.support_count.tolist() == [2, 1, 4, 2]
-    assert w.first_support.tolist() == [bssid(5), bssid(5), bssid(1), bssid(2)]
+    assert w.first_support.tolist() == [0, 0, 4, 3]  # indices into the reversed table
     assert _pos(w, 0) == _pos(w, 1) == _offset(900, 0)
 
 
 def test_columnar_timeline_matches_records_on_small_world(small_world, tmp_path):
     _, gt, arrays, traces = small_world
     db = prepare_experiment_data(arrays).full_database()
-    records = timeline_from_records(traces.scans, db)
-    assert_timelines_equal(build_timeline(arrays, db), records)
+    assert_timelines_equal(
+        build_timeline(arrays, db), timeline_from_records(traces.scans, db, arrays.bssids)
+    )
     write_dataset(gt, arrays, tmp_path)
     loaded = ingest_arrays(tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl")[0]
-    assert_timelines_equal(build_timeline(loaded, db), records)
+    assert_timelines_equal(
+        build_timeline(loaded, db), timeline_from_records(traces.scans, db, loaded.bssids)
+    )
