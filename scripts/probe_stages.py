@@ -8,14 +8,17 @@ f_daily, top routers 5/20, x 3 sharing scenarios), then the binned timeline
 of every scan. Last, it times the file route on the benchmark's ``cli_3d``
 world (seed 7, 2 users x 3 days, whatever --users/--days say): writing its
 JSONL files to a temporary directory and ingesting them. Prints one JSON
-line: per stage, its wall time in seconds and the process's ``ru_maxrss``
-high-water mark in MiB once it ended.
+line: per stage, its wall time in seconds, and once it ended, the process's
+current resident size (``rss_mb``, from ``/proc/self/statm``; null where that
+file is missing) next to its ``ru_maxrss`` high-water mark, both in MiB. The
+gap between the two shows the memory each stage leaves resident.
 
 Usage: python scripts/probe_stages.py [--users 30] [--days 30]
 """
 
 import argparse
 import json
+import os
 import resource
 import sys
 import tempfile
@@ -37,6 +40,16 @@ from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays, 
 from wifimob.trace_model import ingest_arrays
 
 
+def rss_mb():
+    """The process's resident size in MiB now, or None without /proc."""
+    try:
+        with open("/proc/self/statm", encoding="ascii") as statm:
+            pages = int(statm.read().split()[1])
+    except OSError:
+        return None
+    return round(pages * os.sysconf("SC_PAGE_SIZE") / 2**20, 1)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--users", type=int, default=30)
@@ -51,6 +64,7 @@ def main() -> int:
         stages.append({
             "stage": name,
             "s": round(time.perf_counter() - t0, 4),
+            "rss_mb": rss_mb(),
             "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         })
         return result

@@ -749,18 +749,20 @@ def _apdb_record(row: dict) -> ApRecord:
     if None in row or None in row.values():
         raise ValueError("expected one cell per column of the header")
     ap_class = ApClass(row["class"])
-    pos = None
-    segments: list[ApSegment] = []
-    if ap_class is ApClass.STATIC and row["lat"]:
-        pos = GeoPoint(float(row["lat"]), float(row["lon"]))
-    elif ap_class is ApClass.RELOCATED and row["segments_json"]:
-        segments = _read_segments(json.loads(row["segments_json"]))
+    lat, lon, segments_cell = row["lat"], row["lon"], row["segments_json"]
+    # a cell the class does not use would be ignored, so it must stay empty
+    if ap_class is not ApClass.STATIC and (lat or lon):
+        raise ValueError(f"lat and lon must be empty in a row of class {ap_class.value}")
+    if ap_class is not ApClass.RELOCATED and segments_cell:
+        raise ValueError(f"segments_json must be empty in a row of class {ap_class.value}")
+    if bool(lat) != bool(lon):
+        raise ValueError("a static row fills both lat and lon, or neither")
     return ApRecord(
         bssid=normalize_bssid(row["bssid"]),
         ap_class=ap_class,
         n_sightings=int(row["n_sightings"]),
-        pos=pos,
-        segments=segments,
+        pos=GeoPoint(float(lat), float(lon)) if lat else None,
+        segments=_read_segments(json.loads(segments_cell)) if segments_cell else [],
     )
 
 

@@ -5,8 +5,9 @@ to stderr, data products to files; exit code 0 means no hard errors.
 
 A config file (``--config``) holds flat ``key=value`` lines with ``#``
 comments; keys mirror the field names of the world, pairing, and locator
-configs. Unknown keys are hard errors, and explicit flags win over file
-values.
+configs. Unknown keys, keys listed twice and values their field cannot
+take are hard errors naming the file and line, and explicit flags win over
+file values.
 """
 
 from __future__ import annotations
@@ -58,10 +59,11 @@ class CliError(Exception):
     pass
 
 
-def _read_config(path: str | None) -> dict[str, str]:
+def _read_config(path: str | None) -> dict[str, tuple[int, str]]:
+    """Each key of the config file with its line number and raw value."""
     if path is None:
         return {}
-    values: dict[str, str] = {}
+    values: dict[str, tuple[int, str]] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -72,8 +74,10 @@ def _read_config(path: str | None) -> dict[str, str]:
             continue
         if "=" not in line:
             raise CliError(f"{path}:{line_no}: expected key=value")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise CliError(f"{path}:{line_no}: {key}: already set on line {values[key][0]}")
+        values[key] = (line_no, value)
     return values
 
 
@@ -92,8 +96,6 @@ def _coerce(name: str, text: str, default):
         return None if text.lower() in ("", "none") else int(text)
     if name == "max_accuracy_m":
         return None if text.lower() in ("", "none") else float(text)
-    if isinstance(default, bool):
-        return text.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(text)
     if isinstance(default, float):
@@ -105,18 +107,22 @@ def _coerce(name: str, text: str, default):
     return text
 
 
-def _split_config(values: dict[str, str]):
-    """Partition config keys across the config dataclasses; reject strays."""
+def _split_config(path: str | None, values: dict[str, tuple[int, str]]):
+    """Partition config keys across the config dataclasses; reject strays
+    and values their field cannot take, naming the file and line."""
     out = {cls: {} for cls in _CONFIG_CLASSES}
-    for key, text in values.items():
+    for key, (line_no, text) in values.items():
         hit = False
         for cls in _CONFIG_CLASSES:
             for f in fields(cls):
                 if f.name == key:
-                    out[cls][key] = _coerce(key, text, f.default)
+                    try:
+                        out[cls][key] = _coerce(key, text, f.default)
+                    except ValueError as exc:
+                        raise CliError(f"{path}:{line_no}: {key}: {exc}") from exc
                     hit = True
         if not hit:
-            raise CliError(f"unknown config key: {key}")
+            raise CliError(f"{path}:{line_no}: unknown config key: {key}")
     return out
 
 
@@ -425,7 +431,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg_values = _split_config(_read_config(getattr(args, "config", None)))
+        config = getattr(args, "config", None)
+        cfg_values = _split_config(config, _read_config(config))
         return args.func(args, cfg_values)
     except (CliError, TraceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -838,24 +838,37 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
         if entries:
             shared_anchor_hotspots[aid] = entries
 
+    # scan schedules, period jittered +-25%: the first draw of each user's
+    # stream, taken up front so that every scan column is allocated once at
+    # its final size; the loop below continues each user's stream
+    period_ms = spec.wifi_scan_period_s * 1000.0
+    n_est = int(span_ms / (period_ms * 0.75)) + 2
+    rngs, schedules = [], []
+    for u in range(n_users):
+        rng = _rng(spec.seed, 4, u)
+        ts = np.cumsum(rng.uniform(0.75, 1.25, size=n_est) * period_ms)
+        schedules.append(ts[ts < span_ms].astype(np.int64))
+        rngs.append(rng)
+    scan_ts = np.concatenate(schedules)
+    bounds = np.zeros(n_users + 1, dtype=np.int64)
+    np.cumsum([s.size for s in schedules], out=bounds[1:])
+    del schedules
+    scan_user = np.repeat(np.arange(n_users, dtype=np.int32), np.diff(bounds))
+    # each scan's sighting count lands at scan_off[1 + scan]; one cumsum at
+    # the end turns the counts into offsets
+    scan_off = np.zeros(scan_ts.size + 1, dtype=np.int64)
+
     all_fix = []
-    all_scan = []
     rows_of = []  # per user: the query's CSR, each kept scan's row, mobile inserts
 
     for u in range(n_users):
-        rng = _rng(spec.seed, 4, u)
+        rng = rngs[u]
         seg = gt.segments[u]
-
-        # scan schedule: period jittered +-25%
-        period_ms = spec.wifi_scan_period_s * 1000.0
-        n_est = int(span_ms / (period_ms * 0.75)) + 2
-        gaps = rng.uniform(0.75, 1.25, size=n_est) * period_ms
-        ts = np.cumsum(gaps)
-        ts = ts[ts < span_ms].astype(np.int64)
-        n_scans = ts.size
+        lo, hi = int(bounds[u]), int(bounds[u + 1])
+        ts = scan_ts[lo:hi]
 
         seg_idx = np.clip(np.searchsorted(seg.t1, ts, side="right"), 0, len(seg.t0) - 1)
-        dropped = rng.random(n_scans) < spec.scan_dropout
+        dropped = rng.random(ts.size) < spec.scan_dropout
 
         # static routers of every kept scan in one batched query: a stay scan
         # asks once per stay segment at its point, a move scan at its own
@@ -869,7 +882,7 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
         q_off, q_ids = ap_index.query(
             np.concatenate([seg.x0[stay_seg], mx]), np.concatenate([seg.y0[stay_seg], my])
         )
-        qrow = np.empty(kept.size, dtype=np.int64)
+        qrow = np.empty(kept.size, dtype=np.int32)  # int32: held until the scan_ap fill
         qrow[stay] = stay_row
         qrow[~stay] = stay_seg.size + np.arange(move.size)
 
@@ -895,8 +908,7 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
                 mob_id.append(np.full(int(inside.sum()), hotspot_by_owner[owner]))
         row, mid = np.concatenate(mob_row), np.concatenate(mob_id)
         order = np.lexsort((mid, row))
-        counts = np.zeros(n_scans, dtype=np.int64)
-        counts[kept] = np.diff(q_off)[qrow] + np.bincount(row, minlength=kept.size)
+        scan_off[1 + lo : 1 + hi][kept] = np.diff(q_off)[qrow] + np.bincount(row, minlength=kept.size)
         rows_of.append((q_off, q_ids.astype(np.int32), qrow, row[order], mid[order]))
 
         # GPS fixes: strict period with a random phase, Gaussian position noise
@@ -910,16 +922,13 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
         flat_lat, flat_lon = _xy_to_latlon(fx, fy)
 
         all_fix.append((np.full(fts.size, u, dtype=np.int32), fts, flat_lat, flat_lon))
-        all_scan.append((np.full(n_scans, u, dtype=np.int32), ts, counts))
 
     fix_user = np.concatenate([f[0] for f in all_fix])
     fix_ts = np.concatenate([f[1] for f in all_fix])
     fix_lat = np.concatenate([f[2] for f in all_fix])
     fix_lon = np.concatenate([f[3] for f in all_fix])
 
-    scan_user = np.concatenate([s[0] for s in all_scan])
-    scan_ts = np.concatenate([s[1] for s in all_scan])
-    scan_off = np.concatenate([[0], np.cumsum(np.concatenate([s[2] for s in all_scan]))])
+    np.cumsum(scan_off, out=scan_off)
     # each user's sightings go straight into scan_ap; holding them per user
     # for one final concatenate kept grid_30d's peak RSS 10-13 % higher,
     # as the allocator held on to the freed per-user parts

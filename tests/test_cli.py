@@ -207,11 +207,21 @@ _APDB_HEADER = "bssid,class,lat,lon,n_sightings,segments_json,contributors_count
         # a router listed twice, as written or once canonicalized
         ("02:00:00:00:00:02,static,55.8,12.5,4,,2", "02:00:00:00:00:02 is listed on an earlier row"),
         ("02-00-00-00-00-02,static,55.8,12.5,4,,2", "the row of 02-00-00-00-00-02: 02:00:00:00:00:02 is listed"),
-        # a BSSID ingest rejects, a bad class, a missing lon, a latitude out of range
+        # a BSSID ingest rejects, a bad class, a missing lon or lat, a latitude out of range
         ("not-a-mac,static,55.7,12.5,4,,2", "the row of not-a-mac: not a MAC address: 'not-a-mac'"),
         ("02:00:00:00:00:01,bogus,55.7,12.5,4,,2", "the row of 02:00:00:00:00:01: 'bogus' is not a valid"),
-        ("02:00:00:00:00:01,static,55.7,,4,,2", "the row of 02:00:00:00:00:01: could not convert"),
+        ("02:00:00:00:00:01,static,55.7,,4,,2", "the row of 02:00:00:00:00:01: a static row fills both"),
+        ("02:00:00:00:00:01,static,,12.5,4,,2", "the row of 02:00:00:00:00:01: a static row fills both"),
+        ("02:00:00:00:00:01,static,55.7,x,4,,2", "the row of 02:00:00:00:00:01: could not convert"),
         ("02:00:00:00:00:01,static,95.7,12.5,4,,2", "the row of 02:00:00:00:00:01: latitude out of range: 95.7"),
+        # a cell the row's class does not use
+        ("02:00:00:00:00:01,mobile,55.7,12.5,4,,2",
+         "the row of 02:00:00:00:00:01: lat and lon must be empty in a row of class mobile"),
+        ("02:00:00:00:00:01,insufficient,,12.5,4,,2", "lat and lon must be empty in a row of class insufficient"),
+        ('02:00:00:00:00:01,relocated,55.7,,4,"[]",2', "lat and lon must be empty in a row of class relocated"),
+        ('02:00:00:00:00:01,static,55.7,12.5,4,"[]",2',
+         "the row of 02:00:00:00:00:01: segments_json must be empty in a row of class static"),
+        ('02:00:00:00:00:01,mobile,,,4,"[]",2', "segments_json must be empty in a row of class mobile"),
         # a segment latitude too large for a float, a segments cell nested too deeply
         pytest.param(
             '02:00:00:00:00:01,relocated,,,4,"[{""lat"":1' + "0" * 400
@@ -303,6 +313,26 @@ def test_config_file_round(tmp_path, capsys):
     ugly.write_text("just some words\n")
     assert _run("--config", ugly, "locate", "--gps", data / "gps.jsonl",
                 "--wifi", data / "wifi.jsonl", "--out", apdb) != 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("eps_m = 50\nmin_sightings = 9.5\n",
+         ":2: min_sightings: invalid literal for int() with base 10: '9.5'"),
+        ("# twice\nwindow_ms = 2000\neps_m = 50\nwindow_ms = 3000\n",
+         ":4: window_ms: already set on line 2"),
+        ("\nepsilon_meters = 50\n", ":2: unknown config key: epsilon_meters"),
+        ("max_accuracy_m = ten\n", ":1: max_accuracy_m: could not convert string to float: 'ten'"),
+    ],
+)
+def test_config_errors_name_file_line_and_key(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc = _run("--config", cfg, "locate", "--gps", tmp_path / "gps.jsonl",
+              "--wifi", tmp_path / "wifi.jsonl", "--out", tmp_path / "apdb.csv")
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cfg}{message}\n"
 
 
 def test_config_drives_synth(tmp_path):

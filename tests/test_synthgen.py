@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from wifimob.synthgen import (
     simulate_sensor_arrays,
     write_dataset,
 )
+from wifimob.trace_model import user_bounds
 
 
 def test_same_seed_identical_traces():
@@ -35,6 +39,47 @@ def test_different_seed_differs():
     assert not (
         a1.scan_ts.shape == a2.scan_ts.shape and np.array_equal(a1.scan_ts, a2.scan_ts)
     )
+
+
+def test_scan_schedule_and_dropout_continue_each_users_stream():
+    """Stream (seed, 4, u) draws user u's scan schedule first and the dropout
+    of each of its scans next: the generator reads both in one pass over the
+    stream, so redrawing them here gives its scan times and its empty scans."""
+    spec = WorldSpec(seed=5, n_users=3, n_days=2, scan_dropout=0.3)
+    arrays = simulate_sensor_arrays(generate_world(spec), spec)
+    bounds = user_bounds(arrays.scan_user, spec.n_users)
+    counts = arrays.scan_counts()
+    span_ms = spec.n_days * DAY_MS
+    period_ms = spec.wifi_scan_period_s * 1000.0
+    for u in range(spec.n_users):
+        rng = _rng(spec.seed, 4, u)
+        gaps = rng.uniform(0.75, 1.25, size=int(span_ms / (period_ms * 0.75)) + 2) * period_ms
+        ts = np.cumsum(gaps)
+        ts = ts[ts < span_ms].astype(np.int64)
+        dropped = rng.random(ts.size) < spec.scan_dropout
+        lo, hi = bounds[u], bounds[u + 1]
+        assert np.array_equal(arrays.scan_ts[lo:hi], ts)
+        assert dropped.any() and (counts[lo:hi][dropped] == 0).all()
+        assert (counts[lo:hi][~dropped] > 0).mean() > 0.5
+
+
+def test_generator_allocates_each_column_once():
+    """The generator allocates each scan column once at its final size: its
+    traced peak stays within 1.6x the bytes of its result, and no column is
+    a view holding a larger buffer alive."""
+    spec = WorldSpec(seed=7, n_users=30, n_days=2)
+    gt = generate_world(spec)
+    tracemalloc.start()
+    try:
+        arrays = simulate_sensor_arrays(gt, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = [getattr(arrays, f.name) for f in fields(arrays)]
+    columns = [c for c in columns if isinstance(c, np.ndarray)]
+    assert len(columns) == 9
+    assert all(c.base is None for c in columns)
+    assert peak <= 1.6 * sum(c.nbytes for c in columns)
 
 
 def test_zero_density_rejected():
