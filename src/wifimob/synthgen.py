@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from bisect import bisect_right
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -112,33 +113,66 @@ class WorldSpec:
     hotspot_session_h: tuple[float, float] = (0.8, 2.5)
 
     def validate(self) -> None:
-        if self.n_users < 1 or self.n_days < 1:
-            raise ValueError("n_users and n_days must be positive")
-        if self.extent_km <= 0:
-            raise ValueError("extent_km must be positive")
-        for name in ("mobile_ap_fraction", "colocated_fraction", "scan_dropout", "p_excursion"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+        """Reject, naming the field, every value the generator cannot take."""
+        for f in fields(self):
+            if f.name != "density_weights" and not all(
+                math.isfinite(v) for v in _numbers(getattr(self, f.name)) if isinstance(v, float)
+            ):
+                raise ValueError(f"{f.name} must be finite")
+        for name in _POSITIVE_FIELDS:
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in _NON_NEGATIVE_FIELDS:
+            if not all(v >= 0 for v in _numbers(getattr(self, name))):
+                raise ValueError(f"{name} must be non-negative")
+        for name in _PROBABILITY_FIELDS:
+            if not all(0.0 <= v <= 1.0 for v in _numbers(getattr(self, name))):
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.wifi_scan_period_s <= 0 or self.gps_period_s <= 0:
-            raise ValueError("sensor periods must be positive")
-        if self.visibility_radius_m <= 0:
-            raise ValueError("visibility_radius_m must be positive")
-        if self.density_cells < 1:
-            raise ValueError("density_cells must be at least 1")
+        if not self.stay_min_h <= self.stay_max_h:
+            raise ValueError("stay_min_h must not exceed stay_max_h")
         if self.density_weights is not None:
             try:
-                size = np.asarray(self.density_weights, dtype=np.float64).size
+                w = np.asarray(self.density_weights, dtype=np.float64)
             except (TypeError, ValueError):
-                size = -1
-            if size != self.density_cells**2:
+                w = np.empty(0)  # ragged or not numbers
+            if w.size != self.density_cells**2:
                 raise ValueError(
                     f"density_weights must hold density_cells**2 = {self.density_cells**2} numbers"
                 )
+            if not np.all(np.isfinite(w)) or np.any(w < 0):
+                raise ValueError("density_weights must be finite and non-negative")
+            if not w.sum() > 0:
+                raise ValueError("density_weights are zero everywhere; nowhere to put anyone")
         for name in ("minor_anchors_range", "excursion_stops", "hotspot_session_h"):
             pair = tuple(getattr(self, name))
             if len(pair) != 2 or not 0 <= pair[0] <= pair[1]:
                 raise ValueError(f"{name} must be a pair (lo, hi) with 0 <= lo <= hi")
+
+
+def _numbers(value) -> tuple:
+    """A field's value as a tuple of its numbers; an unset optional has none."""
+    if value is None:
+        return ()
+    return value if isinstance(value, tuple) else (value,)
+
+
+_POSITIVE_FIELDS = (
+    "n_users", "n_days", "density_cells", "extent_km", "visibility_radius_m",
+    "wifi_scan_period_s", "gps_period_s", "stay_pareto_alpha", "stay_min_h",
+    "walk_speed_mps", "bus_speed_mps",
+)
+# counts, separations, radii and spreads; a routine change day is optional
+_NON_NEGATIVE_FIELDS = (
+    "seed", "ap_per_anchor_min", "ap_anchor_base", "ap_anchor_density_scale",
+    "ap_anchor_radius_m", "campus_extra_aps", "background_aps_per_km2",
+    "ap_density_noise_sigma", "gps_noise_m", "anchor_sep_m", "venues_per_user",
+    "walk_max_m", "routine_change_day",
+)
+_PROBABILITY_FIELDS = (
+    "mobile_ap_fraction", "colocated_fraction", "scan_dropout", "p_errand",
+    "p_excursion", "minor_visit_probs", "hotspot_day_session_prob",
+    "hotspot_evening_session_prob",
+)
 
 
 MOBILE_HOTSPOT_SSIDS = ("AndroidAP", "iPhone")
@@ -165,10 +199,6 @@ class _CityGrid:
             cy, cx = np.meshgrid(idx, idx, indexing="ij")
             d2 = (cx - n / 2.0) ** 2 + (cy - n / 2.0) ** 2
             w = np.exp(-d2 / (2.0 * (0.22 * n) ** 2)) + 0.03
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("density weights must be finite and non-negative")
-        if w.sum() <= 0:
-            raise ValueError("density field is zero everywhere; nowhere to put anyone")
         self.weights = w / w.max()
 
     def cell_of_xy(self, x_m, y_m):
@@ -185,15 +215,6 @@ class _CityGrid:
         """Each cell's share of weight^power, row-major."""
         w = self.weights ** power
         return (w / w.sum()).ravel()
-
-    def sample_points_xy(self, rng: np.random.Generator, count: int, p: np.ndarray) -> np.ndarray:
-        """Points over cells drawn with probabilities ``p`` (see cell_probs),
-        uniform within their cell; (count, 2) meters."""
-        cells = rng.choice(self.n * self.n, size=count, p=p)
-        i, j = np.divmod(cells, self.n)
-        x = (j + rng.random(count)) * self.cell_m - self.extent_m / 2
-        y = (i + rng.random(count)) * self.cell_m - self.extent_m / 2
-        return np.column_stack([x, y])
 
 
 class _PointIndex:
@@ -380,23 +401,59 @@ def _place_separated(
     power: float = 1.0,
 ) -> np.ndarray:
     """``taken`` (an (n, 2) array) followed by ``count`` new density-weighted
-    points, each at least sep_m from every earlier one (relaxing to sep/2 when
-    the rejection budget runs out), as an (n + count, 2) array."""
+    points, each at least sep_m (>= 0) from every earlier one (relaxing to
+    sep/2 when the rejection budget runs out), as an (n + count, 2) array.
+
+    Draws exactly what ``rng.choice(n * n, p=p)`` and two ``rng.random()``
+    per candidate would, in the same order, with the CDF built once."""
     n = len(taken)
     xy = np.empty((n + count, 2))
     xy[:n] = taken
+    if count == 0:
+        return xy
     p = grid.cell_probs(power)
-    for _ in range(count):
+    cdf = p.cumsum()
+    if not (np.all(p >= 0) and cdf[-1] > 0):
+        raise ValueError(f"density weights ** {power} give no cell probabilities")
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    half_m = grid.extent_m / 2
+    separate = sep_m > 0
+    # placed points by sep_m-wide cell, keyed (floor(x / sep_m), floor(y / sep_m))
+    near: dict[tuple[int, int], list[tuple[float, float]]] = {}
+
+    def add(x: float, y: float) -> None:
+        near.setdefault((math.floor(x / sep_m), math.floor(y / sep_m)), []).append((x, y))
+
+    def crowded(x: float, y: float, min_sep: float) -> bool:
+        """Whether a placed point lies closer than min_sep (<= sep_m). Such a
+        point is within sep_m of (x, y) on both axes, so its cell is one that
+        [x - sep_m, x + sep_m] x [y - sep_m, y + sep_m] touches: the
+        candidate's 3 x 3 cells, with bounds that rounding cannot move past
+        the point, since rounding is monotone."""
+        lim = min_sep * min_sep
+        cols = range(math.floor((y - sep_m) / sep_m), math.floor((y + sep_m) / sep_m) + 1)
+        for ci in range(math.floor((x - sep_m) / sep_m), math.floor((x + sep_m) / sep_m) + 1):
+            for cj in cols:
+                for qx, qy in near.get((ci, cj), ()):
+                    if (qx - x) * (qx - x) + (qy - y) * (qy - y) < lim:
+                        return True
+        return False
+
+    if separate:
+        for qx, qy in xy[:n].tolist():
+            add(qx, qy)
+    for k in range(n, n + count):
         for attempt in range(60):
-            pt = grid.sample_points_xy(rng, 1, p)[0]
-            min_sep = sep_m if attempt < 40 else sep_m / 2
-            dx = xy[:n, 0] - pt[0]
-            dy = xy[:n, 1] - pt[1]
-            if not np.any(dx * dx + dy * dy < min_sep * min_sep):
+            i, j = divmod(bisect_right(cdf, rng.random()), grid.n)
+            x = (j + rng.random()) * grid.cell_m - half_m
+            y = (i + rng.random()) * grid.cell_m - half_m
+            if not (separate and crowded(x, y, sep_m if attempt < 40 else sep_m / 2)):
                 break
         # a crowded world accepts the last candidate, overlap and all
-        xy[n] = pt
-        n += 1
+        xy[k] = x, y
+        if separate:
+            add(x, y)
     return xy
 
 

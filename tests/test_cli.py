@@ -356,14 +356,19 @@ def test_config_drives_synth(tmp_path):
         ("density_weights = [[1, 2], [3, 4]]", "density_weights"),
         ("density_weights = 5", "density_weights"),
         ("excursion_stops = 5, 3", "excursion_stops"),
+        ("stay_min_h = 0", "stay_min_h"),
+        ("stay_pareto_alpha = 0", "stay_pareto_alpha"),
+        ("bus_speed_mps = 0", "bus_speed_mps"),
+        ("p_errand = 2", "p_errand"),
+        ("visibility_radius_m = nan", "visibility_radius_m"),
     ],
 )
 def test_synth_rejects_bad_world_config(tmp_path, capsys, line, field):
     cfg = tmp_path / "world.cfg"
     cfg.write_text(f"n_users = 2\nn_days = 1\n{line}\n")
-    assert _run("--config", cfg, "synth", "--out", tmp_path / "data") != 0
+    assert _run("--config", cfg, "synth", "--out", tmp_path / "data") == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and field in err
+    assert err.startswith("error:") and field in err and err.count("\n") == 1
     assert not (tmp_path / "data").exists()
 
 

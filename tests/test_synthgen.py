@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_radius_query, place_separated_loop, records_to_arrays
+from wifimob import synthgen
 from wifimob.ap_locator import haversine_m_arrays
 from wifimob.coverage_metrics import DAY_MS
 from wifimob.synthgen import (
@@ -108,10 +109,35 @@ def test_bad_fraction_rejected():
         (dict(excursion_stops=(5, 3)), "excursion_stops"),
         (dict(excursion_stops=(3,)), "excursion_stops"),
         (dict(hotspot_session_h=(2.5, 0.8)), "hotspot_session_h"),
+        # zero here would divide by zero inside the generator
+        (dict(stay_min_h=0.0), "stay_min_h"),
+        (dict(stay_pareto_alpha=0.0), "stay_pareto_alpha"),
+        (dict(bus_speed_mps=0.0), "bus_speed_mps"),
+        # out of range or not finite
+        (dict(stay_min_h=7.0, stay_max_h=6.0), "stay_min_h"),
+        (dict(walk_speed_mps=-1.4), "walk_speed_mps"),
+        (dict(p_errand=2.0), "p_errand"),
+        (dict(minor_visit_probs=(1.5, -0.2)), "minor_visit_probs"),
+        (dict(hotspot_day_session_prob=1.5), "hotspot_day_session_prob"),
+        (dict(hotspot_evening_session_prob=-0.1), "hotspot_evening_session_prob"),
+        (dict(anchor_sep_m=-250.0), "anchor_sep_m"),
+        (dict(venues_per_user=-20.0), "venues_per_user"),
+        (dict(visibility_radius_m=float("nan")), "visibility_radius_m"),
+        (dict(stay_max_h=float("inf")), "stay_max_h"),
+        (dict(hotspot_session_h=(0.8, float("nan"))), "hotspot_session_h"),
+        (dict(ap_anchor_density_scale=float("-inf")), "ap_anchor_density_scale"),
+        (dict(ap_per_anchor_min=-1), "ap_per_anchor_min"),
+        (dict(gps_noise_m=-10.0), "gps_noise_m"),
+        (dict(ap_density_noise_sigma=-0.5), "ap_density_noise_sigma"),
+        (dict(routine_change_day=-1), "routine_change_day"),
+        (dict(seed=-1), "seed"),
+        (dict(density_cells=2, density_weights=(1.0, float("nan"), 1.0, 1.0)), "density_weights"),
+        (dict(density_cells=2, density_weights=(1.0, -1.0, 1.0, 1.0)), "density_weights"),
+        (dict(density_cells=2, density_weights=(0.0,) * 4), "density_weights"),
     ],
 )
 def test_bad_spec_names_its_field(bad, field):
-    spec = WorldSpec(seed=0, n_users=2, n_days=1, **bad)
+    spec = WorldSpec(**{"seed": 0, "n_users": 2, "n_days": 1, **bad})
     with pytest.raises(ValueError, match=field):
         spec.validate()
     with pytest.raises(ValueError, match=field):
@@ -122,6 +148,19 @@ def test_edge_specs_stay_valid():
     WorldSpec(density_cells=1, density_weights=(1.0,)).validate()
     WorldSpec(density_cells=2, density_weights=(1.0, 2.0, 3.0, 4.0)).validate()
     WorldSpec(minor_anchors_range=(0, 0), excursion_stops=(3, 3), hotspot_session_h=(1.0, 1.0)).validate()
+    # every bound that validate draws, taken at its edge, builds a world
+    edges = [
+        dict(stay_min_h=6.0, stay_max_h=6.0, stay_pareto_alpha=1e-3),
+        dict(p_errand=0.0, p_excursion=1.0, minor_visit_probs=(1.0, 0.0)),
+        dict(hotspot_day_session_prob=1.0, hotspot_evening_session_prob=0.0, scan_dropout=1.0),
+        dict(anchor_sep_m=0.0, venues_per_user=0.0, ap_anchor_radius_m=0.0, gps_noise_m=0.0),
+        dict(ap_per_anchor_min=0, ap_anchor_base=0.0, ap_anchor_density_scale=0.0, campus_extra_aps=0),
+        dict(background_aps_per_km2=0.0, ap_density_noise_sigma=0.0, walk_max_m=0.0, routine_change_day=0),
+        dict(density_cells=2, density_weights=(0.0, 0.0, 0.0, 1.0), minor_visit_probs=()),
+    ]
+    for edge in edges:
+        spec = WorldSpec(seed=0, n_users=3, n_days=1, **edge)
+        simulate_sensor_arrays(generate_world(spec), spec)
 
 
 def _assert_query_matches_brute(index, x, y, qx, qy, r):
@@ -179,18 +218,31 @@ def _state(rng):
     return repr(rng.bit_generator.state)
 
 
+# zero-weight cells first, last and between weighted ones
+_GAPPY = dict(density_cells=3, density_weights=(0.0, 1.0, 0.0, 2.0, 0.0, 0.0, 0.5, 3.0, 0.0))
+
+
 @pytest.mark.parametrize(
-    "extent_km, count, sep_m, power, n_taken",
+    "extent_km, count, sep_m, power, n_taken, grid_kw",
     [
-        (8.0, 120, 250.0, 0.35, 0),
-        (8.0, 40, 250.0, 4.0, 30),
+        pytest.param(8.0, 120, 250.0, 0.35, 0, {}, id="8.0-120-250.0-0.35-0"),
+        pytest.param(8.0, 40, 250.0, 4.0, 30, {}, id="8.0-40-250.0-4.0-30"),
         # crowded: the rejection budget runs out, so placements relax to
         # sep/2 and then accept overlap
-        (1.0, 60, 250.0, 0.22, 5),
+        pytest.param(1.0, 60, 250.0, 0.22, 5, {}, id="1.0-60-250.0-0.22-5"),
+        # a cell with no mass is never drawn
+        pytest.param(2.0, 80, 100.0, 0.35, 4, _GAPPY, id="zero-weight-cells"),
+        pytest.param(1.0, 30, 120.0, 1.0, 3, dict(density_cells=1), id="one-cell"),
+        # no separation: every first candidate is taken
+        pytest.param(1.0, 50, 0.0, 0.35, 6, {}, id="sep-0"),
+        # nothing to place: no draw at all
+        pytest.param(8.0, 0, 250.0, 0.35, 7, {}, id="count-0"),
     ],
 )
-def test_place_separated_matches_the_loop_draw_for_draw(extent_km, count, sep_m, power, n_taken):
-    grid = _CityGrid(WorldSpec(extent_km=extent_km))
+def test_place_separated_matches_the_loop_draw_for_draw(
+    extent_km, count, sep_m, power, n_taken, grid_kw
+):
+    grid = _CityGrid(WorldSpec(extent_km=extent_km, **grid_kw))
     seed_rng = np.random.default_rng(11)
     taken = [tuple(map(float, p)) for p in seed_rng.uniform(-400.0, 400.0, (n_taken, 2))]
     fast_rng, loop_rng = _rng(5, 0), _rng(5, 0)
@@ -200,13 +252,69 @@ def test_place_separated_matches_the_loop_draw_for_draw(extent_km, count, sep_m,
     assert np.array_equal(grown[:n_taken], np.array(taken).reshape(-1, 2))
     assert [tuple(map(float, p)) for p in grown[n_taken:]] == want
     assert _state(fast_rng) == _state(loop_rng)
-    if extent_km == 1.0:
+    if count == 0:
+        assert _state(fast_rng) == _state(_rng(5, 0))
+    if sep_m == 0:
+        # one cell draw and two coordinates per point, none rejected
+        fresh = _rng(5, 0)
+        fresh.random(3 * count)
+        assert _state(fast_rng) == _state(fresh)
+    if grid_kw.get("density_weights"):
+        assert (grid.weight_at_xy(grown[n_taken:, 0], grown[n_taken:, 1]) > 0).all()
+    if extent_km == 1.0 and sep_m == 250.0:
         # each placed point's distance to the nearest point placed before it
         nearest = np.array(
             [np.hypot(*(grown[:k] - grown[k]).T).min() for k in range(max(n_taken, 1), len(grown))]
         )
         assert ((nearest >= sep_m / 2) & (nearest < sep_m)).any()  # relaxed to sep/2
         assert (nearest < sep_m / 2).any()  # overlap accepted
+
+
+def test_place_separated_raises_where_choice_raised():
+    # zero-weight cells raised to a negative power leave no valid cell draw
+    spec = WorldSpec(
+        n_users=2, n_days=1, density_cells=2, density_weights=(0.0, 1.0, 1.0, 1.0),
+        errand_density_power=-1.0,
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="cell probabilities"):
+            _place_separated(_rng(5, 0), _CityGrid(spec), 1, 250.0, np.empty((0, 2)), -1.0)
+        with pytest.raises(ValueError, match="cell probabilities"):
+            generate_world(spec)
+
+
+def _loop_placement(rng, grid, count, sep_m, taken, power=1.0):
+    """``_place_separated`` answered by the one-point-at-a-time oracle."""
+    taken_xy = [tuple(map(float, p)) for p in taken]
+    place_separated_loop(rng, grid, count, sep_m, taken_xy, power)
+    return np.array(taken_xy, dtype=np.float64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        WorldSpec(seed=3, n_users=5, n_days=2),
+        # a small city: placements relax and overlap; an odd separation
+        WorldSpec(seed=8, n_users=6, n_days=1, extent_km=1.5, anchor_sep_m=333.3),
+    ],
+    ids=["default", "crowded"],
+)
+def test_world_is_the_same_with_the_loop_placement(monkeypatch, spec):
+    """The whole world, sensor log included, is equal to the one built with
+    the oracle's placement: every draw, accept and reject matches."""
+    gt = generate_world(spec)
+    arrays = simulate_sensor_arrays(gt, spec)
+    monkeypatch.setattr(synthgen, "_place_separated", _loop_placement)
+    loop_gt = generate_world(spec)
+    loop_arrays = simulate_sensor_arrays(loop_gt, spec)
+    for name in ("anchor_x", "anchor_y", "venue_x", "venue_y", "ap_x", "ap_y", "ap_anchor"):
+        assert np.array_equal(getattr(gt, name), getattr(loop_gt, name)), name
+    for f in fields(arrays):
+        a, b = getattr(arrays, f.name), getattr(loop_arrays, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), f.name
+        else:
+            assert a == b, f.name
 
 
 def test_no_colocation_means_no_shared_anchors():
