@@ -1,26 +1,15 @@
 """WiFi access-point geolocation and mobility reconstruction toolkit."""
 
 from .trace_model import (
-    ApSighting,
     BssidId,
     GeoPoint,
-    GpsFix,
     SensorArrays,
     TimestampMs,
-    TraceSet,
     UserId,
-    WifiScan,
     ingest_arrays,
-    ingest_traces_verbose,
     normalize_bssid,
 )
-from .pairing import (
-    PairedEvents,
-    PairedObservation,
-    PairingConfig,
-    pair_arrays,
-    pair_observations,
-)
+from .pairing import PairedEvents, PairingConfig, pair_arrays
 from .ap_locator import (
     ApClass,
     ApDatabase,
@@ -28,18 +17,11 @@ from .ap_locator import (
     LocatorConfig,
     TimeInterval,
     build_database,
-    classify_ap,
     dbscan,
-    geometric_median,
     haversine_m,
 )
-from .reconstructor import BinnedTimeline, PositionEstimate, build_timeline, resolve_scan
-from .coverage_metrics import (
-    CoverageSeries,
-    daily_population_mean,
-    entropy_bits,
-    time_coverage,
-)
+from .reconstructor import BinnedTimeline, build_timeline
+from .coverage_metrics import CoverageSeries, entropy_bits, time_coverage
 from .experiments import (
     ExperimentConfig,
     ExperimentResult,

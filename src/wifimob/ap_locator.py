@@ -35,6 +35,9 @@ from .pairing import PairedEvents, _string_rank
 from .trace_model import BssidId, GeoPoint, TimestampMs, UserId, normalize_bssid
 
 EARTH_RADIUS_M = 6_371_000.0
+# Weiszfeld stops once a step moves less than this, or after this many steps
+MEDIAN_TOL_M = 1e-6
+MEDIAN_MAX_ITER = 20000
 
 
 @dataclass(frozen=True, slots=True)
@@ -416,8 +419,6 @@ def geometric_medians(
     lat_deg: np.ndarray,
     lon_deg: np.ndarray,
     starts: np.ndarray,
-    tol_m: float = 1e-6,
-    max_iter: int = 20000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Geometric medians of many point sets at once, as (lat, lon) arrays.
 
@@ -426,10 +427,10 @@ def geometric_medians(
 
     Each set runs Weiszfeld iterations on a local equirectangular plane
     about its centroid, which is exact to well under a centimeter at the
-    sub-kilometer scales clusters have here. The stop threshold is
-    deliberately tight: near-degenerate point sets give the iteration a long
-    flat valley, and a loose step cutoff can park it tens of meters from the
-    minimizer (Beck & Sabach 2015). When an iterate comes within 0.5 m of a
+    sub-kilometer scales clusters have here. The stop threshold
+    ``MEDIAN_TOL_M`` is deliberately tight: near-degenerate point sets give
+    the iteration a long flat valley, and a loose step cutoff can park it
+    tens of meters from the minimizer (Beck & Sabach 2015). When an iterate comes within 0.5 m of a
     data point that meets the vertex optimality condition (Vardi & Zhang
     2000), that point is the median; an iterate sitting on any other data point is nudged
     1 cm east. One point is its own median, and two return their midpoint
@@ -479,7 +480,7 @@ def geometric_medians(
         heads = np.cumsum(size) - size
 
     keep_sets(n > 2)
-    for _ in range(max_iter):
+    for _ in range(MEDIAN_MAX_ITER):
         if ids.size == 0:
             break
         d = np.hypot(x - np.repeat(px, size), y - np.repeat(py, size))
@@ -511,7 +512,7 @@ def geometric_medians(
             list(map(math.hypot, (nx - px[step]).tolist(), (ny - py[step]).tolist()))
         )
         px[step], py[step] = nx, ny
-        stopped = np.flatnonzero(step)[moved < tol_m]
+        stopped = np.flatnonzero(step)[moved < MEDIAN_TOL_M]
         done[stopped] = True
         rx[ids[stopped]], ry[ids[stopped]] = px[stopped], py[stopped]
         if done.any():
@@ -552,15 +553,10 @@ def _vertex_test(x, y, d, dmin, heads, size, near):
     return vertex, xk, yk
 
 
-def geometric_median(
-    lat_deg: np.ndarray,
-    lon_deg: np.ndarray,
-    tol_m: float = 1e-6,
-    max_iter: int = 20000,
-) -> GeoPoint:
+def geometric_median(lat_deg: np.ndarray, lon_deg: np.ndarray) -> GeoPoint:
     """Point minimizing the summed distance to the points of two degree
     arrays: ``geometric_medians`` of one set."""
-    lat, lon = geometric_medians(lat_deg, lon_deg, [0], tol_m, max_iter)
+    lat, lon = geometric_medians(lat_deg, lon_deg, [0])
     return GeoPoint(float(lat[0]), float(lon[0]))
 
 

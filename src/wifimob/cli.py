@@ -30,7 +30,7 @@ from .ap_locator import (
     read_apdb_csv,
     write_apdb_csv,
 )
-from .coverage_metrics import daily_population_mean, entropy_bits
+from .coverage_metrics import entropy_bits
 from .experiments import (
     ExperimentConfig,
     InitialPeriod,
@@ -207,11 +207,8 @@ def cmd_coverage(args, cfg_values) -> int:
     with Path(args.out).open("w", encoding="utf-8", newline="") as out:
         writer = csv.writer(out)
         writer.writerow(["day_index", "scenario", "strategy", "param", "mean_coverage", "n_users"])
-        for day in series.days():
-            mean = daily_population_mean(series, day)
-            writer.writerow(
-                [day, "full", "none", "", repr(mean), len(series.day_values(day))]
-            )
+        for day, mean in sorted(series.daily_means().items()):
+            writer.writerow([day, "full", "none", "", repr(mean), len(series.day_values(day))])
     if args.users_out:
         with Path(args.users_out).open("w", encoding="utf-8", newline="") as out:
             writer = csv.writer(out)

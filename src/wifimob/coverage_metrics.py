@@ -19,6 +19,7 @@ from .trace_model import UserId
 
 DAY_MS = 86_400_000
 DEFAULT_BIN_MS = 600_000
+HIST_BIN_WIDTH = 0.1
 
 
 class CoverageContractError(ValueError):
@@ -49,13 +50,11 @@ class CoverageSeries:
         if cov is not None:
             self.per_user_day[(user, day)] = cov
 
-    def days(self) -> list[int]:
-        return sorted({day for _, day in self.per_user_day})
-
     def day_values(self, day: int) -> list[float]:
         return [v for (u, d), v in sorted(self.per_user_day.items()) if d == day]
 
     def daily_means(self) -> dict[int, float]:
+        """Mean over each day's users, summed in the order they were added."""
         sums: dict[int, float] = {}
         counts: dict[int, int] = {}
         for (_, day), cov in self.per_user_day.items():
@@ -79,14 +78,6 @@ def _day_runs(user: np.ndarray, bin_idx: np.ndarray, bin_ms: int) -> tuple[list,
     return user[starts].tolist(), day[starts].tolist(), counts.tolist()
 
 
-def daily_population_mean(series: CoverageSeries, day: int) -> Optional[float]:
-    """Mean coverage over users contributing WiFi data on ``day``."""
-    values = series.day_values(day)
-    if not values:
-        return None
-    return sum(values) / len(values)
-
-
 def entropy_bits(labels: Sequence[Hashable]) -> Optional[float]:
     """Shannon entropy, base 2, of the empirical label distribution.
 
@@ -104,13 +95,14 @@ def entropy_bits(labels: Sequence[Hashable]) -> Optional[float]:
     return h
 
 
-def coverage_histogram(values: Iterable[float], bin_width: float = 0.1) -> list[int]:
-    """Histogram of coverage fractions over [0, 1]; the top edge is inclusive."""
-    n_bins = round(1.0 / bin_width)
+def coverage_histogram(values: Iterable[float]) -> list[int]:
+    """Histogram of coverage fractions over [0, 1] in bins of
+    ``HIST_BIN_WIDTH``; the top edge is inclusive."""
+    n_bins = round(1.0 / HIST_BIN_WIDTH)
     counts = [0] * n_bins
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"coverage fraction out of range: {v}")
-        idx = min(int(v / bin_width), n_bins - 1)
+        idx = min(int(v / HIST_BIN_WIDTH), n_bins - 1)
         counts[idx] += 1
     return counts

@@ -47,8 +47,7 @@ from .pairing import (  # PairedEvents is re-exported from here
     pair_arrays,
 )
 from .svgplot import write_line_plot
-from .trace_model import BssidId, SensorArrays, TraceError, UserId, user_bounds
-from .synthgen import _rng
+from .trace_model import BssidId, SensorArrays, TraceError, UserId, _rng, user_bounds
 
 _NEVER = np.int64(np.iinfo(np.int64).max)
 
@@ -405,8 +404,6 @@ def run_experiment(
     means = coverage.daily_means()
     summary = {
         "mean_coverage": (sum(means.values()) / len(means)) if means else 0.0,
-        "n_user_days": float(len(coverage.per_user_day)),
-        "n_users": float(n_users),
     }
     return ExperimentResult(
         strategy=strategy,
@@ -460,31 +457,34 @@ class DeclineStats:
         return self.early_mean - self.late_mean
 
 
-def stability_decline(
-    result: ExperimentResult,
-    early_day: int = 60,
-    late_day: int = 160,
-    window_days: int = 5,
-    histogram_day: int = 190,
-) -> Optional[DeclineStats]:
+# stability_decline: the two anchor days, the half-width of the window of
+# daily means about each, and the day whose coverage it histograms
+DECLINE_EARLY_DAY = 60
+DECLINE_LATE_DAY = 160
+DECLINE_WINDOW_DAYS = 5
+DECLINE_HISTOGRAM_DAY = 190
+
+
+def stability_decline(result: ExperimentResult) -> Optional[DeclineStats]:
     """Coverage drop between two anchor days, averaged over a small window
     of daily means to keep one noisy day from deciding the statistic."""
     means = result.coverage.daily_means()
-    if not means or max(means) < late_day:
+    if not means or max(means) < DECLINE_LATE_DAY:
         return None
 
     def window_mean(center: int) -> Optional[float]:
-        vals = [means[d] for d in range(center - window_days, center + window_days + 1) if d in means]
+        days = range(center - DECLINE_WINDOW_DAYS, center + DECLINE_WINDOW_DAYS + 1)
+        vals = [means[d] for d in days if d in means]
         return sum(vals) / len(vals) if vals else None
 
-    early = window_mean(early_day)
-    late = window_mean(late_day)
+    early = window_mean(DECLINE_EARLY_DAY)
+    late = window_mean(DECLINE_LATE_DAY)
     if early is None or late is None:
         return None
-    hist_day = histogram_day if histogram_day in means else max(means)
+    hist_day = DECLINE_HISTOGRAM_DAY if DECLINE_HISTOGRAM_DAY in means else max(means)
     return DeclineStats(
-        early_day=early_day,
-        late_day=late_day,
+        early_day=DECLINE_EARLY_DAY,
+        late_day=DECLINE_LATE_DAY,
         early_mean=early,
         late_mean=late,
         histogram_day=hist_day,

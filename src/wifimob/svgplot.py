@@ -6,6 +6,7 @@ from pathlib import Path
 from typing import Sequence
 
 _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
+_WIDTH, _HEIGHT = 640, 400
 
 
 def write_line_plot(
@@ -14,13 +15,11 @@ def write_line_plot(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 640,
-    height: int = 400,
     y_range: tuple[float, float] | None = None,
 ) -> None:
     """Write one SVG with a line per named series of (x, y) points."""
     margin = 56
-    plot_w, plot_h = width - 2 * margin, height - 2 * margin
+    plot_w, plot_h = _WIDTH - 2 * margin, _HEIGHT - 2 * margin
 
     xs = [x for pts in series.values() for x, _ in pts]
     ys = [y for pts in series.values() for _, y in pts]
@@ -40,26 +39,26 @@ def write_line_plot(
         return margin + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y: float) -> float:
-        return height - margin - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return _HEIGHT - margin - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{margin}" y="{margin}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#888"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2}" y="24" text-anchor="middle" font-size="15">{title}</text>'
+            f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{title}</text>'
         )
     if x_label:
         parts.append(
-            f'<text x="{width / 2}" y="{height - 12}" text-anchor="middle" font-size="12">{x_label}</text>'
+            f'<text x="{_WIDTH / 2}" y="{_HEIGHT - 12}" text-anchor="middle" font-size="12">{x_label}</text>'
         )
     if y_label:
         parts.append(
-            f'<text x="16" y="{height / 2}" text-anchor="middle" font-size="12" '
-            f'transform="rotate(-90 16 {height / 2})">{y_label}</text>'
+            f'<text x="16" y="{_HEIGHT / 2}" text-anchor="middle" font-size="12" '
+            f'transform="rotate(-90 16 {_HEIGHT / 2})">{y_label}</text>'
         )
     for tick in range(5):
         frac = tick / 4
@@ -69,7 +68,7 @@ def write_line_plot(
         )
         xv = x_lo + frac * (x_hi - x_lo)
         parts.append(
-            f'<text x="{px(xv)}" y="{height - margin + 14}" text-anchor="middle" font-size="10">{xv:.0f}</text>'
+            f'<text x="{px(xv)}" y="{_HEIGHT - margin + 14}" text-anchor="middle" font-size="10">{xv:.0f}</text>'
         )
 
     for i, (name, pts) in enumerate(sorted(series.items())):
@@ -79,7 +78,7 @@ def write_line_plot(
         coords = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in sorted(pts))
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
-            f'<text x="{width - margin - 4}" y="{margin + 14 + 14 * i}" text-anchor="end" '
+            f'<text x="{_WIDTH - margin - 4}" y="{margin + 14 + 14 * i}" text-anchor="end" '
             f'font-size="11" fill="{color}">{name}</text>'
         )
     parts.append("</svg>")

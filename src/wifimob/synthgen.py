@@ -28,16 +28,16 @@ from typing import Optional
 
 import numpy as np
 
+from .coverage_metrics import DAY_MS
 from .trace_model import (  # SensorArrays is re-exported from here
     GeoPoint,
     SensorArrays,
     _fix_json,
     _ragged_index,
+    _rng,
     _scan_json,
     user_bounds,
 )
-
-DAY_MS = 86_400_000
 
 # City frame: a fixed mid-latitude origin; all meter/degree conversions use
 # the origin's cosine so they are exact inverses of each other.
@@ -49,10 +49,6 @@ M_PER_DEG_LON = M_PER_DEG_LAT * math.cos(math.radians(CITY_LAT0))
 
 def _xy_to_latlon(x_m, y_m):
     return CITY_LAT0 + np.asarray(y_m) / M_PER_DEG_LAT, CITY_LON0 + np.asarray(x_m) / M_PER_DEG_LON
-
-
-def _rng(seed: int, *stream) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed,) + stream)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,6 +126,12 @@ class WorldSpec:
                 raise ValueError(f"{name} must be in [0, 1]")
         if not self.stay_min_h <= self.stay_max_h:
             raise ValueError("stay_min_h must not exceed stay_max_h")
+        for name, n in zip(("wifi_scan_period_s", "gps_period_s"), _sensor_draws(self)):
+            if n > _MAX_DRAWS_PER_USER:
+                raise ValueError(
+                    f"{name} is too short for {self.n_days} days: {n} draws per user, "
+                    f"at most {_MAX_DRAWS_PER_USER}"
+                )
         if self.density_weights is not None:
             try:
                 w = np.asarray(self.density_weights, dtype=np.float64)
@@ -173,6 +175,19 @@ _PROBABILITY_FIELDS = (
     "p_excursion", "minor_visit_probs", "hotspot_day_session_prob",
     "hotspot_evening_session_prob",
 )
+# bound on each user's scan gaps and GPS fixes, so that a too-short sensor
+# period is a named error rather than an allocation of gigabytes
+_MAX_DRAWS_PER_USER = 2**25
+
+
+def _sensor_draws(spec: WorldSpec) -> tuple[int, int]:
+    """Per user: the scan gaps drawn up front (a jittered gap is at least
+    0.75 periods) and the most GPS fixes the span holds."""
+    span_ms = spec.n_days * DAY_MS
+    scan_gaps = span_ms / (spec.wifi_scan_period_s * 1000.0 * 0.75)
+    fixes = span_ms / (spec.gps_period_s * 1000.0)
+    # past 2**62 a count is out of bounds anyway; the cap keeps int() off inf
+    return int(min(scan_gaps, 2.0**62)) + 2, int(min(fixes, 2.0**62)) + 1
 
 
 MOBILE_HOTSPOT_SSIDS = ("AndroidAP", "iPhone")
@@ -899,7 +914,7 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
     # stream, taken up front so that every scan column is allocated once at
     # its final size; the loop below continues each user's stream
     period_ms = spec.wifi_scan_period_s * 1000.0
-    n_est = int(span_ms / (period_ms * 0.75)) + 2
+    n_est, _ = _sensor_draws(spec)
     rngs, schedules = [], []
     for u in range(n_users):
         rng = _rng(spec.seed, 4, u)
@@ -1000,7 +1015,6 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
     return SensorArrays(
         user_ids=gt.user_ids,
         bssids=gt.bssids(),
-        ssids=[gt.ssid(i) for i in range(gt.n_aps)],
         fix_user=fix_user,
         fix_ts=fix_ts,
         fix_lat=fix_lat,
@@ -1030,7 +1044,10 @@ def density_count_r2(gt: GroundTruth, arrays: SensorArrays) -> float:
 
 
 def write_dataset(gt: GroundTruth, arrays: SensorArrays, out_dir) -> dict[str, int]:
-    """Write gps.jsonl / wifi.jsonl plus the ground-truth sidecar files."""
+    """Write gps.jsonl / wifi.jsonl plus the ground-truth sidecar files.
+
+    ``arrays`` is ``gt``'s simulated log, so its router indices are ``gt``'s
+    router ids; a mobile router's sightings carry its SSID."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -1054,7 +1071,7 @@ def write_dataset(gt: GroundTruth, arrays: SensorArrays, out_dir) -> dict[str, i
             key = ids.tobytes()
             tail = line_cache.get(key)
             if tail is None:
-                line = _scan_json("", 0, ((arrays.bssids[i], arrays.ssids[i], None) for i in ids))
+                line = _scan_json("", 0, ((arrays.bssids[i], gt.ssid(i), None) for i in ids))
                 tail = line[line.index('"aps"') :]
                 line_cache[key] = tail
             user = arrays.user_ids[arrays.scan_user[k]]

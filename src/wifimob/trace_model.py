@@ -47,6 +47,8 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _ASCII_SPACE = " \t\n\r\x0b\x0c"
 # timestamps must fit the int64 columns of SensorArrays
 _MAX_TS_MS = 2**63 - 1
+# malformed lines quoted in a file's report
+_FIRST_ERRORS_KEPT = 10
 
 
 class TraceError(ValueError):
@@ -186,12 +188,11 @@ class SensorArrays:
     order: nearest-scan pairing and first-scan-in-bin timelines rely on it.
     Construction checks this and raises TraceError naming the first user
     whose rows break it. Arrays from :func:`ingest_arrays` also carry sorted
-    tables and no SSIDs (``ssids`` is all None).
+    tables.
     """
 
     user_ids: list[str]
     bssids: list[str]
-    ssids: list[Optional[str]]
     # GPS fixes
     fix_user: np.ndarray
     fix_ts: np.ndarray
@@ -247,6 +248,11 @@ def user_bounds(user: np.ndarray, n_users: int) -> np.ndarray:
     return np.searchsorted(user, np.arange(n_users + 1))
 
 
+def _rng(seed: int, *stream) -> np.random.Generator:
+    """The counter-based Philox stream keyed by ``(seed, *stream)``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed,) + stream)))
+
+
 def _ragged_index(off: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = off[rows]
     lens = off[rows + 1] - lo
@@ -267,9 +273,9 @@ class FileIngestStats:
         """Non-blank lines read: every one is either parsed or malformed."""
         return self.parsed + self.malformed
 
-    def note_error(self, line_no: int, message: str, keep: int = 10) -> None:
+    def note_error(self, line_no: int, message: str) -> None:
         self.malformed += 1
-        if len(self.first_errors) < keep:
+        if len(self.first_errors) < _FIRST_ERRORS_KEPT:
             self.first_errors.append(f"{self.path}:{line_no}: {message}")
 
 
@@ -620,7 +626,6 @@ def ingest_arrays(gps_path, wifi_path) -> tuple[SensorArrays, IngestReport]:
     arrays = SensorArrays(
         user_ids=user_ids,
         bssids=bssids,
-        ssids=[None] * len(bssids),
         fix_user=f_user[f_order],
         fix_ts=f_ts[f_order],
         fix_lat=f_lat[f_order],

@@ -313,10 +313,7 @@ def arrays_to_traceset(arrays: SensorArrays) -> TraceSet:
     Identical sighting lists (the normal case while a user stays put) share
     one list object, which keeps large worlds affordable.
     """
-    sighting_of = [
-        ApSighting(bssid=arrays.bssids[i], ssid=arrays.ssids[i])
-        for i in range(len(arrays.bssids))
-    ]
+    sighting_of = [ApSighting(bssid=b) for b in arrays.bssids]
     list_cache: dict[bytes, list[ApSighting]] = {}
 
     fixes = []
@@ -359,18 +356,13 @@ def records_to_arrays(
     sorted order, as ingest indexes them."""
     fixes, scans = list(fixes), list(scans)
     user_ids = sorted({f.user for f in fixes} | {s.user for s in scans})
-    ssid_of: dict[BssidId, Optional[str]] = {}
-    for scan in scans:
-        for s in scan.sightings:
-            ssid_of.setdefault(s.bssid, s.ssid)
-    bssids = sorted(ssid_of)
+    bssids = sorted({s.bssid for scan in scans for s in scan.sightings})
     user_idx = {u: i for i, u in enumerate(user_ids)}
     ap_idx = {b: i for i, b in enumerate(bssids)}
     counts = [len(scan.sightings) for scan in scans]
     return SensorArrays(
         user_ids=user_ids,
         bssids=bssids,
-        ssids=[ssid_of[b] for b in bssids],
         fix_user=np.array([user_idx[f.user] for f in fixes], dtype=np.int32),
         fix_ts=np.array([f.ts for f in fixes], dtype=np.int64),
         fix_lat=np.array([f.pos.lat_deg for f in fixes], dtype=np.float64),

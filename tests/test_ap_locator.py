@@ -237,12 +237,12 @@ def _hexed(lat, lon):
     return [(a.hex(), b.hex()) for a, b in zip(np.asarray(lat).tolist(), np.asarray(lon).tolist())]
 
 
-def _batched(point_sets, **kw):
+def _batched(point_sets):
     """``geometric_medians`` over a list of (lat, lon) point sets."""
     sizes = np.array([lat.size for lat, _ in point_sets])
     lat = np.concatenate([lat for lat, _ in point_sets])
     lon = np.concatenate([lon for _, lon in point_sets])
-    return _hexed(*geometric_medians(lat, lon, np.cumsum(sizes) - sizes, **kw))
+    return _hexed(*geometric_medians(lat, lon, np.cumsum(sizes) - sizes))
 
 
 def _looped(point_sets, **kw):
@@ -324,14 +324,16 @@ class TestBatchedMedian:
         ]
         assert _batched(point_sets) == _looped(point_sets)
 
-    def test_small_max_iter_stops_every_set_where_the_loop_stops(self):
+    def test_small_max_iter_stops_every_set_where_the_loop_stops(self, monkeypatch):
         rng = np.random.default_rng(23)
         point_sets = [
             (LAT0 + rng.normal(0, 0.001, n), LON0 + rng.normal(0, 0.001, n)) for n in (3, 30, 300)
         ]
         want = _looped(point_sets, max_iter=3)
-        assert _batched(point_sets, max_iter=3) == want
-        assert _batched(point_sets) != want
+        uncapped = _batched(point_sets)
+        monkeypatch.setattr(ap_locator, "MEDIAN_MAX_ITER", 3)
+        assert _batched(point_sets) == want
+        assert uncapped != want
 
     def test_empty_set_rejected(self):
         lat, lon = latlon([_offset(0, 0), _offset(5, 0)])

@@ -8,7 +8,6 @@ from wifimob.coverage_metrics import (
     CoverageContractError,
     CoverageSeries,
     coverage_histogram,
-    daily_population_mean,
     entropy_bits,
     time_coverage,
 )
@@ -41,19 +40,19 @@ def test_daily_mean_two_users():
     series = CoverageSeries()
     series.add("a", 3, 10, 5)
     series.add("b", 3, 10, 10)
-    assert daily_population_mean(series, 3) == pytest.approx(0.75)
+    assert series.daily_means() == {3: pytest.approx(0.75)}
 
 
 def test_daily_mean_single_user():
     series = CoverageSeries()
     series.add("a", 0, 10, 8)
-    assert daily_population_mean(series, 0) == pytest.approx(0.8)
+    assert series.daily_means() == {0: pytest.approx(0.8)}
 
 
 def test_daily_mean_absent_without_contributors():
     series = CoverageSeries()
     series.add("a", 0, 0, 0)  # no data, excluded
-    assert daily_population_mean(series, 0) is None
+    assert series.daily_means() == {}
     assert series.per_user_day == {}
 
 

@@ -576,7 +576,6 @@ def _hand_built_arrays(scans, user_ids, bssids, fix_users=()):
     return SensorArrays(
         user_ids=user_ids,
         bssids=bssids,
-        ssids=[None] * len(bssids),
         fix_user=np.array(fix_users, dtype=np.int32),
         fix_ts=np.arange(n_fix, dtype=np.int64),
         fix_lat=np.full(n_fix, 55.0),

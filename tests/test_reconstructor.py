@@ -298,7 +298,6 @@ def test_columnar_timeline_matches_records_on_hand_built_routers(tmp_path):
     reversed_table = replace(
         arrays,
         bssids=arrays.bssids[::-1],
-        ssids=arrays.ssids[::-1],
         scan_ap=(n - 1 - arrays.scan_ap).astype(np.int32),
     )
     for cols in (arrays, reversed_table):

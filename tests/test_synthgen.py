@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import fields
 
@@ -578,6 +579,53 @@ def test_write_dataset_outputs(tmp_path, small_world):
         assert (tmp_path / name).exists()
     truth_lines = (tmp_path / "truth_aps.csv").read_text().splitlines()
     assert len(truth_lines) == 1 + counts["static_aps"] + counts["mobile_aps"]
+
+
+def test_wifi_log_carries_the_ssid_of_mobile_routers_only(tmp_path, small_world):
+    _, gt, arrays, _ = small_world
+    write_dataset(gt, arrays, tmp_path)
+    ssid_of = {gt.bssid(m.ap_id): m.ssid for m in gt.mobile_aps}
+    mobile_seen = 0
+    with (tmp_path / "wifi.jsonl").open(encoding="utf-8") as fh:
+        for line in fh:
+            for ap in json.loads(line)["aps"]:
+                if ap["bssid"] in ssid_of:
+                    assert ap["ssid"] == ssid_of[ap["bssid"]]
+                    mobile_seen += 1
+                else:
+                    assert "ssid" not in ap
+    assert mobile_seen > 0
+
+
+@pytest.mark.parametrize("field", ["wifi_scan_period_s", "gps_period_s"])
+@pytest.mark.parametrize("period", [0.01, 5e-324])
+def test_sensor_period_too_short_for_the_span_names_its_field(field, period):
+    # validate only: simulating this world would draw 3.5e8 gaps per user
+    # at 0.01 s, and more than a float can count at the smallest subnormal
+    with pytest.raises(ValueError, match=f"^{field} is too short"):
+        WorldSpec(**{field: period}).validate()
+
+
+def test_long_worlds_at_short_sensor_periods_stay_valid():
+    WorldSpec().validate()
+    WorldSpec(n_days=200, wifi_scan_period_s=60.0).validate()
+    for period in (16.0, 1.0):
+        WorldSpec(n_days=180, wifi_scan_period_s=period, gps_period_s=period).validate()
+
+
+def test_sensor_draw_bound_admits_its_own_value(monkeypatch):
+    spec = WorldSpec(n_users=2, n_days=1)
+    scans, fixes = synthgen._sensor_draws(spec)
+    assert (scans, fixes) == (DAY_MS // 12_000 + 2, DAY_MS // 600_000 + 1)
+    monkeypatch.setattr(synthgen, "_MAX_DRAWS_PER_USER", scans)
+    spec.validate()
+    monkeypatch.setattr(synthgen, "_MAX_DRAWS_PER_USER", scans - 1)
+    with pytest.raises(ValueError, match="^wifi_scan_period_s"):
+        spec.validate()
+    spec = WorldSpec(n_users=2, n_days=1, gps_period_s=10.0)
+    monkeypatch.setattr(synthgen, "_MAX_DRAWS_PER_USER", scans)
+    with pytest.raises(ValueError, match="^gps_period_s"):
+        spec.validate()
 
 
 def test_default_world_calibration(default_world):

@@ -320,7 +320,6 @@ def test_ingest_routes_agree_on_synthetic_files(small_world, synthetic_files):
     gps, wifi, _, records = synthetic_files
     traces, loaded = _assert_routes_agree(gps, wifi, records)
     assert loaded.n_scans == arrays.n_scans and loaded.scan_ap.size == arrays.scan_ap.size
-    assert loaded.ssids == [None] * len(loaded.bssids)
 
 
 def _rows_arrays(fixes=(), scans=(), user_ids=("amy", "bob", "cat")):
@@ -336,7 +335,6 @@ def _rows_arrays(fixes=(), scans=(), user_ids=("amy", "bob", "cat")):
     return SensorArrays(
         user_ids=list(user_ids),
         bssids=[],
-        ssids=[],
         fix_user=fix_user,
         fix_ts=fix_ts,
         fix_lat=np.zeros(fix_ts.size),
