@@ -39,7 +39,7 @@ import numpy as np
 
 from .ap_locator import ApDatabase, LocatorConfig, RouterTable, build_database
 from .coverage_metrics import DAY_MS, DEFAULT_BIN_MS, CoverageSeries, coverage_histogram
-from .coverage_metrics import _day_runs, _run_starts
+from .coverage_metrics import _run_starts
 from .pairing import (  # PairedEvents is re-exported from here
     PairedEvents,
     PairedObservation,
@@ -139,15 +139,60 @@ class ScanTable:
 
 
 @dataclass(slots=True)
+class BinRuns:
+    """The presence rows' (user, bin) runs, indexed once for every grid cell.
+
+    Presence rows are sorted by (user, bin, ap), so each (user, bin) is a run
+    of rows. ``slot`` places each run among the data (user, day) runs, in
+    (user, day) order, whose users, days and data-bin counts follow.
+    """
+
+    flat: np.ndarray  # per presence row, user * n_aps + ap
+    start: np.ndarray  # per run, its first presence row
+    slot: np.ndarray  # per run, its (user, day) slot
+    slot_user: list[UserId]
+    slot_day: list[int]
+    slot_bins: list[int]
+
+
+def _bin_runs(t: ScanTable) -> BinRuns:
+    flat = np.multiply(t.pres_user, t.n_aps, dtype=np.int64)
+    flat += t.pres_ap
+    start = _run_starts(t.pres_user, t.pres_bin)
+    data_day = (t.data_bin * t.bin_ms) // DAY_MS
+    first = _run_starts(t.data_user, data_day)
+    slot_user, slot_day = t.data_user[first], data_day[first]
+    # every run's (user, day) holds data: search it among its user's slots
+    run_user, run_day = t.pres_user[start], (t.pres_bin[start] * t.bin_ms) // DAY_MS
+    slot = np.empty(start.size, dtype=np.int64)
+    by_slot, by_run = user_bounds(slot_user, t.n_users), user_bounds(run_user, t.n_users)
+    for s0, s1, r0, r1 in zip(by_slot[:-1], by_slot[1:], by_run[:-1], by_run[1:]):
+        slot[r0:r1] = s0 + np.searchsorted(slot_day[s0:s1], run_day[r0:r1])
+    return BinRuns(
+        flat=flat,
+        start=start,
+        slot=slot,
+        slot_user=[t.user_ids[u] for u in slot_user.tolist()],
+        slot_day=slot_day.tolist(),
+        slot_bins=np.diff(first, append=data_day.size).tolist(),
+    )
+
+
+@dataclass(slots=True)
 class ExperimentData:
-    """Pairing plus presence tables computed once and shared across grid cells."""
+    """Pairing, presence tables and their run index, computed once and
+    shared across grid cells."""
 
     table: ScanTable
     pairs: PairedEvents
     t0_ms: int
     locator: LocatorConfig = LocatorConfig()
+    runs: BinRuns = field(init=False, repr=False)
     _full_db: Optional[ApDatabase] = None
     _top_by_k: dict[int, list[np.ndarray]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.runs = _bin_runs(self.table)
 
     def full_database(self) -> ApDatabase:
         """Classified database over all paired data; the external-lookup stand-in."""
@@ -206,12 +251,15 @@ def _greedy_picks(bins: np.ndarray, aps: np.ndarray, n_aps: int, k: int) -> np.n
 
 
 def _table_from_arrays(arrays: SensorArrays, bin_ms: int) -> ScanTable:
-    """Presence table by one value sort of a packed int64 key per user.
+    """Presence table by one value sort of a packed key per user.
 
-    A sighting's key is ``(r * n_aps + ap) * n + s``: ``r`` ranks its scan's
-    bin among the user's data bins, ``s`` indexes the user's ``n`` scans. Sorted,
-    runs of ``key // n`` are the (bin, ap) pairs; scans are in time order, so a
-    run's last key holds its latest scan. Keys are range-checked, never wrapped.
+    A sighting's key is ``(r * n_aps + ap) * m + s``: ``r`` ranks its scan's
+    bin among the user's data bins, ``s`` indexes the scan within its bin, and
+    ``m`` is the scan count of the user's fullest bin. Keys are uint32 where
+    the user's range ``n_bins * n_aps * m`` fits in 2**32, int64 otherwise.
+    Sorted, runs of ``key // m`` are the (bin, ap) pairs; scans are in time
+    order, so a run's last key holds its latest scan. Keys are range-checked,
+    never wrapped.
     """
     n_users, n_aps = len(arrays.user_ids), len(arrays.bssids)
     bounds = user_bounds(arrays.scan_user, n_users)
@@ -219,25 +267,32 @@ def _table_from_arrays(arrays: SensorArrays, bin_ms: int) -> ScanTable:
     pres_user, pres_bin, pres_ap, pres_last_ts = [], [], [], []
     for u in range(n_users):
         lo, hi = bounds[u], bounds[u + 1]
-        n, scan_ts = int(hi - lo), arrays.scan_ts[lo:hi]
+        scan_ts = arrays.scan_ts[lo:hi]
         bins = scan_ts // bin_ms
         new_bin = np.diff(bins, prepend=bins[:1] - 1) != 0
         data_bin.append(bins[new_bin])
         off = arrays.scan_off[lo : hi + 1]
         if off[0] == off[-1]:
             continue
-        _check_key_range(arrays.user_ids[u], data_bin[-1].size, n_aps, n)
+        first = np.flatnonzero(new_bin)  # each bin's first scan
+        m = int(np.diff(first, append=hi - lo).max())
+        n_bins = first.size
+        _check_key_range(arrays.user_ids[u], n_bins, n_aps, m)
+        dtype = np.uint32 if n_bins * n_aps * m <= 2**32 else np.int64
         # r counts bin starts up to the scan; no sighting-long array outlives u
-        key = np.multiply(arrays.scan_ap[off[0] : off[-1]], n, dtype=np.int64)
-        key += np.repeat((np.cumsum(new_bin) - 1) * (n_aps * n) + np.arange(n), np.diff(off))
+        r = np.cumsum(new_bin) - 1
+        per_scan = r * (n_aps * m) + np.arange(hi - lo) - first[r]
+        key = np.multiply(arrays.scan_ap[off[0] : off[-1]], m, dtype=dtype, casting="unsafe")
+        key += np.repeat(per_scan.astype(dtype), np.diff(off))
         key.sort()
-        pair = key // n
+        pair = key // m
         ends = np.flatnonzero(np.append(pair[1:] != pair[:-1], True))
         key, pair = key[ends], pair[ends]
+        r = pair // n_aps
         pres_user.append(np.full(ends.size, u, dtype=np.int32))
-        pres_bin.append(data_bin[-1][pair // n_aps])
+        pres_bin.append(data_bin[-1][r])
         pres_ap.append(pair % n_aps)
-        pres_last_ts.append(scan_ts[key % n])
+        pres_last_ts.append(scan_ts[first[r] + key % m])
     return ScanTable(
         user_ids=list(arrays.user_ids),
         bssids=list(arrays.bssids),
@@ -251,13 +306,14 @@ def _table_from_arrays(arrays: SensorArrays, bin_ms: int) -> ScanTable:
     )
 
 
-def _check_key_range(user: UserId, n_bins: int, n_aps: int, n_scans: int) -> None:
-    """Raise unless every presence key ``(r * n_aps + ap) * n_scans + s``,
-    at most ``n_bins * n_aps * n_scans - 1``, fits in int64."""
-    if n_bins * n_aps * n_scans >= 2**63:
+def _check_key_range(user: UserId, n_bins: int, n_aps: int, m: int) -> None:
+    """Raise unless every presence key ``(r * n_aps + ap) * m + s``, at most
+    ``n_bins * n_aps * m - 1`` with ``m`` the scans of the user's fullest
+    bin, fits in int64."""
+    if n_bins * n_aps * m >= 2**63:
         raise TraceError(
             f"presence keys of user {user} would overflow int64: "
-            f"{n_bins} data bins x {n_aps} routers x {n_scans} scans"
+            f"{n_bins} data bins x {n_aps} routers x {m} scans in the fullest bin"
         )
 
 
@@ -306,7 +362,7 @@ def _first_ts_matrix(
 def _viewer_first_ts(mat: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Per-viewer usable-from instants under a sharing scenario."""
     n_users = mat.shape[0]
-    if scenario is Scenario.PERSONAL:
+    if scenario is Scenario.PERSONAL or n_users == 0:
         return mat
     if scenario is Scenario.GLOBAL:
         g = mat.min(axis=0)
@@ -328,11 +384,9 @@ def _coverage_from_first_ts(
 ) -> CoverageSeries:
     """``tables`` holds one router table per viewer: a relocated router is
     known to that viewer only inside one of its segments there."""
-    t = data.table
+    t, runs = data.table, data.runs
     # one flat gather; ravel copies GLOBAL's broadcast row into a full matrix
-    flat = np.multiply(t.pres_user, t.n_aps, dtype=np.int64)
-    flat += t.pres_ap
-    known = viewer_first_ts.ravel()[flat] <= t.pres_last_ts
+    known = viewer_first_ts.ravel()[runs.flat] <= t.pres_last_ts
     if tables:
         bounds = user_bounds(t.pres_user, t.n_users)
         for table, lo, hi in zip(tables, bounds[:-1], bounds[1:]):
@@ -340,15 +394,12 @@ def _coverage_from_first_ts(
                 rows = lo + np.flatnonzero((table.seg_count > 0)[t.pres_ap[lo:hi]])
                 known[rows] &= ~np.isnan(table.place(t.pres_ap[rows], t.pres_last_ts[rows])[0])
 
-    # presence rows are sorted by (user, bin, ap), so the covered (user, bin)
-    # pairs and both day counts come out as runs in (user, day) order
-    cov_user, cov_bin = t.pres_user[known], t.pres_bin[known]
-    first = _run_starts(cov_user, cov_bin)
-    cov_u, cov_day, cov_n = _day_runs(cov_user[first], cov_bin[first], t.bin_ms)
-    covered = dict(zip(zip(cov_u, cov_day), cov_n))
+    # a (user, bin) run is covered when any of its rows is known
+    covered = np.logical_or.reduceat(known, runs.start)
+    n_covered = np.bincount(runs.slot[covered], minlength=len(runs.slot_user)).tolist()
     series = CoverageSeries()
-    for u, day, n_data in zip(*_day_runs(t.data_user, t.data_bin, t.bin_ms)):
-        series.add(t.user_ids[u], day, n_data, covered.get((u, day), 0))
+    for cell in zip(runs.slot_user, runs.slot_day, runs.slot_bins, n_covered):
+        series.add(*cell)
     return series
 
 

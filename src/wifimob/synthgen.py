@@ -839,8 +839,12 @@ def _build_segments(
 
 
 def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) -> SensorArrays:
-    """Emit the full sensor log as compact arrays."""
-    spec = spec or gt.spec
+    """Emit the full sensor log as compact arrays. ``spec``, when given, must
+    be the one ``gt`` was generated from, which ``generate_world`` validated."""
+    if spec is not None and spec != gt.spec:
+        differ = [f.name for f in fields(spec) if getattr(spec, f.name) != getattr(gt.spec, f.name)]
+        raise ValueError(f"spec differs from the world's in {', '.join(differ)}")
+    spec = gt.spec
     n_users = spec.n_users
     span_ms = spec.n_days * DAY_MS
     vis = spec.visibility_radius_m

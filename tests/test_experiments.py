@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -549,6 +549,70 @@ def test_one_coverage_definition_on_relocated_bin():
     _assert_one_coverage(arrays, prepare_experiment_data(arrays))
 
 
+_DRAWN_BSSIDS = [f"02:00:00:00:00:{i:02x}" for i in range(4)]
+
+
+@st.composite
+def _paired_logs(draw):
+    """Up to three users' scans at five-minute steps over three days, each
+    scan maybe with a fix under a second after it, every fix at one place;
+    plus one strategy of each kind."""
+    row = st.tuples(
+        st.integers(0, 2),  # day
+        st.integers(0, 11),  # five-minute step: two steps per bin
+        st.lists(st.sampled_from(_DRAWN_BSSIDS), unique=True, max_size=3),
+        st.booleans(),  # a fix follows the scan
+        st.integers(0, 999),  # its lag in ms
+    )
+    log = [draw(st.lists(row, max_size=8), label=f"scans of u{u}") for u in range(draw(st.integers(1, 3)))]
+    strategies = (
+        InitialPeriod(days=draw(st.integers(1, 3))),
+        RandomFraction(f=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])), seed=draw(st.integers(0, 3))),
+        TopRouters(k=draw(st.integers(1, 3))),
+    )
+    return log, strategies
+
+
+def _records_of(log):
+    fixes, scans = [], []
+    for u, rows in enumerate(log):
+        for day, step, bssids, with_fix, lag in sorted(rows):
+            ts = day * DAY_MS + step * DEFAULT_BIN_MS // 2
+            scans.append(WifiScan(user=f"u{u}", ts=ts, sightings=[ApSighting(b) for b in bssids]))
+            if with_fix:
+                fixes.append(GpsFix(user=f"u{u}", ts=ts + lag, pos=P))
+    return sorted(fixes, key=lambda f: (f.user, f.ts)), scans
+
+
+_SOME = (InitialPeriod(days=1), RandomFraction(f=0.5, seed=1), TopRouters(k=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_paired_logs())
+# a log with no user
+@example(case=([[]], _SOME))
+# no presence row at all, and no router in the log
+@example(case=([[(0, 0, [], True, 0), (1, 3, [], True, 10)], [(0, 1, [], False, 0)]], _SOME))
+# u1's scans are all empty; u0's day 1 holds data but no sighting
+@example(case=(
+    [[(0, 0, _DRAWN_BSSIDS[:2], True, 5), (0, 4, [_DRAWN_BSSIDS[1]], True, 0), (1, 2, [], True, 0)],
+     [(0, 0, [], True, 0), (2, 5, [], False, 0)]],
+    _SOME,
+))
+def test_engine_matches_record_pipeline_on_drawn_logs(case):
+    """Every strategy x scenario cell gives the record pipeline's per-user-day
+    coverage, in its (user, day) order."""
+    log, strategies = case
+    arrays = records_to_arrays(*_records_of(log))
+    traces = arrays_to_traceset(arrays)
+    data = prepare_experiment_data(arrays)
+    for strategy in strategies:
+        for scenario in Scenario:
+            got = run_experiment(data, strategy, scenario).coverage.per_user_day
+            want = coverage_via_record_pipeline(traces, strategy, scenario).per_user_day
+            assert list(got.items()) == list(want.items()), (strategy, scenario)
+
+
 _TABLE_FIELDS = ("data_user", "data_bin", "pres_user", "pres_bin", "pres_last_ts")
 
 
@@ -660,6 +724,27 @@ class TestScanTable:
             _check_key_range("ann", side, side, side)
         with pytest.raises(TraceError, match="user bob"):
             _check_key_range("bob", 3, 2**40, 2**30)
+
+    def test_int64_keys_where_the_range_passes_2_to_the_32(self):
+        """2**16 routers, 2**15 + 1 bins and one bin of two scans put keys
+        past 2**32, so the table takes int64 keys; the last bin's keys are
+        the largest, and its routers' latest scans come from the second
+        scan of the bin."""
+        n_aps, n_bins, bin_ms = 2**16, 2**15 + 1, 10
+        top = n_aps - 1
+        scans = [(0, b * bin_ms, sorted({(b * 40_503) % n_aps, top if b % 7 == 0 else 0}))
+                 for b in range(n_bins - 1)]
+        last = (n_bins - 1) * bin_ms
+        scans += [(0, last, [3, top]), (0, last + 5, [top - 1, top])]
+        m = 2
+        assert n_bins * n_aps * m >= 2**32
+        bssids = [f"02:00:00:{i >> 16:02x}:{(i >> 8) & 255:02x}:{i & 255:02x}" for i in range(n_aps)]
+        arrays = _hand_built_arrays(scans, ["ann"], bssids)
+        table = _table_from_arrays(arrays, bin_ms)
+        _assert_tables_equal(table, _oracle_table(arrays, bin_ms))
+        tail = list(zip(table.pres_bin[-3:].tolist(), table.pres_ap[-3:].tolist(),
+                        table.pres_last_ts[-3:].tolist()))
+        assert tail == [(n_bins - 1, 3, last), (n_bins - 1, top - 1, last + 5), (n_bins - 1, top, last + 5)]
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

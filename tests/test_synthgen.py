@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -626,6 +626,38 @@ def test_sensor_draw_bound_admits_its_own_value(monkeypatch):
     monkeypatch.setattr(synthgen, "_MAX_DRAWS_PER_USER", scans)
     with pytest.raises(ValueError, match="^gps_period_s"):
         spec.validate()
+
+
+def test_simulate_refuses_a_spec_other_than_the_worlds(default_world):
+    """A second spec would bypass the bound that generate_world validated:
+    at 0.01 s the default world's scan schedules would take 2.8 GB per user.
+    The call names the differing fields before it allocates anything."""
+    _, gt, _ = default_world
+    fast = replace(gt.spec, wifi_scan_period_s=0.01)
+    with pytest.raises(ValueError, match="wifi_scan_period_s"):
+        fast.validate()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"differs from the world's in wifi_scan_period_s$"):
+            simulate_sensor_arrays(gt, fast)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    with pytest.raises(ValueError, match="in seed, gps_period_s$"):
+        simulate_sensor_arrays(gt, replace(gt.spec, seed=8, gps_period_s=10.0))
+
+
+def test_simulate_without_a_spec_uses_the_worlds():
+    spec = WorldSpec(seed=3, n_users=2, n_days=1)
+    gt = generate_world(spec)
+    a1, a2 = simulate_sensor_arrays(gt), simulate_sensor_arrays(gt, gt.spec)
+    for f in fields(a1):
+        x, y = getattr(a1, f.name), getattr(a2, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
 
 
 def test_default_world_calibration(default_world):
