@@ -12,7 +12,7 @@ window; that only duplicates consistent evidence.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -49,20 +49,27 @@ class PairedEvents:
     ts: np.ndarray  # int64
     lat: np.ndarray
     lon: np.ndarray
+    # event_ids(), computed on its first call
+    _events: Optional[tuple[np.ndarray, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def count(self) -> int:
         return int(self.ap.size)
 
     def event_ids(self) -> tuple[np.ndarray, int]:
         """Each row's fix event as an index into the distinct ``(user, ts)``
-        pairs in ascending order, plus the number of events."""
-        order = np.lexsort((self.ts, self.user))
-        user, ts = self.user[order], self.ts[order]
-        new = np.ones(order.size, dtype=bool)
-        new[1:] = (user[1:] != user[:-1]) | (ts[1:] != ts[:-1])
-        ids = np.empty(order.size, dtype=np.int64)
-        ids[order] = np.cumsum(new) - 1
-        return ids, int(np.count_nonzero(new))
+        pairs in ascending order, plus the number of events. Computed once;
+        every call returns the same arrays."""
+        if self._events is None:
+            order = np.lexsort((self.ts, self.user))
+            user, ts = self.user[order], self.ts[order]
+            new = np.ones(order.size, dtype=bool)
+            new[1:] = (user[1:] != user[:-1]) | (ts[1:] != ts[:-1])
+            ids = np.empty(order.size, dtype=np.int64)
+            ids[order] = np.cumsum(new) - 1
+            self._events = ids, int(np.count_nonzero(new))
+        return self._events
 
     def n_events(self) -> int:
         """Distinct paired GPS fix events, i.e. distinct ``(user, ts)`` rows."""

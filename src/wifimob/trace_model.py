@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional
@@ -503,15 +504,17 @@ def ingest_arrays(gps_path, wifi_path) -> tuple[SensorArrays, IngestReport]:
     all known from earlier lines and distinct, and whose other fields are
     plainly valid, is taken on a fast check; every other line goes to
     :func:`_scan_fields`, which alone rejects lines and merges duplicates.
+
+    Accepted fields go into typed ``array`` buffers as they are read, and
+    each buffer becomes its column without a copy. A scan log whose
+    ``(user, ts)`` pairs strictly increase is already in canonical order
+    and is not reordered.
     """
     gps_path, wifi_path = Path(gps_path), Path(wifi_path)
     report = _new_report(gps_path, wifi_path)
     users: dict[UserId, int] = {}
-    fix_user: list[int] = []
-    fix_ts: list[int] = []
-    fix_lat: list[float] = []
-    fix_lon: list[float] = []
-    fix_acc: list[float] = []
+    fix_user, fix_ts = array("i"), array("q")
+    fix_lat, fix_lon, fix_acc = array("d"), array("d"), array("d")
 
     with _open_log(gps_path) as handle:
         for line_no, _, obj in _json_lines(handle, report.gps):
@@ -533,13 +536,10 @@ def ingest_arrays(gps_path, wifi_path) -> tuple[SensorArrays, IngestReport]:
     # ap_keys' entries for the lines accepted so far, as a plain dict: its
     # subscript is the fast one, and a new token leaves the line to ap_keys
     token_ids: dict[str, int] = {}
-    scan_user: list[int] = []
-    scan_ts: list[int] = []
-    scan_len: list[int] = []
-    scan_ap: list[int] = []
-    scan_line: list[int] = []
+    scan_user, scan_ts, scan_len = array("i"), array("q"), array("i")
+    scan_ap, scan_line = array("i"), array("q")
     add_user, add_ts, add_len = scan_user.append, scan_ts.append, scan_len.append
-    add_aps, add_line = scan_ap.extend, scan_line.append
+    add_aps, add_line = scan_ap.fromlist, scan_line.append
     note_error = report.wifi.note_error
     int_only = {int}
     user, uid = None, -1
@@ -590,15 +590,15 @@ def ingest_arrays(gps_path, wifi_path) -> tuple[SensorArrays, IngestReport]:
     _check_malformed_share(wifi_path, report.wifi)
 
     user_ids, user_map = _sorted_table(list(users), np.arange(len(users)))
-    ap_raw = np.array(scan_ap, dtype=np.int64)
+    ap_raw = np.frombuffer(scan_ap, dtype=np.int32)
     # a BSSID interned from a line that was then rejected stays out
     bssids, ap_map = _sorted_table(list(bssid_ids), ap_raw)
 
-    f_user = user_map[np.array(fix_user, dtype=np.int64)]
-    f_ts = np.array(fix_ts, dtype=np.int64)
-    f_lat = np.array(fix_lat, dtype=np.float64)
-    f_lon = np.array(fix_lon, dtype=np.float64)
-    f_acc = np.array(fix_acc, dtype=np.float64)
+    f_user = user_map[np.frombuffer(fix_user, dtype=np.int32)]
+    f_ts = np.frombuffer(fix_ts, dtype=np.int64)
+    f_lat = np.frombuffer(fix_lat, dtype=np.float64)
+    f_lon = np.frombuffer(fix_lon, dtype=np.float64)
+    f_acc = np.frombuffer(fix_acc, dtype=np.float64)
 
     def fix_keys(rows):
         return [
@@ -614,14 +614,19 @@ def ingest_arrays(gps_path, wifi_path) -> tuple[SensorArrays, IngestReport]:
 
     f_order = _canonical_order(f_user, f_ts, fix_keys)
 
-    s_user = user_map[np.array(scan_user, dtype=np.int64)]
-    s_ts = np.array(scan_ts, dtype=np.int64)
-    s_len = np.array(scan_len, dtype=np.int64)
-    s_off = np.concatenate([[0], np.cumsum(s_len)]).astype(np.int64)
-    s_order = _canonical_order(
-        s_user, s_ts, lambda rows: _scan_keys(wifi_path, [scan_line[k] for k in rows])
-    )
-    flat, lens = _ragged_index(s_off, s_order)
+    s_user = user_map[np.frombuffer(scan_user, dtype=np.int32)]
+    s_ts = np.frombuffer(scan_ts, dtype=np.int64)
+    s_len = np.frombuffer(scan_len, dtype=np.int32)
+    if _in_order(s_user, s_ts):
+        # the usual log, as write_dataset writes one: no row moves
+        s_off, s_ap = _offsets(s_len), ap_map[ap_raw]
+    else:
+        s_order = _canonical_order(
+            s_user, s_ts, lambda rows: _scan_keys(wifi_path, [scan_line[k] for k in rows])
+        )
+        flat, lens = _ragged_index(_offsets(s_len), s_order)
+        s_user, s_ts = s_user[s_order], s_ts[s_order]
+        s_off, s_ap = _offsets(lens), ap_map[ap_raw[flat]]
 
     arrays = SensorArrays(
         user_ids=user_ids,
@@ -631,12 +636,19 @@ def ingest_arrays(gps_path, wifi_path) -> tuple[SensorArrays, IngestReport]:
         fix_lat=f_lat[f_order],
         fix_lon=f_lon[f_order],
         fix_acc=f_acc[f_order],
-        scan_user=s_user[s_order],
-        scan_ts=s_ts[s_order],
-        scan_off=np.concatenate([[0], np.cumsum(lens)]).astype(np.int64),
-        scan_ap=ap_map[ap_raw[flat]],
+        scan_user=s_user,
+        scan_ts=s_ts,
+        scan_off=s_off,
+        scan_ap=s_ap,
     )
     return arrays, report
+
+
+def _offsets(lens: np.ndarray) -> np.ndarray:
+    """Ragged offsets of rows holding ``lens`` items each."""
+    off = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=off[1:])
+    return off
 
 
 def _sorted_table(names: list[str], used: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -656,8 +668,11 @@ def _canonical_order(
     """Row order by ``(user, ts)``, ties broken by ``content_keys(rows)``.
 
     The table indices in ``user`` follow string order, so this equals the
-    record route's sort; content keys are built only for tied rows.
+    record route's sort; content keys are built only for tied rows. Rows
+    already in that order, with no tie, give ``arange`` without a sort.
     """
+    if _in_order(user, ts):
+        return np.arange(user.size)
     order = np.lexsort((ts, user))
     u, t = user[order], ts[order]
     same = (u[1:] == u[:-1]) & (t[1:] == t[:-1])
@@ -674,6 +689,12 @@ def _canonical_order(
     resorted = sorted(range(len(rows)), key=lambda i: (int(u[pos[i]]), int(t[pos[i]]), keys[i]))
     order[pos] = [rows[i] for i in resorted]
     return order
+
+
+def _in_order(user: np.ndarray, ts: np.ndarray) -> bool:
+    """Whether the ``(user, ts)`` pairs strictly increase row by row."""
+    later = (user[1:] > user[:-1]) | ((user[1:] == user[:-1]) & (ts[1:] > ts[:-1]))
+    return bool(later.all())
 
 
 def _scan_keys(path: Path, line_nos: list[int]) -> list[str]:

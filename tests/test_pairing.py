@@ -182,3 +182,13 @@ def test_fix_events_count_distinct_user_ts_rows(small_world):
     assert [events[i] for i in ids] == list(zip(pairs.user.tolist(), pairs.ts.tolist()))
     empty = pair_arrays(arrays, PairingConfig(max_accuracy_m=-1.0))
     assert empty.count() == 0 and empty.n_events() == 0
+
+
+def test_fix_event_ids_are_computed_once(small_world):
+    _, _, arrays, _ = small_world
+    pairs = pair_arrays(arrays)
+    ids, n = pairs.event_ids()
+    assert pairs.event_ids()[0] is ids and pairs.n_events() == n
+    # a PairedEvents over a subset of the rows counts its own events
+    half = type(pairs)(*(getattr(pairs, f)[::2] for f in ("ap", "user", "ts", "lat", "lon")))
+    assert half.n_events() == len(set(zip(half.user.tolist(), half.ts.tolist()))) < n

@@ -2,6 +2,8 @@ import json
 import math
 import random
 import re
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from wifimob.trace_model import (
     normalize_bssid,
     user_bounds,
 )
+from wifimob import trace_model
 from wifimob.synthgen import write_dataset
 
 from oracles import ingest_traces, trace_users, write_traces
@@ -320,6 +323,46 @@ def test_ingest_routes_agree_on_synthetic_files(small_world, synthetic_files):
     gps, wifi, _, records = synthetic_files
     traces, loaded = _assert_routes_agree(gps, wifi, records)
     assert loaded.n_scans == arrays.n_scans and loaded.scan_ap.size == arrays.scan_ap.size
+
+
+def test_ingest_memory_and_row_order_paths(synthetic_files, tmp_path, monkeypatch):
+    """An ordered log is ingested without reordering, within 4x the bytes of
+    its result; a shuffled copy takes the reorder and gives equal arrays.
+
+    tracemalloc slows the line loop about ninefold, so both logs are the
+    fixture's fixes and its first 12 000 scan lines."""
+    reorders = []
+    ragged_index = trace_model._ragged_index
+    monkeypatch.setattr(
+        trace_model, "_ragged_index", lambda *a: reorders.append(a) or ragged_index(*a)
+    )
+    ordered_dir, shuffled_dir = tmp_path / "ordered", tmp_path / "shuffled"
+    ordered_dir.mkdir()
+    shuffled_dir.mkdir()
+    for path, n_lines in zip(synthetic_files[:2], (None, 12_000)):
+        lines = path.read_bytes().splitlines(keepends=True)[:n_lines]
+        (ordered_dir / path.name).write_bytes(b"".join(lines))
+        random.Random(5).shuffle(lines)
+        (shuffled_dir / path.name).write_bytes(b"".join(lines))
+    gps, wifi = (path.name for path in synthetic_files[:2])
+
+    tracemalloc.start()
+    try:
+        ordered = ingest_arrays(ordered_dir / gps, ordered_dir / wifi)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = [f.name for f in fields(ordered) if isinstance(getattr(ordered, f.name), np.ndarray)]
+    assert len(columns) == 9 and ordered.n_scans == 12_000
+    assert peak <= 4 * sum(getattr(ordered, c).nbytes for c in columns)
+    assert not reorders
+
+    shuffled = ingest_arrays(shuffled_dir / gps, shuffled_dir / wifi)[0]
+    assert len(reorders) == 1
+    assert (shuffled.user_ids, shuffled.bssids) == (ordered.user_ids, ordered.bssids)
+    for c in columns:
+        a, b = getattr(shuffled, c), getattr(ordered, c)
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), c
 
 
 def _rows_arrays(fixes=(), scans=(), user_ids=("amy", "bob", "cat")):
