@@ -17,7 +17,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wifimob.ap_locator import ApDatabase, build_database, haversine_m
+from wifimob.ap_locator import ApDatabase, haversine_m
 from wifimob.experiments import prepare_experiment_data
 from wifimob.reconstructor import build_timeline
 from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays
@@ -50,7 +50,7 @@ def main() -> int:
           f"{arrays.nonempty_scan_fraction():.0%} scans non-empty")
 
     data = prepare_experiment_data(arrays)
-    db = build_database(data.pairs, data.table.user_ids, data.table.bssids)
+    db = data.full_database()
     census = db.census()
     print(f"router database: {census['total']} candidates, {census['static']} static, "
           f"{census['mobile']} mobile, {census['insufficient']} insufficient")

@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""Time each stage of the paper's grid on a seeded world, in one process.
+"""The paper's grid on one seeded world, with every stage timed.
 
-Builds the seed-7 world, its experiment data, full router database and each
-user's greedy top 5 and top 20 routers, runs the 18 cells of the benchmark's
-``grid_30d`` workload (initial period 7/28 days, random fraction f_daily/4
-f_daily, top routers 5/20, x 3 sharing scenarios), then the binned timeline
-of every scan. Last, it times the file route on the benchmark's ``cli_3d``
-world (seed 7, 2 users x 3 days, whatever --users/--days say): writing its
-JSONL files to a temporary directory and ingesting them. Prints one JSON
-line: per stage, its wall time in seconds, and once it ended, the process's
-current resident size (``rss_mb``, from ``/proc/self/statm``; null where that
-file is missing) next to its ``ru_maxrss`` high-water mark, both in MiB. The
-gap between the two shows the memory each stage leaves resident.
+Builds the world, its experiment data, full router database and each user's
+greedy top 5 and top 20 routers, then runs the 18 cells of
+``experiments.paper_grid`` (initial period 7/28 days, random fraction
+f_daily/4 f_daily, top routers 5/20, x 3 sharing scenarios), printing each
+cell's mean coverage to stderr, then the binned timeline of every scan.
+Last, it times the file route on the benchmark's ``cli_3d`` world (seed 7,
+2 users x 3 days, whatever --seed/--users/--days say): writing its JSONL
+files to a temporary directory and ingesting them.
 
-Usage: python scripts/probe_stages.py [--users 30] [--days 30]
+Writes ``experiment_grid.csv``, ``histograms.csv`` and one coverage-vs-day
+plot per strategy to --out. Its last stdout line is one JSON record: per
+stage, its wall time in seconds, and once it ended, the process's current
+resident size (``rss_mb``, from ``/proc/self/statm``; null where that file
+is missing) next to its ``ru_maxrss`` high-water mark, both in MiB. The gap
+between the two shows the memory each stage leaves resident.
+
+Usage: python scripts/run_study.py [--out results/grid] [--seed 7] [--users 30] [--days 30]
 """
 
 import argparse
@@ -28,12 +32,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wifimob.experiments import (
-    InitialPeriod,
-    RandomFraction,
-    Scenario,
-    TopRouters,
+    paper_grid,
     prepare_experiment_data,
     run_experiment,
+    write_coverage_plots,
+    write_experiment_grid_csv,
+    write_histograms_csv,
 )
 from wifimob.reconstructor import build_timeline
 from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays, write_dataset
@@ -52,6 +56,8 @@ def rss_mb():
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default="results/grid")
+    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--users", type=int, default=30)
     parser.add_argument("--days", type=int, default=30)
     args = parser.parse_args()
@@ -69,7 +75,7 @@ def main() -> int:
         })
         return result
 
-    spec = WorldSpec(seed=7, n_users=args.users, n_days=args.days)
+    spec = WorldSpec(seed=args.seed, n_users=args.users, n_days=args.days)
     gt = timed("generate_world", generate_world, spec)
     arrays = timed("simulate_sensor_arrays", simulate_sensor_arrays, gt, spec)
     data = timed("prepare_experiment_data", prepare_experiment_data, arrays)
@@ -77,19 +83,13 @@ def main() -> int:
     for k in (5, 20):
         timed(f"top_router_selections({k})", data.top_router_selections, k)
 
-    f_daily = args.users * args.days / data.pairs.n_events()
-    strategies = [
-        InitialPeriod(days=7),
-        InitialPeriod(days=28),
-        RandomFraction(f=f_daily, seed=1),
-        RandomFraction(f=4 * f_daily, seed=1),
-        TopRouters(k=5),
-        TopRouters(k=20),
-    ]
-    for strategy in strategies:
+    results = []
+    for strategy, scenario in paper_grid(data, args.days, seed=1):
         name, param = strategy.label()
-        for scenario in Scenario:
-            timed(f"{name}({param})x{scenario.value}", run_experiment, data, strategy, scenario)
+        res = timed(f"{name}({param})x{scenario.value}", run_experiment, data, strategy, scenario)
+        results.append(res)
+        print(f"  {name}({param}) x {scenario.value}: "
+              f"mean coverage {res.summary['mean_coverage']:.3f}", file=sys.stderr)
     timed("build_timeline", build_timeline, arrays, db)
 
     file_spec = WorldSpec(seed=7, n_users=2, n_days=3)
@@ -99,6 +99,12 @@ def main() -> int:
         timed("write_dataset(2x3)", write_dataset, file_gt, file_arrays, tmp)
         timed("ingest_arrays(2x3)", ingest_arrays, f"{tmp}/gps.jsonl", f"{tmp}/wifi.jsonl")
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_experiment_grid_csv(results, out / "experiment_grid.csv")
+    write_histograms_csv(results, out / "histograms.csv")
+    write_coverage_plots(results, out)
+    print(f"wrote {out}/experiment_grid.csv, histograms.csv, and plots", file=sys.stderr)
     print(json.dumps({"users": args.users, "days": args.days, "stages": stages}))
     return 0
 

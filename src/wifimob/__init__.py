@@ -37,7 +37,6 @@ from .synthgen import (
     GroundTruth,
     WorldSpec,
     generate_world,
-    mobile_ssid_names,
     simulate_sensor_arrays,
 )
 

@@ -222,16 +222,6 @@ def _haversine_rad(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 
-def haversine_m_arrays(lat1_deg, lon1_deg, lat2_deg, lon2_deg):
-    """Elementwise great-circle distance over degree arrays."""
-    return _haversine_rad(
-        np.radians(lat1_deg),
-        np.radians(lon1_deg),
-        np.radians(lat2_deg),
-        np.radians(lon2_deg),
-    )
-
-
 class _UnionFind:
     __slots__ = ("parent",)
 

@@ -101,9 +101,8 @@ def _coerce(name: str, text: str, default):
     if isinstance(default, float):
         return float(text)
     if isinstance(default, tuple):
-        parts = [p for p in text.split(",") if p.strip()]
-        cast = float if any("." in p for p in parts) else int
-        return tuple(cast(p) for p in parts)
+        cast = type(default[0])
+        return tuple(cast(p) for p in text.split(",") if p.strip())
     return text
 
 

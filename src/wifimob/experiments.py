@@ -333,6 +333,26 @@ def prepare_experiment_data(
     return ExperimentData(table=table, pairs=pairs, t0_ms=t0, locator=locator)
 
 
+def paper_grid(
+    data: ExperimentData, n_days: int, seed: int
+) -> list[tuple[SamplingStrategy, Scenario]]:
+    """The paper's 18 (strategy, scenario) cells, strategies outer: initial
+    periods of 7 and 28 days, random fractions of ``f_daily`` and 4 f_daily
+    drawn with ``seed``, and each user's top 5 and 20 routers. ``f_daily``
+    keeps one paired fix event per user-day on average, the paper's "one GPS
+    observation per day per person"."""
+    f_daily = data.table.n_users * n_days / data.pairs.n_events()
+    strategies = [
+        InitialPeriod(days=7),
+        InitialPeriod(days=28),
+        RandomFraction(f=f_daily, seed=seed),
+        RandomFraction(f=4 * f_daily, seed=seed),
+        TopRouters(k=5),
+        TopRouters(k=20),
+    ]
+    return [(strategy, scenario) for strategy in strategies for scenario in Scenario]
+
+
 @dataclass(slots=True)
 class ExperimentResult:
     strategy: SamplingStrategy

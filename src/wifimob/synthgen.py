@@ -194,11 +194,6 @@ MOBILE_HOTSPOT_SSIDS = ("AndroidAP", "iPhone")
 MOBILE_TRANSIT_SSIDS = ("Commutenet", "Bedrebustur")
 
 
-def mobile_ssid_names() -> set[str]:
-    """SSIDs that mark a device as mobile in this world."""
-    return set(MOBILE_HOTSPOT_SSIDS) | set(MOBILE_TRANSIT_SSIDS)
-
-
 class _CityGrid:
     """Density field over the square city extent."""
 
@@ -372,21 +367,12 @@ class GroundTruth:
             return None
         return self.mobile_aps[ap_id - self.n_static].ssid
 
-    def ap_position(self, ap_id: int) -> Optional[GeoPoint]:
-        if ap_id >= self.n_static:
-            return None
-        lat, lon = _xy_to_latlon(self.ap_x[ap_id], self.ap_y[ap_id])
-        return GeoPoint(float(lat), float(lon))
-
     def static_positions(self) -> dict[str, GeoPoint]:
         lat, lon = _xy_to_latlon(self.ap_x, self.ap_y)
         return {
             self.bssid(i): GeoPoint(float(lat[i]), float(lon[i]))
             for i in range(self.n_static)
         }
-
-    def mobile_ssid_labels(self) -> dict[str, str]:
-        return {self.bssid(m.ap_id): m.ssid for m in self.mobile_aps}
 
     def position_at(self, user: int, ts_ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x, y = self.segments[user].position_xy(np.asarray(ts_ms, dtype=np.int64))

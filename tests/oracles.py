@@ -25,9 +25,9 @@ from wifimob.ap_locator import (
     ApDatabase,
     ApRecord,
     LocatorConfig,
+    _haversine_rad,
     classify_ap,
     geometric_median,
-    haversine_m_arrays,
 )
 from wifimob.coverage_metrics import DAY_MS, DEFAULT_BIN_MS, CoverageSeries
 from wifimob.experiments import (
@@ -65,6 +65,16 @@ from wifimob.trace_model import (
 )
 
 M_PER_DEG_LAT = 111194.92664455873
+
+
+def haversine_m_arrays(lat1_deg, lon1_deg, lat2_deg, lon2_deg):
+    """Elementwise great-circle distance over degree arrays."""
+    return _haversine_rad(
+        np.radians(lat1_deg),
+        np.radians(lon1_deg),
+        np.radians(lat2_deg),
+        np.radians(lon2_deg),
+    )
 
 
 def brute_dbscan(lat, lon, eps_m, min_pts):

@@ -131,7 +131,7 @@ def test_criterion_03_static_localization(localization):
 
 def test_criterion_04_mobile_detection(localization):
     gt, _, db, sightings, _ = localization
-    labels = gt.mobile_ssid_labels()
+    labels = {gt.bssid(m.ap_id): m.ssid for m in gt.mobile_aps}
     eligible_mobile = [b for b in labels if sightings.get(b, 0) >= 5]
     caught = sum(
         1 for b in eligible_mobile if db.get(b) and db.get(b).ap_class is ApClass.MOBILE

@@ -324,6 +324,8 @@ def test_config_file_round(tmp_path, capsys):
          ":4: window_ms: already set on line 2"),
         ("\nepsilon_meters = 50\n", ":2: unknown config key: epsilon_meters"),
         ("max_accuracy_m = ten\n", ":1: max_accuracy_m: could not convert string to float: 'ten'"),
+        ("minor_anchors_range = 2.5, 6\n",
+         ":1: minor_anchors_range: invalid literal for int() with base 10: '2.5'"),
     ],
 )
 def test_config_errors_name_file_line_and_key(tmp_path, capsys, text, message):

@@ -5,18 +5,23 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from oracles import brute_radius_query, place_separated_loop, records_to_arrays
+from oracles import (
+    brute_radius_query,
+    haversine_m_arrays,
+    place_separated_loop,
+    records_to_arrays,
+)
 from wifimob import synthgen
-from wifimob.ap_locator import haversine_m_arrays
 from wifimob.coverage_metrics import DAY_MS
 from wifimob.synthgen import (
+    MOBILE_HOTSPOT_SSIDS,
+    MOBILE_TRANSIT_SSIDS,
     WorldSpec,
     _CityGrid,
     _PointIndex,
     _place_separated,
     _rng,
     generate_world,
-    mobile_ssid_names,
     simulate_sensor_arrays,
     write_dataset,
 )
@@ -338,8 +343,7 @@ def test_sighting_soundness_against_truth():
     arrays = simulate_sensor_arrays(gt, spec)
     vis = spec.visibility_radius_m
     ap_lat, ap_lon = {}, {}
-    for i in range(gt.n_static):
-        p = gt.ap_position(i)
+    for i, p in enumerate(gt.static_positions().values()):
         ap_lat[i], ap_lon[i] = p.lat_deg, p.lon_deg
     owner_of = {m.ap_id: m.owner for m in gt.mobile_aps}
 
@@ -545,9 +549,9 @@ def test_routine_change_moves_time_mass():
 def test_mobile_ssids_labeled():
     spec = WorldSpec(seed=2, n_users=6, n_days=1)
     gt = generate_world(spec)
-    labels = gt.mobile_ssid_labels()
+    labels = {gt.bssid(m.ap_id): m.ssid for m in gt.mobile_aps}
     assert len(labels) == len(gt.mobile_aps)
-    assert set(labels.values()) <= mobile_ssid_names()
+    assert set(labels.values()) <= set(MOBILE_HOTSPOT_SSIDS) | set(MOBILE_TRANSIT_SSIDS)
 
 
 def test_record_view_matches_arrays(small_world):
