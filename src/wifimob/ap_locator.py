@@ -90,7 +90,7 @@ class ApRecord:
     n_sightings: int
     pos: Optional[GeoPoint] = None
     segments: list[ApSegment] = field(default_factory=list)
-    contributors: frozenset[UserId] = frozenset()
+    n_contributors: int = 0  # distinct users the observations came from
 
     def position_at(self, ts: TimestampMs) -> Optional[GeoPoint]:
         """Usable position at ``ts``, or None for mobile/insufficient records
@@ -560,7 +560,7 @@ def classify_ap(
 ) -> ApRecord:
     """Classify one access point from the columns of its paired observations,
     sorted by (ts, lat, lon); ``contributors`` are the users they came from."""
-    pending = _classify_unplaced(bssid, ts, lat, lon, contributors, cfg)
+    pending = _classify_unplaced(bssid, ts, lat, lon, len(contributors), cfg)
     _place([pending], ts, lat, lon, cfg)
     return pending[0]
 
@@ -570,7 +570,7 @@ def _classify_unplaced(
     ts: np.ndarray,
     lat: np.ndarray,
     lon: np.ndarray,
-    contributors: frozenset[UserId],
+    n_contributors: int,
     cfg: LocatorConfig,
 ) -> tuple[ApRecord, list[np.ndarray]]:
     """``classify_ap`` short of positions: the record with its class, and the
@@ -578,7 +578,7 @@ def _classify_unplaced(
     router, one per segment in time order for a relocated one)."""
     n = ts.shape[0]
     record = ApRecord(bssid=bssid, ap_class=ApClass.INSUFFICIENT, n_sightings=n,
-                      contributors=contributors)
+                      n_contributors=n_contributors)
     if n < cfg.min_sightings:
         return record, []
 
@@ -645,15 +645,17 @@ def build_database(
     one ``geometric_medians`` call then places all of them.
     """
     order = np.lexsort((pairs.lon, pairs.lat, pairs.ts, _string_rank(bssids)[pairs.ap]))
-    ap, user = pairs.ap[order], pairs.user[order]
+    ap = pairs.ap[order]
     ts, lat, lon = pairs.ts[order], pairs.lat[order], pairs.lon[order]
     bounds = np.flatnonzero(np.diff(ap, prepend=-1, append=-1))
+    # one key per distinct (router, user) pair, counted per router
+    n_users = max(len(user_ids), 1)
+    router_user = np.unique(pairs.ap.astype(np.int64) * n_users + pairs.user)
+    n_contributors = np.bincount(router_user // n_users, minlength=len(bssids)).tolist()
     pending = []
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        bssid = bssids[ap[lo]]
-        contributors = frozenset(user_ids[u] for u in np.unique(user[lo:hi]).tolist())
         record, members = _classify_unplaced(
-            bssid, ts[lo:hi], lat[lo:hi], lon[lo:hi], contributors, cfg
+            bssids[ap[lo]], ts[lo:hi], lat[lo:hi], lon[lo:hi], n_contributors[ap[lo]], cfg
         )
         pending.append((record, [lo + m for m in members]))
     _place(pending, ts, lat, lon, cfg)
@@ -695,7 +697,7 @@ def write_apdb_csv(db: ApDatabase, path) -> None:
                     separators=(",", ":"),
                 )
             writer.writerow(
-                [bssid, rec.ap_class.value, lat, lon, rec.n_sightings, segments, len(rec.contributors)]
+                [bssid, rec.ap_class.value, lat, lon, rec.n_sightings, segments, rec.n_contributors]
             )
 
 
@@ -704,8 +706,8 @@ def read_apdb_csv(path) -> ApDatabase:
 
     Each BSSID is canonicalized as ingest canonicalizes it and may be listed
     once; a row that breaks a rule raises ValueError naming the file, the
-    line and the row's BSSID. Contributor identities are not stored in the
-    CSV, only their count, so loaded records carry empty contributor sets.
+    line and the row's BSSID. ``n_sightings`` and ``contributors_count``
+    must be non-negative integers.
     """
     records: dict[BssidId, ApRecord] = {}
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
@@ -746,10 +748,18 @@ def _apdb_record(row: dict) -> ApRecord:
     return ApRecord(
         bssid=normalize_bssid(row["bssid"]),
         ap_class=ap_class,
-        n_sightings=int(row["n_sightings"]),
+        n_sightings=_count(row, "n_sightings"),
         pos=GeoPoint(float(lat), float(lon)) if lat else None,
         segments=_read_segments(json.loads(segments_cell)) if segments_cell else [],
+        n_contributors=_count(row, "contributors_count"),
     )
+
+
+def _count(row: dict, column: str) -> int:
+    cell = row[column]
+    if not (cell.isascii() and cell.isdigit()):
+        raise ValueError(f"{column} must be a non-negative integer, not {cell!r}")
+    return int(cell)
 
 
 def _read_segments(segments) -> list[ApSegment]:

@@ -340,13 +340,16 @@ def paper_grid(
     periods of 7 and 28 days, random fractions of ``f_daily`` and 4 f_daily
     drawn with ``seed``, and each user's top 5 and 20 routers. ``f_daily``
     keeps one paired fix event per user-day on average, the paper's "one GPS
-    observation per day per person"."""
-    f_daily = data.table.n_users * n_days / data.pairs.n_events()
+    observation per day per person". Both rates are capped at 1.0, which
+    keeps every event, and are 1.0 on a log with no paired event, so a world
+    with sparse GPS gets all 18 cells too."""
+    n_events = data.pairs.n_events()
+    f_daily = data.table.n_users * n_days / n_events if n_events else 1.0
     strategies = [
         InitialPeriod(days=7),
         InitialPeriod(days=28),
-        RandomFraction(f=f_daily, seed=seed),
-        RandomFraction(f=4 * f_daily, seed=seed),
+        RandomFraction(f=min(f_daily, 1.0), seed=seed),
+        RandomFraction(f=min(4 * f_daily, 1.0), seed=seed),
         TopRouters(k=5),
         TopRouters(k=20),
     ]

@@ -458,12 +458,20 @@ def _place_separated(
     return xy
 
 
+def _user_ids(n_users: int) -> list[str]:
+    """``u000``, ``u001``, ...: zero-padded to one width, at least three
+    digits, so that string order is index order, as ingest's sorted user
+    table has it."""
+    width = max(3, len(str(n_users - 1)))
+    return [f"u{i:0{width}d}" for i in range(n_users)]
+
+
 def generate_world(spec: WorldSpec) -> GroundTruth:
     """Build the city, anchors, access points, and trajectories."""
     spec.validate()
     grid = _CityGrid(spec)
     n_users = spec.n_users
-    user_ids = [f"u{i:03d}" for i in range(n_users)]
+    user_ids = _user_ids(n_users)
 
     rng_place = _rng(spec.seed, 0)
 
@@ -539,10 +547,7 @@ def generate_world(spec: WorldSpec) -> GroundTruth:
                 )
             )
     else:
-        anchors_post = [
-            UserAnchors(home=a.home, work=a.work, minors=list(a.minors))
-            for a in anchors_pre
-        ]
+        anchors_post = anchors_pre
 
     # --- static access points -------------------------------------------
     rng_aps = _rng(spec.seed, 1)
@@ -589,7 +594,6 @@ def generate_world(spec: WorldSpec) -> GroundTruth:
     n_static = ap_x.size
 
     # --- mobile access points ---------------------------------------------
-    rng_mob = _rng(spec.seed, 2)
     n_mobile = int(round(spec.mobile_ap_fraction * n_static))
     n_hotspots = min(n_users, (2 * n_mobile + 2) // 3)
     n_buses = min(n_users, n_mobile - n_hotspots)
@@ -599,36 +603,22 @@ def generate_world(spec: WorldSpec) -> GroundTruth:
     # distinct shared places), then loners whose hotspots nobody ever sees
     dorm_users = list(range(2 * dorm_pairs))
     isolated_users = [u for u in range(n_users) if u not in colocated]
-    owner_pool = dorm_users + isolated_users
-    hotspot_owners = sorted(owner_pool[:n_hotspots])
-    for k, owner in enumerate(hotspot_owners):
-        mobile_aps.append(
-            MobileAp(
-                ap_id=n_static + len(mobile_aps),
-                owner=int(owner),
-                kind="hotspot",
-                ssid=MOBILE_HOTSPOT_SSIDS[k % len(MOBILE_HOTSPOT_SSIDS)],
-            )
-        )
-    if n_buses:
-        # the longest commutes ride buses
-        dist = np.hypot(
-            anchor_x[[a.home for a in anchors_pre]] - anchor_x[[a.work for a in anchors_pre]],
-            anchor_y[[a.home for a in anchors_pre]] - anchor_y[[a.work for a in anchors_pre]],
-        )
-        riders = np.argsort(-dist, kind="stable")[:n_buses]
-        for k, owner in enumerate(sorted(int(r) for r in riders)):
-            mobile_aps.append(
-                MobileAp(
-                    ap_id=n_static + len(mobile_aps),
-                    owner=owner,
-                    kind="bus",
-                    ssid=MOBILE_TRANSIT_SSIDS[k % len(MOBILE_TRANSIT_SSIDS)],
-                )
-            )
+    hotspot_owners = sorted((dorm_users + isolated_users)[:n_hotspots])
+    # the longest commutes ride buses
+    dist = np.hypot(
+        anchor_x[[a.home for a in anchors_pre]] - anchor_x[[a.work for a in anchors_pre]],
+        anchor_y[[a.home for a in anchors_pre]] - anchor_y[[a.work for a in anchors_pre]],
+    )
+    bus_riders = sorted(int(r) for r in np.argsort(-dist, kind="stable")[:n_buses])
+    for kind, owners, names in (
+        ("hotspot", hotspot_owners, MOBILE_HOTSPOT_SSIDS),
+        ("bus", bus_riders, MOBILE_TRANSIT_SSIDS),
+    ):
+        for k, owner in enumerate(owners):
+            ap_id = n_static + len(mobile_aps)
+            mobile_aps.append(MobileAp(ap_id, owner, kind, names[k % len(names)]))
 
     # --- trajectories ------------------------------------------------------
-    bus_owner = {m.owner for m in mobile_aps if m.kind == "bus"}
     segments = []
     for u in range(n_users):
         segments.append(
@@ -642,7 +632,7 @@ def generate_world(spec: WorldSpec) -> GroundTruth:
                 venue_y,
                 anchors_pre[u],
                 anchors_post[u],
-                has_bus=u in bus_owner,
+                has_bus=u in bus_riders,
             )
         )
 
@@ -691,15 +681,8 @@ def _build_segments(
         spec.routine_change_day * 86400.0 if spec.routine_change_day is not None else None
     )
 
-    t0s: list[float] = []
-    t1s: list[float] = []
-    kinds: list[int] = []
-    xs0: list[float] = []
-    ys0: list[float] = []
-    xs1: list[float] = []
-    ys1: list[float] = []
-    anchors: list[int] = []
-    bus_flags: list[bool] = []
+    # one row per segment: (t0, t1, kind, x0, y0, x1, y1, anchor, is_bus)
+    rows: list[tuple] = []
 
     def anchor_pos(aid: int) -> tuple[float, float]:
         return float(anchor_x[aid]), float(anchor_y[aid])
@@ -716,15 +699,7 @@ def _build_segments(
     def stay_until(t_s: float, aid: int, pos: tuple[float, float]) -> None:
         nonlocal cursor_t, cursor_pos, cursor_anchor
         if t_s > cursor_t:
-            t0s.append(cursor_t)
-            t1s.append(t_s)
-            kinds.append(0)
-            xs0.append(pos[0])
-            ys0.append(pos[1])
-            xs1.append(pos[0])
-            ys1.append(pos[1])
-            anchors.append(aid)
-            bus_flags.append(False)
+            rows.append((cursor_t, t_s, 0, *pos, *pos, aid, False))
             cursor_t = t_s
         cursor_pos = pos
         cursor_anchor = aid
@@ -738,15 +713,8 @@ def _build_segments(
             return
         speed = spec.walk_speed_mps if dist < spec.walk_max_m else spec.bus_speed_mps
         dur = dist / speed + 30.0
-        t0s.append(cursor_t)
-        t1s.append(cursor_t + dur)
-        kinds.append(1)
-        xs0.append(cursor_pos[0])
-        ys0.append(cursor_pos[1])
-        xs1.append(pos[0])
-        ys1.append(pos[1])
-        anchors.append(-2)
-        bus_flags.append(bool(bus_ok and dist >= spec.walk_max_m))
+        bus = bus_ok and dist >= spec.walk_max_m
+        rows.append((cursor_t, cursor_t + dur, 1, *cursor_pos, *pos, -2, bus))
         cursor_t += dur
         cursor_pos = pos
         cursor_anchor = aid
@@ -811,16 +779,17 @@ def _build_segments(
     if cursor_t < span_s:
         stay_until(span_s, cursor_anchor, cursor_pos)
 
+    t0, t1, kind, x0, y0, x1, y1, anchor, is_bus = zip(*rows)
     return _UserSegments(
-        t0=np.array([round(t * 1000) for t in t0s], dtype=np.int64),
-        t1=np.array([round(t * 1000) for t in t1s], dtype=np.int64),
-        kind=np.array(kinds, dtype=np.int8),
-        x0=np.array(xs0, dtype=np.float64),
-        y0=np.array(ys0, dtype=np.float64),
-        x1=np.array(xs1, dtype=np.float64),
-        y1=np.array(ys1, dtype=np.float64),
-        anchor=np.array(anchors, dtype=np.int64),
-        is_bus=np.array(bus_flags, dtype=bool),
+        t0=np.array([round(t * 1000) for t in t0], dtype=np.int64),
+        t1=np.array([round(t * 1000) for t in t1], dtype=np.int64),
+        kind=np.array(kind, dtype=np.int8),
+        x0=np.array(x0, dtype=np.float64),
+        y0=np.array(y0, dtype=np.float64),
+        x1=np.array(x1, dtype=np.float64),
+        y1=np.array(y1, dtype=np.float64),
+        anchor=np.array(anchor, dtype=np.int64),
+        is_bus=np.array(is_bus, dtype=bool),
     )
 
 

@@ -494,7 +494,7 @@ def ingest_arrays(gps_path, wifi_path) -> tuple[SensorArrays, IngestReport]:
     """Ingest both trace files straight into columns, plus the line report.
 
     One streaming pass per file, with the same validation and the same
-    report as :func:`ingest_traces_verbose`; scan lines tied on
+    report as :func:`ingest_traces_verbose`; lines of either log tied on
     ``(user, ts)`` are read a second time for their content order. The user
     and BSSID tables are the sorted unions of what the accepted lines hold,
     and rows come out in the canonical order, so the result matches the
@@ -506,15 +506,15 @@ def ingest_arrays(gps_path, wifi_path) -> tuple[SensorArrays, IngestReport]:
     :func:`_scan_fields`, which alone rejects lines and merges duplicates.
 
     Accepted fields go into typed ``array`` buffers as they are read, and
-    each buffer becomes its column without a copy. A scan log whose
-    ``(user, ts)`` pairs strictly increase is already in canonical order
-    and is not reordered.
+    each buffer becomes its column without a copy. A log whose ``(user, ts)``
+    pairs strictly increase is already in canonical order, so its columns
+    are not gathered.
     """
     gps_path, wifi_path = Path(gps_path), Path(wifi_path)
     report = _new_report(gps_path, wifi_path)
     users: dict[UserId, int] = {}
     fix_user, fix_ts = array("i"), array("q")
-    fix_lat, fix_lon, fix_acc = array("d"), array("d"), array("d")
+    fix_lat, fix_lon, fix_acc, fix_line = array("d"), array("d"), array("d"), array("q")
 
     with _open_log(gps_path) as handle:
         for line_no, _, obj in _json_lines(handle, report.gps):
@@ -528,6 +528,7 @@ def ingest_arrays(gps_path, wifi_path) -> tuple[SensorArrays, IngestReport]:
             fix_lat.append(lat)
             fix_lon.append(lon)
             fix_acc.append(math.nan if acc is None else acc)
+            fix_line.append(line_no)
     report.gps.parsed = len(fix_ts)
     _check_malformed_share(gps_path, report.gps)
 
@@ -594,48 +595,41 @@ def ingest_arrays(gps_path, wifi_path) -> tuple[SensorArrays, IngestReport]:
     # a BSSID interned from a line that was then rejected stays out
     bssids, ap_map = _sorted_table(list(bssid_ids), ap_raw)
 
-    f_user = user_map[np.frombuffer(fix_user, dtype=np.int32)]
-    f_ts = np.frombuffer(fix_ts, dtype=np.int64)
-    f_lat = np.frombuffer(fix_lat, dtype=np.float64)
-    f_lon = np.frombuffer(fix_lon, dtype=np.float64)
-    f_acc = np.frombuffer(fix_acc, dtype=np.float64)
-
-    def fix_keys(rows):
-        return [
-            _fix_json(
-                user_ids[f_user[k]],
-                int(f_ts[k]),
-                float(f_lat[k]),
-                float(f_lon[k]),
-                None if math.isnan(f_acc[k]) else float(f_acc[k]),
-            )
-            for k in rows
-        ]
-
-    f_order = _canonical_order(f_user, f_ts, fix_keys)
+    fix = [
+        user_map[np.frombuffer(fix_user, dtype=np.int32)],
+        np.frombuffer(fix_ts, dtype=np.int64),
+        np.frombuffer(fix_lat, dtype=np.float64),
+        np.frombuffer(fix_lon, dtype=np.float64),
+        np.frombuffer(fix_acc, dtype=np.float64),
+    ]
+    order = _canonical_order(
+        fix[0], fix[1], gps_path, fix_line, lambda obj: _fix_json(*_fix_fields(obj))
+    )
+    if order is not None:
+        fix = [col[order] for col in fix]
 
     s_user = user_map[np.frombuffer(scan_user, dtype=np.int32)]
     s_ts = np.frombuffer(scan_ts, dtype=np.int64)
-    s_len = np.frombuffer(scan_len, dtype=np.int32)
-    if _in_order(s_user, s_ts):
+    s_off = _offsets(np.frombuffer(scan_len, dtype=np.int32))
+    order = _canonical_order(
+        s_user, s_ts, wifi_path, scan_line, lambda obj: _scan_json(*_scan_fields(obj, _BssidKeys()))
+    )
+    if order is None:
         # the usual log, as write_dataset writes one: no row moves
-        s_off, s_ap = _offsets(s_len), ap_map[ap_raw]
+        s_ap = ap_map[ap_raw]
     else:
-        s_order = _canonical_order(
-            s_user, s_ts, lambda rows: _scan_keys(wifi_path, [scan_line[k] for k in rows])
-        )
-        flat, lens = _ragged_index(_offsets(s_len), s_order)
-        s_user, s_ts = s_user[s_order], s_ts[s_order]
+        flat, lens = _ragged_index(s_off, order)
+        s_user, s_ts = s_user[order], s_ts[order]
         s_off, s_ap = _offsets(lens), ap_map[ap_raw[flat]]
 
     arrays = SensorArrays(
         user_ids=user_ids,
         bssids=bssids,
-        fix_user=f_user[f_order],
-        fix_ts=f_ts[f_order],
-        fix_lat=f_lat[f_order],
-        fix_lon=f_lon[f_order],
-        fix_acc=f_acc[f_order],
+        fix_user=fix[0],
+        fix_ts=fix[1],
+        fix_lat=fix[2],
+        fix_lon=fix[3],
+        fix_acc=fix[4],
         scan_user=s_user,
         scan_ts=s_ts,
         scan_off=s_off,
@@ -663,16 +657,22 @@ def _sorted_table(names: list[str], used: np.ndarray) -> tuple[list[str], np.nda
 
 
 def _canonical_order(
-    user: np.ndarray, ts: np.ndarray, content_keys: Callable[[list[int]], list[str]]
-) -> np.ndarray:
-    """Row order by ``(user, ts)``, ties broken by ``content_keys(rows)``.
+    user: np.ndarray,
+    ts: np.ndarray,
+    path: Path,
+    line_nos: array,
+    line_key: Callable[[object], str],
+) -> Optional[np.ndarray]:
+    """Row order by ``(user, ts)``, ties broken by each tied row's content
+    key, or None for rows already in that order with no tie.
 
     The table indices in ``user`` follow string order, so this equals the
-    record route's sort; content keys are built only for tied rows. Rows
-    already in that order, with no tie, give ``arange`` without a sort.
+    record route's sort. Row ``k`` was read from line ``line_nos[k]`` of
+    ``path``; only tied rows need a content key, so only their lines are read
+    again, and ``line_key`` maps each one's JSON value to its canonical JSON.
     """
     if _in_order(user, ts):
-        return np.arange(user.size)
+        return None
     order = np.lexsort((ts, user))
     u, t = user[order], ts[order]
     same = (u[1:] == u[:-1]) & (t[1:] == t[:-1])
@@ -683,7 +683,13 @@ def _canonical_order(
     tied[:-1] |= same
     pos = np.nonzero(tied)[0]
     rows = order[pos].tolist()
-    keys = content_keys(rows)
+    wanted = {line_nos[k]: None for k in rows}
+    # numbered the way _json_lines numbers them
+    with path.open("rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            if line_no in wanted:
+                wanted[line_no] = line_key(json.loads(raw.decode("utf-8")))
+    keys = [wanted[line_nos[k]] for k in rows]
     # tied runs are contiguous and (u, t) keeps them in place; the sort is
     # stable, so identical lines keep their input order
     resorted = sorted(range(len(rows)), key=lambda i: (int(u[pos[i]]), int(t[pos[i]]), keys[i]))
@@ -695,24 +701,6 @@ def _in_order(user: np.ndarray, ts: np.ndarray) -> bool:
     """Whether the ``(user, ts)`` pairs strictly increase row by row."""
     later = (user[1:] > user[:-1]) | ((user[1:] == user[:-1]) & (ts[1:] > ts[:-1]))
     return bool(later.all())
-
-
-def _scan_keys(path: Path, line_nos: list[int]) -> list[str]:
-    """Canonical JSON of the scans on the given (accepted) lines of ``path``.
-
-    Only rows tied on ``(user, ts)`` need this, so the columns never carry
-    SSIDs or RSSIs; the few lines involved are read again instead.
-    """
-    wanted = set(line_nos)
-    canon = _BssidKeys()
-    key_of_line: dict[int, str] = {}
-    # numbered the way _ingest_file numbers them
-    with path.open("rb") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            if line_no in wanted:
-                user, ts, sightings = _scan_fields(json.loads(raw.decode("utf-8")), canon)
-                key_of_line[line_no] = _scan_json(user, ts, sightings)
-    return [key_of_line[n] for n in line_nos]
 
 
 def _fix_json(

@@ -720,7 +720,7 @@ def build_simple_database(obs: Iterable[PairedObservation]) -> ApDatabase:
             ap_class=ApClass.STATIC,
             n_sightings=len(group),
             pos=geometric_median(*latlon([o.pos for o in group])),
-            contributors=frozenset(o.user for o in group),
+            n_contributors=len({o.user for o in group}),
         )
     return ApDatabase(records=records)
 

@@ -413,7 +413,7 @@ def _record_key(rec):
         return None if p is None else (p.lat_deg.hex(), p.lon_deg.hex())
 
     segments = [(hexed(s.pos), s.interval.start, s.interval.end) for s in rec.segments]
-    return rec.bssid, rec.ap_class, rec.n_sightings, hexed(rec.pos), segments, rec.contributors
+    return rec.bssid, rec.ap_class, rec.n_sightings, hexed(rec.pos), segments, rec.n_contributors
 
 
 def _assert_same_database(got, want):
@@ -436,8 +436,8 @@ class TestDatabase:
         ]
         obs.append(PairedObservation("y", pts[0], 0, "carol"))
         db = build_database(*pair_columns(obs))
-        assert db.get("x").contributors == frozenset({"alice", "bob"})
-        assert db.get("y").contributors == frozenset({"carol"})
+        assert db.get("x").n_contributors == 2
+        assert db.get("y").n_contributors == 1
 
     def test_permutation_invariant(self):
         """Row order never matters, down to the bits of each position: all
@@ -479,9 +479,9 @@ class TestDatabase:
         seen = {}
         classify_unplaced = ap_locator._classify_unplaced
 
-        def spy(bssid, ts, lat, lon, contributors, cfg):
+        def spy(bssid, ts, lat, lon, n_contributors, cfg):
             seen[bssid] = (ts.tolist(), lat.tolist(), lon.tolist())
-            return classify_unplaced(bssid, ts, lat, lon, contributors, cfg)
+            return classify_unplaced(bssid, ts, lat, lon, n_contributors, cfg)
 
         monkeypatch.setattr(ap_locator, "_classify_unplaced", spy)
         pairs, user_ids, bssids = pair_columns(obs)
@@ -542,6 +542,26 @@ class TestDatabase:
     def test_simple_database_positions_everything(self):
         db = build_simple_database(_obs("x", [_offset(0, 0)]))
         assert db.get("x").ap_class is ApClass.STATIC
+
+    def test_csv_rewrite_is_byte_identical(self, tmp_path):
+        """Writing a loaded database gives the file it was read from, its
+        contributor counts included."""
+        day = 86_400_000
+        a, b, c = (f"02:00:00:00:00:0{i}" for i in range(1, 4))
+        obs = _obs(a, [_offset(i, 0) for i in range(8)])
+        obs += _obs(b, [_offset(i, 0) for i in range(10)], ts0=0, step_ms=day)
+        obs += _obs(b, [_offset(3000 + i, 0) for i in range(10)], ts0=30 * day, step_ms=day)
+        obs += _obs(c, [_offset(0, 0)] * 2)
+        obs = [PairedObservation(o.bssid, o.pos, o.ts, f"u{k % 3}") for k, o in enumerate(obs)]
+        db = build_database(*pair_columns(obs))
+        assert [r.ap_class for r in db.records.values()] == [
+            ApClass.STATIC, ApClass.RELOCATED, ApClass.INSUFFICIENT
+        ]
+        assert [r.n_contributors for r in db.records.values()] == [3, 3, 2]
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_apdb_csv(db, first)
+        write_apdb_csv(read_apdb_csv(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_csv_roundtrip(self, tmp_path):
         day = 86_400_000

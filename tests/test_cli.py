@@ -214,6 +214,11 @@ _APDB_HEADER = "bssid,class,lat,lon,n_sightings,segments_json,contributors_count
         ("02:00:00:00:00:01,static,,12.5,4,,2", "the row of 02:00:00:00:00:01: a static row fills both"),
         ("02:00:00:00:00:01,static,55.7,x,4,,2", "the row of 02:00:00:00:00:01: could not convert"),
         ("02:00:00:00:00:01,static,95.7,12.5,4,,2", "the row of 02:00:00:00:00:01: latitude out of range: 95.7"),
+        # counts that are not non-negative integers
+        ("02:00:00:00:00:01,static,55.7,12.5,-4,,2",
+         "the row of 02:00:00:00:00:01: n_sightings must be a non-negative integer, not '-4'"),
+        ("02:00:00:00:00:01,mobile,,,4,,2.5", "contributors_count must be a non-negative integer, not '2.5'"),
+        ("02:00:00:00:00:01,mobile,,,4,,", "contributors_count must be a non-negative integer, not ''"),
         # a cell the row's class does not use
         ("02:00:00:00:00:01,mobile,55.7,12.5,4,,2",
          "the row of 02:00:00:00:00:01: lat and lon must be empty in a row of class mobile"),

@@ -21,11 +21,23 @@ from wifimob.synthgen import (
     _PointIndex,
     _place_separated,
     _rng,
+    _user_ids,
     generate_world,
     simulate_sensor_arrays,
     write_dataset,
 )
 from wifimob.trace_model import user_bounds
+
+
+def test_user_ids_sort_as_strings():
+    """Ingest sorts its user table as strings, so generated ids must sort
+    that way too; worlds of up to 1 000 users keep their three-digit ids."""
+    for n_users in (1, 10, 999, 1000, 1001, 10_001):
+        ids = _user_ids(n_users)
+        assert ids == sorted(set(ids)) and len(ids) == n_users
+    assert _user_ids(1000) == [f"u{i:03d}" for i in range(1000)]
+    assert _user_ids(1001)[-2:] == ["u0999", "u1000"]
+    assert generate_world(WorldSpec(seed=1, n_users=3, n_days=1)).user_ids == ["u000", "u001", "u002"]
 
 
 def test_same_seed_identical_traces():

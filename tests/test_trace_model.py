@@ -537,17 +537,23 @@ def test_deeply_nested_line_is_a_malformed_line(tmp_path):
 
 
 def test_tied_lines_reread_by_line_number_in_crlf_files(tmp_path):
-    """Scan lines tied on (user, ts) are read again by line number; CRLF
-    files and a rejected line before them must not shift that number."""
+    """Fix and scan lines tied on (user, ts) are read again by line number;
+    CRLF files and a rejected line before them must not shift that number."""
     gps, wifi = tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl"
-    gps.write_bytes(b"")
-    lines = [
+    fixes = [
+        b"\xff",
+        json.dumps({"user": "u", "ts_ms": 5, "lat": 55.2, "lon": 12.5}).encode(),
+        json.dumps({"user": "u", "ts_ms": 5, "lat": 55.1, "lon": 12.5, "acc_m": 3.0}).encode(),
+    ]
+    gps.write_bytes(b"\r\n".join(fixes) + b"\r\n")
+    scans = [
         b"\xff",
         json.dumps({"user": "u", "ts_ms": 5, "aps": [{"bssid": "aa:bb:cc:dd:ee:02"}]}).encode(),
         json.dumps({"user": "u", "ts_ms": 5, "aps": [{"bssid": "aa:bb:cc:dd:ee:01"}]}).encode(),
     ]
-    wifi.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    wifi.write_bytes(b"\r\n".join(scans) + b"\r\n")
     traces, arrays = _assert_routes_agree(gps, wifi)
+    assert [f.pos.lat_deg for f in traces.fixes] == [55.1, 55.2]
     assert [s.sightings[0].bssid for s in traces.scans] == ["aa:bb:cc:dd:ee:01", "aa:bb:cc:dd:ee:02"]
 
 
