@@ -143,11 +143,14 @@ def pair_arrays(arrays: SensorArrays, cfg: PairingConfig = PairingConfig()) -> P
     Each user's fixes and scans are a slice in time order, as
     :class:`SensorArrays` guarantees. Fixes whose accuracy exceeds
     ``cfg.max_accuracy_m`` are skipped; a NaN accuracy (not reported) is kept.
+    Rows come in log order: user by user, fix by fix, and each scan's
+    sightings in scan order.
     """
     n_users = len(arrays.user_ids)
     fix_bounds = user_bounds(arrays.fix_user, n_users)
     scan_bounds = user_bounds(arrays.scan_user, n_users)
-    parts = []
+    # each fix's chosen scan as a row of the whole log, or -1
+    chosen = np.full(arrays.fix_ts.size, -1, dtype=np.int64)
     for u in range(n_users):
         fsel = np.arange(fix_bounds[u], fix_bounds[u + 1])
         if cfg.max_accuracy_m is not None:
@@ -157,40 +160,17 @@ def pair_arrays(arrays: SensorArrays, cfg: PairingConfig = PairingConfig()) -> P
         s_lo, s_hi = scan_bounds[u], scan_bounds[u + 1]
         if fsel.size == 0 or s_lo == s_hi:
             continue
-        chosen = pair_time_indices(
-            arrays.fix_ts[fsel], arrays.scan_ts[s_lo:s_hi], cfg.window_ms
-        )
-        hit = chosen >= 0
-        fix_i = fsel[hit]
-        flat_idx, lens = arrays.sighting_index(s_lo + chosen[hit])
-        total = int(flat_idx.size)
-        if total == 0:
-            continue
-        parts.append(
-            (
-                arrays.scan_ap[flat_idx].astype(np.int32),
-                np.full(total, u, dtype=np.int32),
-                np.repeat(arrays.fix_ts[fix_i], lens),
-                np.repeat(arrays.fix_lat[fix_i], lens),
-                np.repeat(arrays.fix_lon[fix_i], lens),
-            )
-        )
+        scan = pair_time_indices(arrays.fix_ts[fsel], arrays.scan_ts[s_lo:s_hi], cfg.window_ms)
+        chosen[fsel] = np.where(scan >= 0, s_lo + scan, -1)
 
-    if not parts:
-        empty = np.empty(0, dtype=np.int64)
-        return PairedEvents(
-            ap=empty.astype(np.int32),
-            user=empty.astype(np.int32),
-            ts=empty,
-            lat=empty.astype(np.float64),
-            lon=empty.astype(np.float64),
-        )
+    fix_i = np.flatnonzero(chosen >= 0)
+    flat_idx, lens = arrays.sighting_index(chosen[fix_i])
     return PairedEvents(
-        ap=np.concatenate([p[0] for p in parts]),
-        user=np.concatenate([p[1] for p in parts]),
-        ts=np.concatenate([p[2] for p in parts]),
-        lat=np.concatenate([p[3] for p in parts]),
-        lon=np.concatenate([p[4] for p in parts]),
+        ap=arrays.scan_ap[flat_idx].astype(np.int32, copy=False),
+        user=np.repeat(arrays.fix_user[fix_i], lens).astype(np.int32, copy=False),
+        ts=np.repeat(arrays.fix_ts[fix_i], lens),
+        lat=np.repeat(arrays.fix_lat[fix_i], lens),
+        lon=np.repeat(arrays.fix_lon[fix_i], lens),
     )
 
 

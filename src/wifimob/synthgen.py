@@ -809,9 +809,12 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
     hotspot_by_owner = {m.owner: m.ap_id for m in gt.mobile_aps if m.kind == "hotspot"}
     bus_by_owner = {m.owner: m.ap_id for m in gt.mobile_aps if m.kind == "bus"}
 
-    # tethering sessions per hotspot owner, drawn from a dedicated stream so
-    # every viewer sees the same session schedule
-    sessions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    # each hotspot owner's on/off table: from starts[k] to starts[k + 1] the
+    # owner stays at the anchor anchor[k] while tethering, or anchor[k] is -1.
+    # Sessions come from a dedicated stream, so every viewer sees the same
+    # schedule; owners_at lists, per anchor, the owners whose table names it
+    hotspot_on: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    owners_at: dict[int, list[int]] = {}
     for owner in sorted(hotspot_by_owner):
         rng = _rng(spec.seed, 5, owner)
         s0, s1 = [], []
@@ -825,49 +828,23 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
                     start_h = rng.uniform(lo_h, hi_h)
                     s0.append(round((day * 24.0 + start_h) * 3_600_000))
                     s1.append(round((day * 24.0 + min(start_h + dur_h, 24.0)) * 3_600_000))
-        sessions[owner] = (np.array(s0, dtype=np.int64), np.array(s1, dtype=np.int64))
-
-    def _intersect(t0a, t1a, t0b, t1b):
-        out0, out1 = [], []
-        i = j = 0
-        while i < len(t0a) and j < len(t0b):
-            lo = max(t0a[i], t0b[j])
-            hi = min(t1a[i], t1b[j])
-            if lo < hi:
-                out0.append(lo)
-                out1.append(hi)
-            if t1a[i] <= t1b[j]:
-                i += 1
-            else:
-                j += 1
-        return np.array(out0, dtype=np.int64), np.array(out1, dtype=np.int64)
-
-    # broadcast windows of hotspot owners at every multi-user anchor point,
-    # so co-present users sight each other's hotspots while tethering is on
-    anchor_users: dict[int, set[int]] = {}
-    for u in range(n_users):
-        seg = gt.segments[u]
-        for aid in np.unique(seg.anchor[seg.kind == 0]):
-            if aid >= 0:
-                anchor_users.setdefault(int(aid), set()).add(u)
-    shared_anchor_hotspots: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-    for aid, users in anchor_users.items():
-        if len(users) < 2:
-            continue
-        entries = []
-        for owner in sorted(users):
-            hid = hotspot_by_owner.get(owner)
-            if hid is None:
-                continue
-            seg = gt.segments[owner]
-            mask = (seg.kind == 0) & (seg.anchor == aid)
-            if not mask.any():
-                continue
-            on0, on1 = _intersect(seg.t0[mask], seg.t1[mask], *sessions[owner])
-            if on0.size:
-                entries.append((owner, on0, on1))
-        if entries:
-            shared_anchor_hotspots[aid] = entries
+        # starts are drawn in order; a long day session may end after the
+        # evening's, so the ends are sorted
+        s0, s1 = np.array(s0, dtype=np.int64), np.sort(np.array(s1, dtype=np.int64))
+        seg = gt.segments[owner]
+        # the last piece starts where the last segment ends, so it is off,
+        # and so is a time before the first start, which reads it
+        starts = np.unique(np.concatenate([seg.t0, seg.t1[-1:], s0, s1]))
+        # a session is open at t if it started by t and has not ended
+        tethering = np.searchsorted(s0, starts, side="right") > np.searchsorted(
+            s1, starts, side="right"
+        )
+        # a piece after the last segment reads -1, and a move's -2 becomes -1
+        i = np.searchsorted(seg.t1, starts, side="right")
+        anchor = np.maximum(np.where(tethering, np.append(seg.anchor, -1)[i], -1), -1)
+        hotspot_on[owner] = starts, anchor
+        for aid in np.unique(anchor[anchor >= 0]).tolist():
+            owners_at.setdefault(aid, []).append(owner)
 
     # scan schedules, period jittered +-25%: the first draw of each user's
     # stream, taken up front so that every scan column is allocated once at
@@ -930,13 +907,13 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
         for aid in np.unique(kanchor[kanchor >= 0]):
             rows = np.nonzero(kanchor == aid)[0]
             t = ts[kept[rows]]
-            for owner, iv0, iv1 in shared_anchor_hotspots.get(int(aid), ()):
+            for owner in owners_at.get(int(aid), ()):
                 if owner == u:
                     continue
-                pos = np.searchsorted(iv0, t, side="right") - 1
-                inside = (pos >= 0) & (t < iv1[np.clip(pos, 0, len(iv1) - 1)])
-                mob_row.append(rows[inside])
-                mob_id.append(np.full(int(inside.sum()), hotspot_by_owner[owner]))
+                starts, anchor = hotspot_on[owner]
+                on = anchor[np.searchsorted(starts, t, side="right") - 1] == aid
+                mob_row.append(rows[on])
+                mob_id.append(np.full(int(on.sum()), hotspot_by_owner[owner]))
         row, mid = np.concatenate(mob_row), np.concatenate(mob_id)
         order = np.lexsort((mid, row))
         scan_off[1 + lo : 1 + hi][kept] = np.diff(q_off)[qrow] + np.bincount(row, minlength=kept.size)
@@ -978,7 +955,7 @@ def simulate_sensor_arrays(gt: GroundTruth, spec: Optional[WorldSpec] = None) ->
         fix_ts=fix_ts,
         fix_lat=fix_lat,
         fix_lon=fix_lon,
-        fix_acc=np.full(fix_ts.size, spec.gps_noise_m, dtype=np.float32),
+        fix_acc=np.full(fix_ts.size, spec.gps_noise_m, dtype=np.float64),
         scan_user=scan_user,
         scan_ts=scan_ts,
         scan_off=scan_off,
@@ -1017,7 +994,7 @@ def write_dataset(gt: GroundTruth, arrays: SensorArrays, out_dir) -> dict[str, i
                 int(arrays.fix_ts[k]),
                 float(arrays.fix_lat[k]),
                 float(arrays.fix_lon[k]),
-                round(float(arrays.fix_acc[k]), 3),
+                float(arrays.fix_acc[k]),
             )
             fh.write(line)
             fh.write("\n")

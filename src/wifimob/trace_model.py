@@ -182,7 +182,9 @@ class SensorArrays:
 
     ``user_ids`` and ``bssids`` are the tables the integer columns index.
     Scan sightings are ragged: scan ``k`` holds
-    ``scan_ap[scan_off[k]:scan_off[k + 1]]``. A missing fix accuracy is NaN.
+    ``scan_ap[scan_off[k]:scan_off[k + 1]]``. Fix accuracy is float64 from
+    both producers, the generator and :func:`ingest_arrays`; a missing one
+    is NaN.
 
     Fix rows and scan rows are each sorted by (user index, ts), ties
     allowed, so each user's rows are one slice (:func:`user_bounds`) in time

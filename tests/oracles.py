@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from bisect import bisect_right
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -47,7 +48,7 @@ from wifimob.pairing import (
     pair_time_indices,
 )
 from wifimob.reconstructor import BinnedTimeline, PositionEstimate, resolve_scan, timeline_coverage
-from wifimob.synthgen import _rng
+from wifimob.synthgen import GroundTruth, _rng
 from wifimob.trace_model import (
     ApSighting,
     BssidId,
@@ -262,6 +263,71 @@ def place_separated_loop(rng, grid, count: int, sep_m: float, taken_xy: list, po
     return placed
 
 
+def hotspot_sightings_loop(gt: GroundTruth, arrays: SensorArrays) -> list[tuple[int, int]]:
+    """Sorted (scan, hotspot id) pairs the generator's hotspot rule gives
+    ``gt``'s simulated log, one non-empty scan at a time: a scan lists the
+    hotspot of every other user who, at the scan's time, stays at the
+    viewer's anchor while one of their tethering sessions is open. Sessions
+    are drawn again from each owner's stream ``_rng(seed, 5, owner)``."""
+    spec = gt.spec
+    hotspot = {m.owner: m.ap_id for m in gt.mobile_aps if m.kind == "hotspot"}
+    # per owner, the union of their sessions as sorted on/off bounds: the
+    # owner is tethering at t when an odd number of bounds are <= t
+    bounds: dict[int, list[int]] = {}
+    for owner in hotspot:
+        rng = _rng(spec.seed, 5, owner)
+        sessions = []
+        for day in range(spec.n_days):
+            for prob, lo_h, hi_h in (
+                (spec.hotspot_day_session_prob, 9.5, 14.0),
+                (spec.hotspot_evening_session_prob, 17.5, 21.5),
+            ):
+                if rng.random() < prob:
+                    dur_h = rng.uniform(*spec.hotspot_session_h)
+                    start_h = rng.uniform(lo_h, hi_h)
+                    sessions.append(
+                        (
+                            round((day * 24.0 + start_h) * 3_600_000),
+                            round((day * 24.0 + min(start_h + dur_h, 24.0)) * 3_600_000),
+                        )
+                    )
+        on: list[int] = []
+        for t0, t1 in sorted(sessions):
+            if t0 >= t1:
+                continue
+            if on and t0 <= on[-1]:
+                on[-1] = max(on[-1], t1)
+            else:
+                on += [t0, t1]
+        bounds[owner] = on
+    ends = [seg.t1.tolist() for seg in gt.segments]
+    anchors = [seg.anchor.tolist() for seg in gt.segments]  # >= 0 on stays at an anchor only
+
+    def anchor_at(u: int, t: int) -> int:
+        return anchors[u][min(bisect_right(ends[u], t), len(ends[u]) - 1)]
+
+    # the owners who ever stay at each anchor, so a scan asks only those
+    owners_at: dict[int, list[int]] = {}
+    for owner in sorted(hotspot):
+        for aid in set(anchors[owner]):
+            owners_at.setdefault(aid, []).append(owner)
+
+    out = []
+    counts = np.diff(arrays.scan_off).tolist()
+    for k, (u, t, n) in enumerate(zip(arrays.scan_user.tolist(), arrays.scan_ts.tolist(), counts)):
+        aid = anchor_at(u, t) if n else -1
+        if aid < 0:
+            continue
+        for owner in owners_at.get(aid, ()):
+            if (
+                owner != u
+                and bisect_right(bounds[owner], t) % 2 == 1
+                and anchor_at(owner, t) == aid
+            ):
+                out.append((k, hotspot[owner]))
+    return sorted(out)
+
+
 def exhaustive_max_coverage(sets: dict, k: int) -> int:
     """Best achievable coverage over all size-<=k subsets, by enumeration."""
     from itertools import combinations
@@ -396,6 +462,14 @@ def pair_records(
     traces: TraceSet, cfg: PairingConfig = PairingConfig()
 ) -> list[PairedObservation]:
     """Record-level pairing, sorted by (bssid, ts, user)."""
+    return sorted(pair_records_in_log_order(traces, cfg), key=lambda o: (o.bssid, o.ts, o.user))
+
+
+def pair_records_in_log_order(
+    traces: TraceSet, cfg: PairingConfig = PairingConfig()
+) -> list[PairedObservation]:
+    """Record-level pairing in log order: user by user, each user's fixes
+    in turn, and the chosen scan's sightings in scan order."""
     scans_by_user: dict[UserId, list[WifiScan]] = {}
     for scan in traces.scans:
         scans_by_user.setdefault(scan.user, []).append(scan)
@@ -428,7 +502,6 @@ def pair_records(
                         bssid=sighting.bssid, pos=fix.pos, ts=fix.ts, user=user
                     )
                 )
-    out.sort(key=lambda o: (o.bssid, o.ts, o.user))
     return out
 
 

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import arrays_to_traceset, pair_records, prepare_from_traces, records_to_arrays
+from oracles import (
+    arrays_to_traceset,
+    pair_records,
+    pair_records_in_log_order,
+    prepare_from_traces,
+    records_to_arrays,
+)
 from wifimob.experiments import prepare_experiment_data
 from wifimob.pairing import PairingConfig, pair_arrays, pair_observations, pair_time_indices
 from wifimob.synthgen import WorldSpec, generate_world, simulate_sensor_arrays
@@ -11,6 +17,7 @@ from wifimob.trace_model import ApSighting, GeoPoint, GpsFix, TraceError, TraceS
 
 AP1 = ApSighting("02:00:00:00:00:01")
 AP2 = ApSighting("02:00:00:00:00:02")
+AP3 = ApSighting("02:00:00:00:00:03")
 
 
 def _columns(fixes, scans):
@@ -122,6 +129,67 @@ def test_every_pair_within_window(data):
     # output count: two sightings per paired fix
     paired_fixes = {o.ts for o in obs}
     assert len(obs) == 2 * sum(1 for t in fix_ts if t in paired_fixes)
+
+
+@st.composite
+def _multi_user_logs(draw):
+    """Fixes and scans of up to four users; a user may have fixes and no
+    scans or the reverse, scans may be empty, and accuracies straddle 5 m."""
+    fixes, scans = [], []
+    for u in range(draw(st.integers(1, 4))):
+        user = f"u{u}"
+        for t in draw(st.lists(st.integers(0, 20_000), max_size=6)):
+            acc = draw(st.sampled_from([None, 3.0, 5.0, 12.0]))
+            pos = GeoPoint(55.0 + t * 1e-6, 12.0 + u * 1e-2)
+            fixes.append(GpsFix(user=user, ts=t, pos=pos, accuracy_m=acc))
+        for t in draw(st.lists(st.integers(0, 20_000), max_size=6)):
+            aps = draw(st.lists(st.sampled_from([AP1, AP2, AP3]), max_size=3, unique=True))
+            scans.append(WifiScan(user=user, ts=t, sightings=aps))
+    return fixes, scans
+
+
+_FOUR_CASES = (
+    [
+        GpsFix(user="a", ts=1000, pos=GeoPoint(55.0, 12.0), accuracy_m=12.0),
+        GpsFix(user="a", ts=3000, pos=GeoPoint(55.1, 12.0)),
+        GpsFix(user="a", ts=5000, pos=GeoPoint(55.2, 12.0), accuracy_m=3.0),
+        GpsFix(user="b", ts=1000, pos=GeoPoint(55.3, 12.0)),
+    ],
+    [
+        WifiScan(user="a", ts=1000, sightings=[AP2, AP1]),
+        WifiScan(user="a", ts=3000, sightings=[]),
+        WifiScan(user="a", ts=5500, sightings=[AP3, AP1]),
+        WifiScan(user="c", ts=1000, sightings=[AP1]),
+    ],
+)
+
+
+@given(_multi_user_logs(), st.sampled_from([None, 5.0]), st.integers(1, 3000))
+@example(_FOUR_CASES, 5.0, 1000)
+@settings(max_examples=100, deadline=None)
+def test_pair_arrays_columns_follow_the_record_oracle(log, max_acc, window):
+    """Every column of pair_arrays has its dtype, and its rows come in log
+    order: user by user, fix by fix, sightings in scan order."""
+    traces = TraceSet.from_records(*log)
+    arrays = records_to_arrays(traces.fixes, traces.scans)
+    cfg = PairingConfig(window_ms=window, max_accuracy_m=max_acc)
+    pairs = pair_arrays(arrays, cfg)
+    dtypes = [getattr(pairs, f).dtype for f in ("ap", "user", "ts", "lat", "lon")]
+    assert dtypes == [np.int32, np.int32, np.int64, np.float64, np.float64]
+    got = list(
+        zip(
+            [arrays.bssids[a] for a in pairs.ap.tolist()],
+            [arrays.user_ids[u] for u in pairs.user.tolist()],
+            pairs.ts.tolist(),
+            pairs.lat.tolist(),
+            pairs.lon.tolist(),
+        )
+    )
+    want = [
+        (o.bssid, o.user, o.ts, o.pos.lat_deg, o.pos.lon_deg)
+        for o in pair_records_in_log_order(traces, cfg)
+    ]
+    assert got == want
 
 
 def test_columnar_pairing_applies_accuracy_filter():

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     brute_radius_query,
     haversine_m_arrays,
+    hotspot_sightings_loop,
     place_separated_loop,
     records_to_arrays,
 )
@@ -26,7 +27,8 @@ from wifimob.synthgen import (
     simulate_sensor_arrays,
     write_dataset,
 )
-from wifimob.trace_model import user_bounds
+from wifimob.pairing import PairingConfig, pair_arrays
+from wifimob.trace_model import SensorArrays, ingest_arrays, user_bounds
 
 
 def test_user_ids_sort_as_strings():
@@ -430,12 +432,16 @@ SPARSE_MOBILE_WORLD = WorldSpec(
     background_aps_per_km2=0.5,
     mobile_ap_fraction=1.0,
 )
+# most users share places, and one in twenty routers is mobile
+HOTSPOT_WORLD = WorldSpec(
+    seed=11, n_users=20, n_days=10, colocated_fraction=0.9, mobile_ap_fraction=0.05
+)
 
 
 @pytest.mark.parametrize(
     "spec",
-    [WorldSpec(seed=6, n_users=5, n_days=2, extent_km=5.0), SPARSE_MOBILE_WORLD],
-    ids=["seed6", "sparse"],
+    [WorldSpec(seed=6, n_users=5, n_days=2, extent_km=5.0), SPARSE_MOBILE_WORLD, HOTSPOT_WORLD],
+    ids=["seed6", "sparse", "hotspot_dense"],
 )
 def test_bus_and_hotspot_rows_follow_their_rules(spec):
     """A bus router is listed by its rider exactly while aboard, and a
@@ -469,19 +475,13 @@ def test_bus_and_hotspot_rows_follow_their_rules(spec):
         assert aboard.size > 0
         assert np.array_equal(np.unique(scan_of[hit]), aboard)
 
-    # (c) hotspot sightings: viewer and owner differ and stay at one anchor
-    hotspots = [m for m in gt.mobile_aps if m.kind == "hotspot"]
-    seen = 0
-    for m in hotspots:
-        hit = np.nonzero(arrays.scan_ap == m.ap_id)[0]
-        seen += hit.size
-        for v, t in zip(viewer[hit].tolist(), ts[hit].tolist()):
-            assert v != m.owner
-            vseg, vi = segment_at(v, t)
-            oseg, oi = segment_at(m.owner, t)
-            assert vseg.kind[vi] == 0 and oseg.kind[oi] == 0
-            assert vseg.anchor[vi] >= 0 and vseg.anchor[vi] == oseg.anchor[oi]
-    assert seen > 0
+    # (c) hotspot rows, exactly: every non-empty scan lists the hotspots of
+    # the other users tethering at the viewer's anchor, and no other
+    hotspot_ids = [m.ap_id for m in gt.mobile_aps if m.kind == "hotspot"]
+    hit = np.isin(arrays.scan_ap, hotspot_ids)
+    listed = sorted(zip(scan_of[hit].tolist(), arrays.scan_ap[hit].tolist()))
+    assert listed
+    assert listed == hotspot_sightings_loop(gt, arrays)
 
 
 def test_desert_world_has_only_empty_scans():
@@ -595,6 +595,26 @@ def test_write_dataset_outputs(tmp_path, small_world):
         assert (tmp_path / name).exists()
     truth_lines = (tmp_path / "truth_aps.csv").read_text().splitlines()
     assert len(truth_lines) == 1 + counts["static_aps"] + counts["mobile_aps"]
+
+
+def test_file_route_equals_the_in_memory_route(tmp_path):
+    """Writing a log and ingesting it again gives back every column with its
+    dtype, so both routes pair alike, even at a threshold equal to the
+    generated accuracy (7.3 is not a float32 value)."""
+    spec = WorldSpec(seed=3, n_users=2, n_days=2, gps_noise_m=7.3)
+    gt = generate_world(spec)
+    arrays = simulate_sensor_arrays(gt)
+    write_dataset(gt, arrays, tmp_path)
+    back, _ = ingest_arrays(tmp_path / "gps.jsonl", tmp_path / "wifi.jsonl")
+    assert back.user_ids == arrays.user_ids
+    for f in fields(SensorArrays):
+        if f.name not in ("user_ids", "bssids", "scan_ap"):
+            got, want = getattr(back, f.name), getattr(arrays, f.name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+    assert back.scan_ap.dtype == arrays.scan_ap.dtype
+    assert [back.bssids[i] for i in back.scan_ap] == [arrays.bssids[i] for i in arrays.scan_ap]
+    cfg = PairingConfig(max_accuracy_m=7.3)
+    assert pair_arrays(back, cfg).count() == pair_arrays(arrays, cfg).count() > 0
 
 
 def test_wifi_log_carries_the_ssid_of_mobile_routers_only(tmp_path, small_world):
